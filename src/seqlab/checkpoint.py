@@ -2,54 +2,44 @@
 
 Layout: magic ``SQLB``, a uint32 format version, a uint64 header length,
 a JSON header (sorted keys, compact), then the raw bytes of every parameter
-array in manifest order as C-contiguous little-endian float64.  Loading a
-saved model reproduces decoding behavior bitwise, and saving the same model
-twice produces identical bytes, which is what the reproducibility tests
-compare.
+array in manifest order as C-contiguous little-endian float64.  The
+manifest is ``ModelParams.named_arrays()``: loading rebuilds the model from
+the header and fills those arrays in place.  Loading a saved model
+reproduces decoding behavior bitwise, and saving the same model twice
+produces identical bytes, which is what the reproducibility tests compare.
+Anything else, down to a stray trailing byte, is a ``CheckpointError``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
 
 from .corpus import LabelAlphabet
-from .crf import ModelParams
+from .crf import MODES, ModelParams
 from .embeddings import EmbeddingTable, InputComposer
-from .encoder import BiLSTMParams
 from .features import FeatureAlphabet, TemplateSet
 
 MAGIC = b"SQLB"
 FORMAT_VERSION = 1
+PREFIX = struct.Struct("<4sIQ")  # magic, format version, header length
+
+HEADER_KEYS = ("arrays", "dropout_p", "labels", "meta", "mode")
+DISCRETE_KEYS = ("edge_features", "out_features", "templates")
+NEURAL_KEYS = ("composer_task", "hidden", "tables")
 
 
 class CheckpointError(ValueError):
     """The file is not a loadable model checkpoint."""
 
 
-def _model_arrays(model: ModelParams) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {}
-    if model.uses_discrete:
-        arrays["theta_out"] = model.theta_out
-        arrays["theta_edge"] = model.theta_edge
-    if model.uses_neural:
-        for name, arr in model.lstm.arrays().items():
-            arrays[f"lstm.{name}"] = arr
-        arrays["theta_dense"] = model.theta_dense
-        arrays["tau"] = model.tau
-        for key in model.composer.table_order():
-            arrays[f"emb.{key}"] = model.composer.tables[key].matrix
-    if model.mode == "joint":
-        arrays["tau_weight"] = model.tau_weight
-    return arrays
-
-
 def save_model(path, model: ModelParams, meta: dict) -> None:
     """Write the model and run metadata; ``meta`` must be JSON-serializable."""
     model.validate()
-    arrays = _model_arrays(model)
+    arrays = dict(model.named_arrays())
     header = {
         "format_version": FORMAT_VERSION,
         "meta": meta,
@@ -85,9 +75,7 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
         "utf-8"
     )
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(PREFIX.pack(MAGIC, FORMAT_VERSION, len(blob)))
         fh.write(blob)
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -95,68 +83,93 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
 
 def load_model(path) -> tuple[ModelParams, dict]:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(PREFIX.size)
+        if len(prefix) < PREFIX.size:
+            raise CheckpointError(
+                f"{path}: {size} bytes is shorter than the {PREFIX.size}-byte prefix"
+            )
+        magic, version, header_len = PREFIX.unpack(prefix)
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}; not a model checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
         if version != FORMAT_VERSION:
             raise CheckpointError(
                 f"{path}: format version {version} unsupported (this build reads {FORMAT_VERSION})"
             )
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        if header_len > size - PREFIX.size:
+            raise CheckpointError(
+                f"{path}: header length {header_len} runs past the end of the {size}-byte file"
+            )
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupted header: {exc}") from exc
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        model = _model_from_header(path, header)
 
-    labels = LabelAlphabet(header["labels"])
-    model = ModelParams(mode=header["mode"], labels=labels, dropout_p=header["dropout_p"])
-    if "templates" in header:
-        t = header["templates"]
-        model.templates = TemplateSet(
-            t["task"],
-            t["language"],
-            cluster_lexicon=t["cluster_lexicon"],
-            radical_lexicon=t["radical_lexicon"],
-        )
-        model.out_alphabet = FeatureAlphabet.from_strings(header["out_features"])
-        model.edge_alphabet = FeatureAlphabet.from_strings(header["edge_features"])
-        model.theta_out = arrays["theta_out"]
-        model.theta_edge = arrays["theta_edge"]
-    if "tables" in header:
-        tables = {}
-        for spec in header["tables"]:
-            tables[spec["key"]] = EmbeddingTable(
-                spec["name"],
-                spec["dim"],
-                spec["symbols"],
-                arrays[f"emb.{spec['key']}"],
-                fine_tune=spec["fine_tune"],
-                lowercase=spec["lowercase"],
+        arrays = list(model.named_arrays())
+        expected = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays]
+        if header["arrays"] != expected:
+            raise CheckpointError(
+                f"{path}: array manifest {header['arrays']} does not match "
+                f"the {model.mode} model's {expected}"
             )
-        model.composer = InputComposer(header["composer_task"], tables)
-        hidden = header["hidden"]
-        model.lstm = BiLSTMParams(
-            input_dim=model.composer.dim,
-            hidden=hidden,
-            w_fwd=arrays["lstm.w_fwd"],
-            u_fwd=arrays["lstm.u_fwd"],
-            b_fwd=arrays["lstm.b_fwd"],
-            w_bwd=arrays["lstm.w_bwd"],
-            u_bwd=arrays["lstm.u_bwd"],
-            b_bwd=arrays["lstm.b_bwd"],
-        )
-        model.theta_dense = arrays["theta_dense"]
-        model.tau = arrays["tau"]
-    if model.mode == "joint":
-        model.tau_weight = arrays["tau_weight"]
-    model.validate()
+        data_len = size - PREFIX.size - header_len
+        need = sum(arr.nbytes for _, arr in arrays)
+        if data_len != need:
+            raise CheckpointError(f"{path}: {data_len} bytes of array data, expected {need}")
+        for _, arr in arrays:
+            arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
     return model, header["meta"]
+
+
+def _model_from_header(path, header) -> ModelParams:
+    """The zero-weight model the header describes, ready to be filled."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    mode = header.get("mode")
+    if mode not in MODES:
+        raise CheckpointError(f"{path}: unknown mode {mode!r}")
+    discrete = mode in ("discrete", "joint")
+    neural = mode in ("neural", "joint")
+    required = HEADER_KEYS + (DISCRETE_KEYS if discrete else ()) + (NEURAL_KEYS if neural else ())
+    missing = [key for key in required if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header lacks {missing}")
+    try:
+        templates = out_alphabet = composer = None
+        if discrete:
+            t = header["templates"]
+            templates = TemplateSet(
+                t["task"],
+                t["language"],
+                cluster_lexicon=t["cluster_lexicon"],
+                radical_lexicon=t["radical_lexicon"],
+            )
+            out_alphabet = FeatureAlphabet.from_strings(header["out_features"])
+        if neural:
+            tables = {
+                spec["key"]: EmbeddingTable(
+                    spec["name"],
+                    spec["dim"],
+                    spec["symbols"],
+                    np.zeros((len(spec["symbols"]), spec["dim"])),
+                    fine_tune=spec["fine_tune"],
+                    lowercase=spec["lowercase"],
+                )
+                for spec in header["tables"]
+            }
+            composer = InputComposer(header["composer_task"], tables)
+        model = ModelParams.create(
+            mode,
+            LabelAlphabet(header["labels"]),
+            templates=templates,
+            out_alphabet=out_alphabet,
+            composer=composer,
+            hidden=header.get("hidden", 0),
+            dropout_p=header["dropout_p"],
+        )
+    except (KeyError, TypeError, ValueError, MemoryError) as exc:
+        raise CheckpointError(f"{path}: invalid header: {exc!r}") from exc
+    if discrete and header["edge_features"] != model.edge_alphabet.strings():
+        raise CheckpointError(f"{path}: edge features do not match the label set")
+    return model

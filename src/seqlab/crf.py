@@ -20,23 +20,29 @@ joint
     tau enters the edge clique as one real-valued feature with its own
     learned weight.
 
+Viterbi and the forward recursion are the numpy loops ``_viterbi_path``
+and ``_logz`` below; every decode and ``log_partition`` goes through them.
 Decoding breaks ties toward the lowest label index at every backpointer
 decision, so results are deterministic.  ``sequence_score`` fixes the
 summation order (start transition, emission 0, then transition/emission per
 position); the brute-force oracles score sequences with the same order, so
 agreement checks can be exact rather than approximate.
+
+``ModelParams.named_arrays`` is the one enumeration of the parameters:
+checkpoints, cloning, the parameter norm, the AdaGrad update and the
+gradient check all walk it, and ``GradientBundle`` keys its gradients by
+the same names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .corpus import LabelAlphabet, Sentence
 from .embeddings import InputComposer
-from .encoder import BiLSTMGrads, BiLSTMParams, backward as encoder_backward, encode
+from .encoder import BiLSTMParams, backward as encoder_backward, encode
 from .features import (
     START_LABEL,
     FeatureAlphabet,
@@ -82,6 +88,42 @@ class DecodeResult:
     score: float
 
 
+def _viterbi_path(emission, transition):
+    n, L = emission.shape
+    alpha = transition[L] + emission[0]
+    back = np.zeros((n, L), dtype=np.int64)
+    for i in range(1, n):
+        scores = alpha[:, None] + transition[:L]
+        best_prev = np.argmax(scores, axis=0)
+        alpha = scores[best_prev, np.arange(L)] + emission[i]
+        back[i] = best_prev
+    labels = np.zeros(n, dtype=np.int64)
+    labels[n - 1] = int(np.argmax(alpha))
+    for i in range(n - 1, 0, -1):
+        labels[i - 1] = back[i, labels[i]]
+    return labels
+
+
+def _logz(emission, transition):
+    n, L = emission.shape
+    alpha = transition[L] + emission[0]
+    for i in range(1, n):
+        scores = alpha[:, None] + transition[:L]
+        shift = scores.max(axis=0)
+        alpha = shift + np.log(np.exp(scores - shift).sum(axis=0)) + emission[i]
+    shift = alpha.max()
+    return float(shift + np.log(np.exp(alpha - shift).sum()))
+
+
+def _path_score(emission, transition, labels) -> float:
+    L = emission.shape[1]
+    score = transition[L, labels[0]] + emission[0, labels[0]]
+    for i in range(1, len(labels)):
+        score = score + transition[labels[i - 1], labels[i]]
+        score = score + emission[i, labels[i]]
+    return float(score)
+
+
 def sequence_score(lattice: ScoreLattice, labels) -> float:
     """Total log-score of one label sequence, in the pinned summation order."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -90,28 +132,30 @@ def sequence_score(lattice: ScoreLattice, labels) -> float:
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= L:
         raise ValueError("label index out of range")
-    score = lattice.transition[L, labels[0]] + lattice.emission[0, labels[0]]
-    for i in range(1, n):
-        score = score + lattice.transition[labels[i - 1], labels[i]]
-        score = score + lattice.emission[i, labels[i]]
-    return float(score)
+    return _path_score(lattice.emission, lattice.transition, labels)
 
 
 def viterbi(lattice: ScoreLattice) -> DecodeResult:
     """Exact argmax decoding; ties resolve to the lowest label index."""
-    labels = _kernels.viterbi_path(lattice.emission, lattice.transition)
-    return DecodeResult(labels=labels, score=sequence_score(lattice, labels))
+    emission, transition = lattice.emission, lattice.transition
+    labels = _viterbi_path(emission, transition)
+    return DecodeResult(labels=labels, score=_path_score(emission, transition, labels))
 
 
-def _augment(lattice: ScoreLattice, gold) -> ScoreLattice:
-    """Add 1.0 to every emission whose label disagrees with gold."""
+def _augmented_emission(lattice: ScoreLattice, gold) -> np.ndarray:
+    """The emission plus 1.0 wherever the label disagrees with gold."""
     gold = np.asarray(gold, dtype=np.int64)
     n, L = lattice.emission.shape
     if gold.shape != (n,):
         raise ValueError(f"expected {n} gold labels, got shape {gold.shape}")
     cost = np.ones((n, L))
     cost[np.arange(n), gold] = 0.0
-    return ScoreLattice(emission=lattice.emission + cost, transition=lattice.transition)
+    return lattice.emission + cost
+
+
+def _augment(lattice: ScoreLattice, gold) -> ScoreLattice:
+    """The cost-augmented lattice, for the brute-force oracles."""
+    return ScoreLattice(emission=_augmented_emission(lattice, gold), transition=lattice.transition)
 
 
 def cost_augmented_viterbi(lattice: ScoreLattice, gold) -> DecodeResult:
@@ -119,9 +163,9 @@ def cost_augmented_viterbi(lattice: ScoreLattice, gold) -> DecodeResult:
 
     The returned score includes the cost term.
     """
-    aug = _augment(lattice, gold)
-    labels = _kernels.viterbi_path(aug.emission, aug.transition)
-    return DecodeResult(labels=labels, score=sequence_score(aug, labels))
+    emission = _augmented_emission(lattice, gold)
+    labels = _viterbi_path(emission, lattice.transition)
+    return DecodeResult(labels=labels, score=_path_score(emission, lattice.transition, labels))
 
 
 def margin_loss(lattice: ScoreLattice, gold) -> tuple[float, DecodeResult]:
@@ -137,7 +181,7 @@ def margin_loss(lattice: ScoreLattice, gold) -> tuple[float, DecodeResult]:
 
 def log_partition(lattice: ScoreLattice) -> float:
     """Forward-algorithm log of the summed exponentiated sequence scores."""
-    return float(_kernels.log_partition(lattice.emission, lattice.transition))
+    return _logz(lattice.emission, lattice.transition)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +291,11 @@ class ModelParams:
     ) -> "ModelParams":
         """Zero-initialized model of the given mode.
 
-        The joint tau-slot weight starts at 1.0 so that tau receives
-        gradient from the first update on (at 0.0 both tau and its weight
-        would sit at a dead saddle).
+        ``rng`` draws the BiLSTM's initial weights; without one they start
+        at zero too, which is the skeleton a checkpoint load fills in.  The
+        joint tau-slot weight starts at 1.0 so that tau receives gradient
+        from the first update on (at 0.0 both tau and its weight would sit
+        at a dead saddle).
         """
         L = len(labels)
         params = cls(mode=mode, labels=labels, dropout_p=dropout_p)
@@ -266,10 +312,11 @@ class ModelParams:
         if mode in ("neural", "joint"):
             if composer is None:
                 raise ValueError(f"{mode} mode needs an input composer")
-            if rng is None:
-                raise ValueError(f"{mode} mode needs an rng for parameter init")
             params.composer = composer
-            params.lstm = BiLSTMParams.init(composer.dim, hidden, rng)
+            if rng is None:
+                params.lstm = BiLSTMParams.zeros(composer.dim, hidden)
+            else:
+                params.lstm = BiLSTMParams.init(composer.dim, hidden, rng)
             params.theta_dense = np.zeros((L, 2 * hidden))
             params.tau = np.zeros((L + 1, L))
         if mode == "joint":
@@ -277,17 +324,27 @@ class ModelParams:
         params.validate()
         return params
 
-    def dense_arrays(self) -> dict[str, np.ndarray]:
-        """Named dense parameter arrays (regularized on every update step)."""
-        out = {}
+    def named_arrays(self, trainable_only: bool = False):
+        """Yield ``(name, array)`` for every stored parameter array.
+
+        This order is the checkpoint's manifest order.  ``trainable_only``
+        leaves out embedding tables whose fine-tuning is off: they are
+        saved, but neither updated nor counted in the parameter norm.
+        """
+        if self.uses_discrete:
+            yield "theta_out", self.theta_out
+            yield "theta_edge", self.theta_edge
         if self.uses_neural:
             for name, arr in self.lstm.arrays().items():
-                out[f"lstm.{name}"] = arr
-            out["theta_dense"] = self.theta_dense
-            out["tau"] = self.tau
+                yield f"lstm.{name}", arr
+            yield "theta_dense", self.theta_dense
+            yield "tau", self.tau
+            for key in self.composer.table_order():
+                table = self.composer.tables[key]
+                if table.fine_tune or not trainable_only:
+                    yield f"emb.{key}", table.matrix
         if self.mode == "joint":
-            out["tau_weight"] = self.tau_weight
-        return out
+            yield "tau_weight", self.tau_weight
 
 
 def build_edge_alphabet(labels: LabelAlphabet) -> FeatureAlphabet:
@@ -368,29 +425,19 @@ def build_lattice(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GradientBundle:
-    """Sparse and dense pieces of d(loss)/d(parameters) for one sentence."""
+class GradientBundle(dict):
+    """d(loss)/d(parameters) for one sentence, keyed by ``named_arrays`` name.
 
-    out_ids: dict[int, float] = field(default_factory=dict)
-    edge_ids: dict[int, float] = field(default_factory=dict)
-    theta_dense: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    tau_weight: float | None = None
-    lstm: BiLSTMGrads | None = None
-    emb_rows: dict[tuple[str, int], np.ndarray] = field(default_factory=dict)
+    ``theta_out`` and ``theta_edge`` map feature ids to counts, and
+    ``emb.<key>`` maps table rows to vectors; those classes update only the
+    ids and rows present.  Every other entry is an array shaped like its
+    parameter.
+    """
 
     def is_zero(self) -> bool:
-        if self.out_ids or self.edge_ids or self.emb_rows:
-            return False
-        for arr in (self.theta_dense, self.tau):
-            if arr is not None and np.any(arr):
-                return False
-        if self.tau_weight:
-            return False
-        if self.lstm is not None and any(np.any(a) for a in self.lstm.arrays().values()):
-            return False
-        return True
+        return not any(
+            np.any(grad) if isinstance(grad, np.ndarray) else grad for grad in self.values()
+        )
 
 
 def _count_into(counter: dict[int, float], idx, delta):
@@ -421,18 +468,20 @@ def loss_gradients(
     label_names = params.labels.labels
 
     if params.uses_discrete:
+        out_ids = bundle["theta_out"] = {}
+        edge_ids = bundle["theta_edge"] = {}
         for i in range(n):
             if predicted[i] == gold[i]:
                 continue
             for s in fp.instantiations[i]:
-                _count_into(bundle.out_ids, params.out_alphabet.lookup(f"{s}|{label_names[predicted[i]]}"), +1.0)
-                _count_into(bundle.out_ids, params.out_alphabet.lookup(f"{s}|{label_names[gold[i]]}"), -1.0)
+                _count_into(out_ids, params.out_alphabet.lookup(f"{s}|{label_names[predicted[i]]}"), +1.0)
+                _count_into(out_ids, params.out_alphabet.lookup(f"{s}|{label_names[gold[i]]}"), -1.0)
         for seq, delta in ((predicted, +1.0), (gold, -1.0)):
             prev = START_LABEL
             for i in range(n):
                 cur = label_names[seq[i]]
                 _count_into(
-                    bundle.edge_ids,
+                    edge_ids,
                     params.edge_alphabet.lookup(edge_feature_string(prev, cur)),
                     delta,
                 )
@@ -459,12 +508,14 @@ def loss_gradients(
                 d_tau[prev, seq[i]] += delta * tau_scale
                 d_tau_weight += delta * params.tau[prev, seq[i]]
                 prev = seq[i]
-        bundle.theta_dense = d_dense
-        bundle.tau = d_tau
+        bundle["theta_dense"] = d_dense
+        bundle["tau"] = d_tau
         if params.mode == "joint":
-            bundle.tau_weight = d_tau_weight
+            bundle["tau_weight"] = np.array([d_tau_weight])
         lstm_grads, d_inputs = encoder_backward(params.lstm, enc, d_h)
-        bundle.lstm = lstm_grads
-        params.composer.backward(fp.sentence, d_inputs, bundle.emb_rows)
+        bundle.update((f"lstm.{name}", grad) for name, grad in lstm_grads.items())
+        emb_rows: dict[str, dict[int, np.ndarray]] = {}
+        params.composer.backward(fp.sentence, d_inputs, emb_rows)
+        bundle.update((f"emb.{key}", rows) for key, rows in emb_rows.items())
 
     return bundle

@@ -188,27 +188,28 @@ class InputComposer:
     def backward(self, sent: Sentence, grads: np.ndarray, out: dict) -> None:
         """Scatter d(composed input) back onto table rows.
 
-        ``grads`` is (n, dim); ``out`` maps (table key, row index) to an
-        accumulated gradient vector, so repeated touches of one row within a
-        sentence sum before any optimizer step.
+        ``grads`` is (n, dim); ``out`` maps each table key to a dict from row
+        index to an accumulated gradient vector, so repeated touches of one
+        row within a sentence sum before any optimizer step.
         """
         for i in range(len(sent)):
             offset = 0
             for key, symbol in self._symbols(sent, i):
                 table = self.tables[key]
+                rows = out.setdefault(key, {})
                 piece = grads[i, offset : offset + table.dim]
                 offset += table.dim
                 if isinstance(symbol, list):
                     share = piece / len(symbol)
                     for c in symbol:
-                        _accumulate(out, key, table.index(c), share)
+                        _accumulate(rows, table.index(c), share)
                 else:
-                    _accumulate(out, key, table.index(symbol), piece)
+                    _accumulate(rows, table.index(symbol), piece)
 
 
-def _accumulate(out, key, row, vec):
-    slot = out.get((key, row))
+def _accumulate(rows, row, vec):
+    slot = rows.get(row)
     if slot is None:
-        out[(key, row)] = vec.copy()
+        rows[row] = vec.copy()
     else:
         slot += vec

@@ -81,41 +81,31 @@ class BiLSTMParams:
             "b_bwd": self.b_bwd,
         }
 
-    def check(self):
-        h, d = self.hidden, self.input_dim
-        expect = {
-            "w_fwd": (4 * h, WINDOW * d),
+    @staticmethod
+    def shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each array in ``arrays()``, in the same order."""
+        h, win = hidden, WINDOW * input_dim
+        return {
+            "w_fwd": (4 * h, win),
             "u_fwd": (4 * h, h),
             "b_fwd": (4 * h,),
-            "w_bwd": (4 * h, WINDOW * d),
+            "w_bwd": (4 * h, win),
             "u_bwd": (4 * h, h),
             "b_bwd": (4 * h,),
         }
+
+    @classmethod
+    def zeros(cls, input_dim: int, hidden: int) -> "BiLSTMParams":
+        arrays = {k: np.zeros(shape) for k, shape in cls.shapes(input_dim, hidden).items()}
+        return cls(input_dim=input_dim, hidden=hidden, **arrays)
+
+    def check(self):
+        expect = self.shapes(self.input_dim, self.hidden)
         for name, arr in self.arrays().items():
             if arr.shape != expect[name]:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expect[name]}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-
-
-@dataclass
-class BiLSTMGrads:
-    w_fwd: np.ndarray
-    u_fwd: np.ndarray
-    b_fwd: np.ndarray
-    w_bwd: np.ndarray
-    u_bwd: np.ndarray
-    b_bwd: np.ndarray
-
-    def arrays(self):
-        return {
-            "w_fwd": self.w_fwd,
-            "u_fwd": self.u_fwd,
-            "b_fwd": self.b_fwd,
-            "w_bwd": self.w_bwd,
-            "u_bwd": self.u_bwd,
-            "b_bwd": self.b_bwd,
-        }
 
 
 class _DirectionCache:
@@ -279,11 +269,14 @@ def _backprop_direction(w, u, cache, d_h, positions, order, d_dropped):
     return dW, dU, db
 
 
-def backward(params: BiLSTMParams, output: EncoderOutput, d_h) -> tuple[BiLSTMGrads, np.ndarray]:
+def backward(
+    params: BiLSTMParams, output: EncoderOutput, d_h
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact gradients of a scalar loss given d(loss)/d(h).
 
-    Returns the parameter gradients and d(loss)/d(inputs), where the input
-    gradient already includes the window sharing and the dropout masks.
+    Returns the parameter gradients, keyed like ``BiLSTMParams.arrays()``,
+    and d(loss)/d(inputs), where the input gradient already includes the
+    window sharing and the dropout masks.
     """
     if not output.train:
         raise ValueError("backward requires an encode pass run in train mode")
@@ -305,5 +298,5 @@ def backward(params: BiLSTMParams, output: EncoderOutput, d_h) -> tuple[BiLSTMGr
         d_inputs = d_dropped * output.masks / (1.0 - output.dropout_p)
     else:
         d_inputs = d_dropped
-    grads = BiLSTMGrads(w_fwd=dWf, u_fwd=dUf, b_fwd=dbf, w_bwd=dWb, u_bwd=dUb, b_bwd=dbb)
+    grads = {"w_fwd": dWf, "u_fwd": dUf, "b_fwd": dbf, "w_bwd": dWb, "u_bwd": dUb, "b_bwd": dbb}
     return grads, d_inputs

@@ -15,6 +15,7 @@ deterministic function of (data, hyperparameters, seed).
 
 from __future__ import annotations
 
+import copy
 import logging
 import time
 from dataclasses import dataclass, field
@@ -24,7 +25,6 @@ import numpy as np
 from . import crf, evaluator
 from .corpus import LabelAlphabet, Sentence
 from .embeddings import EmbeddingTable, InputComposer, init_random_table
-from .encoder import BiLSTMParams
 from .features import EOS, TemplateSet
 
 log = logging.getLogger(__name__)
@@ -93,6 +93,7 @@ def adagrad_step_dense(param, grad, accum, eta, l2):
 
 
 def adagrad_step_sparse(param, accum, ids, values, eta, l2):
+    """Update only the listed ids of ``param``: entries, or rows of a matrix."""
     ids = np.asarray(ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
     _check_finite("sparse update", values)
@@ -101,59 +102,15 @@ def adagrad_step_sparse(param, accum, ids, values, eta, l2):
     param[ids] -= eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
 
 
-def apply_sparse_embedding_gradient(table: EmbeddingTable, row_grads, accum, eta, l2):
-    """Update only the touched rows of a fine-tuned table."""
-    if not table.fine_tune:
-        raise ValueError(f"table {table.name!r} is not marked for fine-tuning")
-    for row, vec in row_grads.items():
-        _check_finite(f"embedding row {table.name}[{row}]", vec)
-        g = vec + l2 * table.matrix[row]
-        accum[row] += g * g
-        table.matrix[row] -= eta * g / (np.sqrt(accum[row]) + ADAGRAD_EPS)
-
-
 def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaGradState, eta, l2):
-    if model.uses_discrete:
-        if bundle.out_ids:
-            adagrad_step_sparse(
-                model.theta_out,
-                state.for_param("theta_out", model.theta_out),
-                list(bundle.out_ids),
-                list(bundle.out_ids.values()),
-                eta,
-                l2,
-            )
-        if bundle.edge_ids:
-            adagrad_step_sparse(
-                model.theta_edge,
-                state.for_param("theta_edge", model.theta_edge),
-                list(bundle.edge_ids),
-                list(bundle.edge_ids.values()),
-                eta,
-                l2,
-            )
-    if model.uses_neural:
-        dense_grads = {
-            "theta_dense": bundle.theta_dense,
-            "tau": bundle.tau,
-        }
-        for name, arr in bundle.lstm.arrays().items():
-            dense_grads[f"lstm.{name}"] = arr
-        if model.mode == "joint":
-            dense_grads["tau_weight"] = np.array([bundle.tau_weight])
-        params = model.dense_arrays()
-        for name, grad in dense_grads.items():
-            adagrad_step_dense(params[name], grad, state.for_param(name, params[name]), eta, l2)
-        by_table: dict[str, dict[int, np.ndarray]] = {}
-        for (key, row), vec in bundle.emb_rows.items():
-            by_table.setdefault(key, {})[row] = vec
-        for key, rows in by_table.items():
-            table = model.composer.tables[key]
-            if not table.fine_tune:
-                continue
-            apply_sparse_embedding_gradient(
-                table, rows, state.for_param(f"emb.{key}", table.matrix), eta, l2
-            )
+    """One AdaGrad step for every trainable array that has a gradient."""
+    for name, param in model.named_arrays(trainable_only=True):
+        grad = bundle.get(name)
+        if isinstance(grad, dict) and grad:
+            accum = state.for_param(name, param)
+            adagrad_step_sparse(param, accum, list(grad), list(grad.values()), eta, l2)
+        elif isinstance(grad, np.ndarray):
+            adagrad_step_dense(param, grad, state.for_param(name, param), eta, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -282,58 +239,19 @@ def build_model(
 
 
 def clone_model(model: crf.ModelParams) -> crf.ModelParams:
-    """Deep copy of all trainable state; alphabets and templates are shared."""
-    composer = None
-    if model.composer is not None:
-        composer = InputComposer(
-            model.composer.task,
-            {
-                key: EmbeddingTable(
-                    t.name, t.dim, list(t.symbols), t.matrix.copy(),
-                    fine_tune=t.fine_tune, lowercase=t.lowercase,
-                )
-                for key, t in model.composer.tables.items()
-            },
-        )
-    lstm = None
-    if model.lstm is not None:
-        lstm = BiLSTMParams(
-            input_dim=model.lstm.input_dim,
-            hidden=model.lstm.hidden,
-            **{k: v.copy() for k, v in model.lstm.arrays().items()},
-        )
+    """Deep copy with a fresh copy of every array in ``named_arrays()``.
 
-    def cp(arr):
-        return None if arr is None else arr.copy()
-
-    return crf.ModelParams(
-        mode=model.mode,
-        labels=model.labels,
-        dropout_p=model.dropout_p,
-        templates=model.templates,
-        out_alphabet=model.out_alphabet,
-        edge_alphabet=model.edge_alphabet,
-        theta_out=cp(model.theta_out),
-        theta_edge=cp(model.theta_edge),
-        composer=composer,
-        lstm=lstm,
-        theta_dense=cp(model.theta_dense),
-        tau=cp(model.tau),
-        tau_weight=cp(model.tau_weight),
-    )
+    Labels, templates and feature alphabets, which training never changes,
+    are shared.
+    """
+    shared = (model.labels, model.templates, model.out_alphabet, model.edge_alphabet)
+    return copy.deepcopy(model, {id(obj): obj for obj in shared if obj is not None})
 
 
 def parameter_norm(model: crf.ModelParams) -> float:
     total = 0.0
-    if model.uses_discrete:
-        total += float(model.theta_out @ model.theta_out)
-        total += float(model.theta_edge @ model.theta_edge)
-    for arr in model.dense_arrays().values():
+    for _, arr in model.named_arrays(trainable_only=True):
         total += float(np.sum(arr * arr))
-    if model.composer is not None:
-        for table in model.composer.tables.values():
-            if table.fine_tune:
-                total += float(np.sum(table.matrix * table.matrix))
     return float(np.sqrt(total))
 
 
@@ -454,9 +372,10 @@ def train(
 def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.ModelParams, Sentence]:
     """A small randomized model plus a 3-token sentence for gradient checks.
 
-    Parameters are perturbed away from zero so gradient flows through every
-    class, and the sub-seed is advanced until the check sentence has a
-    positive margin loss with a comfortable argmax gap.
+    Arrays still at their zero init are drawn uniform in [-0.5, 0.5] so
+    gradient flows through every class, and the sub-seed is advanced until
+    the check sentence has a positive margin loss with a comfortable argmax
+    gap.
     """
     sents = [
         Sentence(tokens=("alpha", "beta", "gamma"), gold_labels=("A", "B", "C")),
@@ -466,12 +385,9 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
     for attempt in range(16):
         rng = np.random.default_rng([seed, 7, attempt])
         model = build_model(mode, "POS", "EN", sents, hypers)
-        if model.uses_discrete:
-            model.theta_out[:] = rng.uniform(-0.5, 0.5, model.theta_out.shape)
-            model.theta_edge[:] = rng.uniform(-0.5, 0.5, model.theta_edge.shape)
-        if model.uses_neural:
-            model.theta_dense[:] = rng.uniform(-0.5, 0.5, model.theta_dense.shape)
-            model.tau[:] = rng.uniform(-0.5, 0.5, model.tau.shape)
+        for _, arr in model.named_arrays():
+            if not np.any(arr):  # still at its zero init
+                arr[:] = rng.uniform(-0.5, 0.5, arr.shape)
         gold = np.array([model.labels.to_index(l) for l in sents[0].gold_labels])
         # evaluate under the same fixed dropout masks the gradient check uses
         masks = None
@@ -526,6 +442,15 @@ class _ClassError:
     def value(self) -> float:
         scale = max(np.sqrt(self.analytic_sq), np.sqrt(self.numeric_sq), 1e-8)
         return float(np.sqrt(self.diff_sq) / scale)
+
+
+def _gradcheck_class(name: str) -> str:
+    """The report key that pools a registry array's error."""
+    if name.startswith("lstm.b_"):
+        return "lstm_biases"
+    if name.startswith("lstm."):
+        return "lstm_weights"
+    return name
 
 
 def gradient_check(
@@ -592,37 +517,20 @@ def gradient_check(
             idx = it.multi_index
             err.add(float(grad[idx]), fd_for(array, idx))
 
-    if model.uses_discrete:
-        out_grad = np.zeros_like(model.theta_out)
-        for i, v in analytic.out_ids.items():
-            out_grad[i] = v
-        check_array("theta_out", model.theta_out, out_grad)
-        edge_grad = np.zeros_like(model.theta_edge)
-        for i, v in analytic.edge_ids.items():
-            edge_grad[i] = v
-        check_array("theta_edge", model.theta_edge, edge_grad)
-
-    if model.uses_neural:
-        check_array("theta_dense", model.theta_dense, analytic.theta_dense)
-        check_array("tau", model.tau, analytic.tau)
-        if model.mode == "joint":
-            check_array("tau_weight", model.tau_weight, np.array([analytic.tau_weight]))
-        lstm_arrays = model.lstm.arrays()
-        lstm_grads = analytic.lstm.arrays()
-        for name in ("w_fwd", "u_fwd", "w_bwd", "u_bwd"):
-            check_array("lstm_weights", lstm_arrays[name], lstm_grads[name])
-        for name in ("b_fwd", "b_bwd"):
-            check_array("lstm_biases", lstm_arrays[name], lstm_grads[name])
-        emb_err = pooled.setdefault("embeddings", _ClassError())
-        touched_rows: dict[str, set[int]] = {}
-        for (key, row) in analytic.emb_rows:
-            touched_rows.setdefault(key, set()).add(row)
-        for key, rows in sorted(touched_rows.items()):
-            table = model.composer.tables[key]
-            for row in sorted(rows):
-                grad_vec = analytic.emb_rows[(key, row)]
-                for col in range(table.dim):
-                    emb_err.add(float(grad_vec[col]), fd_for(table.matrix, (row, col)))
+    for name, array in model.named_arrays():
+        grad = analytic.get(name, {})  # absent: no gradient
+        if name.startswith("emb."):
+            # only the rows this sentence touches can have a gradient
+            err = pooled.setdefault("embeddings", _ClassError())
+            for row, vec in sorted(grad.items()):
+                for col in range(array.shape[1]):
+                    err.add(float(vec[col]), fd_for(array, (row, col)))
+            continue
+        if isinstance(grad, dict):
+            dense = np.zeros_like(array)
+            dense[list(grad)] = list(grad.values())
+            grad = dense
+        check_array(_gradcheck_class(name), array, grad)
 
     report.max_rel_err = {cls: err.value() for cls, err in pooled.items()}
     return report

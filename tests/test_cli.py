@@ -178,15 +178,17 @@ class TestPredictCommand:
 
     def test_corrupted_checkpoint_diagnostics(self, pos_setup, tmp_path, capsys):
         _, train, model_out, _ = self.train_once(pos_setup)
-        corrupt = tmp_path / "bad.bin"
-        corrupt.write_bytes(b"XXXX" + model_out.read_bytes()[4:])
-        status = run_cli(
-            ["predict", "--set", "task=POS",
-             "--set", f"model_in={corrupt}", "--set", f"input={train}",
-             "--set", f"output={tmp_path/'p.col'}"]
-        )
-        assert status == 2
-        assert "magic" in capsys.readouterr().err
+        blob = model_out.read_bytes()
+        for contents, message in ((b"XXXX" + blob[4:], "magic"), (blob[:6], "prefix")):
+            corrupt = tmp_path / "bad.bin"
+            corrupt.write_bytes(contents)
+            status = run_cli(
+                ["predict", "--set", "task=POS",
+                 "--set", f"model_in={corrupt}", "--set", f"input={train}",
+                 "--set", f"output={tmp_path/'p.col'}"]
+            )
+            assert status == 2
+            assert message in capsys.readouterr().err
 
 
 class TestEvalCommand:
@@ -240,7 +242,93 @@ class TestGradcheckCommand:
         assert all(v < record["tolerance"] for v in record["max_rel_err"].values())
 
 
+def split_checkpoint(blob):
+    """(header dict, array bytes) of a saved checkpoint; the prefix is 16 bytes."""
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    return json.loads(blob[16:end]), blob[end:]
+
+
+def join_checkpoint(header, data, prefix):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return prefix[:8] + len(text).to_bytes(8, "little") + text + data
+
+
+def drop_theta_edge(blob):
+    header, data = split_checkpoint(blob)
+    out_entry, edge_entry = header["arrays"][:2]
+    assert (out_entry["name"], edge_entry["name"]) == ("theta_out", "theta_edge")
+    start = 8 * out_entry["shape"][0]
+    end = start + 8 * edge_entry["shape"][0]
+    del header["arrays"][1]
+    return join_checkpoint(header, data[:start] + data[end:], blob)
+
+
+def drop_labels(blob):
+    header, data = split_checkpoint(blob)
+    del header["labels"]
+    return join_checkpoint(header, data, blob)
+
+
+def huge_table_dim(blob):
+    header, data = split_checkpoint(blob)
+    header["tables"][0]["dim"] = 10**12
+    return join_checkpoint(header, data, blob)
+
+
+def overlong_header(blob):
+    return blob[:8] + len(blob).to_bytes(8, "little") + blob[16:]
+
+
+MANIFESTS = {
+    "discrete": ["theta_out", "theta_edge"],
+    "neural": [
+        "lstm.w_fwd", "lstm.u_fwd", "lstm.b_fwd", "lstm.w_bwd", "lstm.u_bwd", "lstm.b_bwd",
+        "theta_dense", "tau", "emb.word", "emb.char",
+    ],
+    "joint": [
+        "theta_out", "theta_edge",
+        "lstm.w_fwd", "lstm.u_fwd", "lstm.b_fwd", "lstm.w_bwd", "lstm.u_bwd", "lstm.b_bwd",
+        "theta_dense", "tau", "emb.word", "emb.char", "tau_weight",
+    ],
+}
+
+
 class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize("mode", sorted(MANIFESTS))
+    def test_manifest_order_pinned(self, tmp_path, mode):
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
+        model = trainer.build_model(mode, "POS", "EN", sents, h)
+        assert [name for name, _ in model.named_arrays()] == MANIFESTS[mode]
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {})
+        header, _ = split_checkpoint(path.read_bytes())
+        assert [entry["name"] for entry in header["arrays"]] == MANIFESTS[mode]
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda blob: blob[:6],
+            lambda blob: blob + b"\0",
+            drop_theta_edge,
+            drop_labels,
+            huge_table_dim,
+            overlong_header,
+        ],
+        ids=["six_bytes", "trailing_byte", "manifest_without_theta_edge", "header_without_labels",
+             "huge_table_dim", "header_past_end"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, mutate):
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
+        model = trainer.build_model("joint", "POS", "EN", sents, h)
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {"task": "POS"})
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load_model(bad)
+
     def test_decode_identical_after_reload(self, tmp_path):
         sents = synthetic.separable_corpus(10, seed=33)
         h = HyperParams(word_hidden=8, char_emb=3, word_emb=5, epochs=2, seed=2)

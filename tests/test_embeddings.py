@@ -152,9 +152,9 @@ class TestComposerBackward:
         grads = np.array([[1.0, 1.0, 1.0, 4.0, 6.0]])
         out = {}
         composer.backward(s, grads, out)
-        np.testing.assert_array_equal(out[("word", 0)], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out[("char", 0)], [2.0, 3.0])  # half of the mean slice
-        np.testing.assert_array_equal(out[("char", 1)], [2.0, 3.0])
+        np.testing.assert_array_equal(out["word"][0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out["char"][0], [2.0, 3.0])  # half of the mean slice
+        np.testing.assert_array_equal(out["char"][1], [2.0, 3.0])
 
     def test_untouched_rows_absent(self):
         char, bigram, _, _ = toy_tables()
@@ -162,8 +162,8 @@ class TestComposerBackward:
         s = Sentence(tokens=["中"])
         out = {}
         composer.backward(s, np.ones((1, 4)), out)
-        assert ("char", 0) not in out  # row for "a" untouched
-        assert ("char", 2) in out
+        assert 0 not in out["char"]  # row for "a" untouched
+        assert 2 in out["char"]
 
     def test_repeated_rows_sum(self):
         char, bigram, _, _ = toy_tables()
@@ -172,4 +172,4 @@ class TestComposerBackward:
         grads = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
         out = {}
         composer.backward(s, grads, out)
-        np.testing.assert_array_equal(out[("char", 0)], [3.0, 0.0])
+        np.testing.assert_array_equal(out["char"][0], [3.0, 0.0])

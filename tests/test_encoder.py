@@ -128,7 +128,7 @@ class TestBackward:
         inputs = rng.normal(size=(4, 3))
         out = encode(params, inputs, train=True, rng=rng)
         grads, d_in = backward(params, out, np.zeros_like(out.h))
-        assert all(not np.any(a) for a in grads.arrays().values())
+        assert all(not np.any(a) for a in grads.values())
         assert not np.any(d_in)
 
     def test_backward_requires_train_mode(self):
@@ -166,7 +166,7 @@ class TestBackward:
                 diff_sq = a_sq = f_sq = 0.0
                 for name in names:
                     arr = params.arrays()[name]
-                    g = grads.arrays()[name]
+                    g = grads[name]
                     it = np.nditer(arr, flags=["multi_index"])
                     for _ in it:
                         idx = it.multi_index

@@ -11,7 +11,6 @@ from seqlab.trainer import (
     HyperParams,
     adagrad_step_dense,
     adagrad_step_sparse,
-    apply_sparse_embedding_gradient,
 )
 
 
@@ -85,16 +84,22 @@ class TestEmbeddingUpdates:
         table = self.table()
         before = table.matrix.copy()
         accum = np.zeros_like(table.matrix)
-        apply_sparse_embedding_gradient(table, {0: np.array([1.0, -1.0])}, accum, 0.1, 0.0)
+        adagrad_step_sparse(table.matrix, accum, [0], [np.array([1.0, -1.0])], 0.1, 0.0)
         np.testing.assert_array_equal(table.matrix[1], before[1])
         np.testing.assert_array_equal(table.matrix[2], before[2])
         assert np.any(table.matrix[0] != before[0])
 
     def test_fine_tune_false_rejected(self):
-        table = self.table()
-        table.fine_tune = False
-        with pytest.raises(ValueError):
-            apply_sparse_embedding_gradient(table, {0: np.ones(2)}, np.zeros((3, 2)), 0.1, 0.0)
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4, fine_tune_words=False)
+        model = trainer.build_model("neural", "POS", "EN", sents, h)
+        words = model.composer.tables["word"].matrix
+        before = words.copy()
+        bundle = crf.GradientBundle({"emb.word": {0: np.ones(words.shape[1])}})
+        state = AdaGradState()
+        trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
+        np.testing.assert_array_equal(words, before)
+        assert "emb.word" not in state._accum
 
     def test_accumulated_row_matches_dense_oracle(self):
         # two touches of one row summed before the step == dense update with
@@ -103,7 +108,7 @@ class TestEmbeddingUpdates:
         accum = np.zeros_like(table.matrix)
         g1 = np.array([0.5, -0.5])
         g2 = np.array([0.25, 1.0])
-        apply_sparse_embedding_gradient(table, {1: g1 + g2}, accum, 0.05, 0.0)
+        adagrad_step_sparse(table.matrix, accum, [1], [g1 + g2], 0.05, 0.0)
 
         dense = self.table().matrix
         dense_accum = np.zeros_like(dense)
@@ -219,6 +224,23 @@ class TestGradientCheck:
         assert report.max_rel_err["theta_out"] < 1e-10
         assert report.max_rel_err["theta_edge"] < 1e-10
 
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_every_trainable_array_gets_a_gradient(self, mode):
+        model, sent = trainer.make_gradcheck_instance(mode, seed=1)
+        gold = np.array([model.labels.to_index(l) for l in sent.gold_labels])
+        masks = None
+        if model.uses_neural:
+            composed = model.composer.compose_all(sent)
+            mask_rng = np.random.default_rng([0, trainer.SEED_DROPOUT])
+            masks = (mask_rng.random(composed.shape) >= model.dropout_p).astype(np.float64)
+        fp = crf.build_forward(model, sent, train=True, masks=masks)
+        loss, result = crf.margin_loss(fp.lattice, gold)
+        assert loss > 0.0
+        bundle = crf.loss_gradients(model, fp, result.labels, gold)
+        trainable = {name for name, _ in model.named_arrays(trainable_only=True)}
+        registry = {name for name, _ in model.named_arrays()}
+        assert trainable <= set(bundle) <= registry
+
     def test_instance_size_guard(self):
         model, _ = trainer.make_gradcheck_instance("discrete", seed=1)
         big = Sentence(tokens=["a"] * 6, gold_labels=["A"] * 6)
@@ -243,11 +265,12 @@ class TestBuildModel:
     def test_clone_is_independent(self):
         sents = synthetic.separable_corpus(5, seed=1)
         h = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
-        model = trainer.build_model("joint", "POS", "EN", sents, h)
-        clone = trainer.clone_model(model)
-        model.theta_out[:] = 7.0
-        model.tau[:] = 3.0
-        model.composer.tables["word"].matrix[:] = 9.0
-        assert not np.any(clone.theta_out == 7.0)
-        assert not np.any(clone.tau == 3.0)
-        assert not np.any(clone.composer.tables["word"].matrix == 9.0)
+        for mode in crf.MODES:
+            model = trainer.build_model(mode, "POS", "EN", sents, h)
+            clone = trainer.clone_model(model)
+            before = {name: arr.copy() for name, arr in clone.named_arrays()}
+            assert list(before) == [name for name, _ in model.named_arrays()]
+            for _, arr in model.named_arrays():
+                arr += 7.0
+            for name, arr in clone.named_arrays():
+                np.testing.assert_array_equal(arr, before[name], err_msg=f"{mode} {name}")
