@@ -4,7 +4,9 @@ Layout: magic ``SQLB``, a uint32 format version, a uint64 header length,
 a JSON header (sorted keys, compact), then the raw bytes of every parameter
 array in manifest order as C-contiguous little-endian float64.  The
 manifest is ``ModelParams.named_arrays()``: loading rebuilds the model from
-the header and fills those arrays in place.  Loading a saved model
+the header and fills those arrays in place.  A discrete or joint header
+lists the template contexts in id order: context k owns row k of the
+``(contexts, L)`` ``theta_out``.  Loading a saved model
 reproduces decoding behavior bitwise, and saving the same model twice
 produces identical bytes, which is what the reproducibility tests compare.
 Anything else, down to a stray trailing byte, is a ``CheckpointError``.
@@ -24,11 +26,11 @@ from .embeddings import EmbeddingTable, InputComposer
 from .features import FeatureAlphabet, TemplateSet
 
 MAGIC = b"SQLB"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PREFIX = struct.Struct("<4sIQ")  # magic, format version, header length
 
 HEADER_KEYS = ("arrays", "dropout_p", "labels", "meta", "mode")
-DISCRETE_KEYS = ("edge_features", "out_features", "templates")
+DISCRETE_KEYS = ("contexts", "templates")
 NEURAL_KEYS = ("composer_task", "hidden", "tables")
 
 
@@ -55,8 +57,7 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
             "cluster_lexicon": model.templates.cluster_lexicon,
             "radical_lexicon": model.templates.radical_lexicon,
         }
-        header["out_features"] = model.out_alphabet.strings()
-        header["edge_features"] = model.edge_alphabet.strings()
+        header["contexts"] = model.out_alphabet.strings()
     if model.uses_neural:
         header["hidden"] = model.lstm.hidden
         header["composer_task"] = model.composer.task
@@ -145,7 +146,7 @@ def _model_from_header(path, header) -> ModelParams:
                 cluster_lexicon=t["cluster_lexicon"],
                 radical_lexicon=t["radical_lexicon"],
             )
-            out_alphabet = FeatureAlphabet.from_strings(header["out_features"])
+            out_alphabet = FeatureAlphabet.from_strings(header["contexts"])
         if neural:
             tables = {
                 spec["key"]: EmbeddingTable(
@@ -170,6 +171,4 @@ def _model_from_header(path, header) -> ModelParams:
         )
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc!r}") from exc
-    if discrete and header["edge_features"] != model.edge_alphabet.strings():
-        raise CheckpointError(f"{path}: edge features do not match the label set")
     return model

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checkpoint, crf, evaluator, trainer
-from .corpus import Sentence, read_column_corpus, write_column_corpus
+from .corpus import Sentence, read_column_corpus, strip_line, write_column_corpus
 from .embeddings import load_text_embeddings
 from .features import load_lexicon
 
@@ -88,10 +88,12 @@ class RunConfig:
                 if text.lower() not in ("true", "false", "1", "0"):
                     raise ConfigError(f"{key} must be a boolean, got {text!r}")
                 values[key] = text.lower() in ("true", "1")
-            elif key in _INT_KEYS:
-                values[key] = int(text)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(text)
+            elif key in _INT_KEYS or key in _FLOAT_KEYS:
+                kind = int if key in _INT_KEYS else float
+                try:
+                    values[key] = kind(text)
+                except ValueError:
+                    raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
             else:
                 values[key] = text
         config = cls(values=values)
@@ -176,7 +178,7 @@ def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
     ncols = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            line = line.rstrip()
+            line = strip_line(line)
             if line:
                 ncols = len(line.split("\t"))
                 break

@@ -118,6 +118,14 @@ class SpanAnnotation:
 # ---------------------------------------------------------------------------
 
 _COLUMN_NAMES = frozenset(("token", "aux", "label"))
+# Only ASCII space, tab, CR and LF end a line without being content; any
+# other whitespace, such as the ideographic space U+3000, is a token.
+_LINE_END = " \t\r\n"
+
+
+def strip_line(raw: str) -> str:
+    """One corpus line without its trailing ASCII space, tab, CR and LF."""
+    return raw.rstrip(_LINE_END)
 
 
 def _check_columns(columns):
@@ -136,10 +144,11 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
     """Read a column-format corpus file.
 
     ``columns`` names each tab-separated column; it must include ``token``
-    and may include ``aux`` and ``label``.  Trailing whitespace and the
-    presence of a final newline are ignored.  A line with the wrong column
-    count raises :class:`CorpusFormatError` naming the line number.
-    An empty file yields an empty list.
+    and may include ``aux`` and ``label``.  Trailing ASCII whitespace and
+    the presence of a final newline are ignored; other whitespace is
+    content.  A line with the wrong column count raises
+    :class:`CorpusFormatError` naming the line number.  An empty file
+    yields an empty list.
     """
     columns = _check_columns(columns)
     sentences = []
@@ -163,7 +172,7 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
 
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip()
+            line = strip_line(raw)
             if not line:
                 flush()
                 continue
@@ -183,11 +192,14 @@ def write_column_corpus(path, sentences, columns=("token", "label")) -> None:
     """Write sentences in the column format read by :func:`read_column_corpus`.
 
     Sentences are separated by exactly one blank line; the file ends with a
-    single newline after the last token line.
+    single newline after the last token line.  A value that would not read
+    back as itself (empty, holding a tab, CR or LF, or ending the line with
+    a space) is a ``ValueError`` naming the sentence and the column, and
+    nothing is written.
     """
     columns = _check_columns(columns)
     blocks = []
-    for sent in sentences:
+    for k, sent in enumerate(sentences):
         fields = {
             "token": sent.tokens,
             "aux": sent.aux_tags,
@@ -196,6 +208,11 @@ def write_column_corpus(path, sentences, columns=("token", "label")) -> None:
         for name in columns:
             if fields[name] is None:
                 raise ValueError(f"sentence lacks required column {name!r}")
+            ends_line = name == columns[-1]
+            for value in fields[name]:
+                breaks_line = "\t" in value or "\r" in value or "\n" in value
+                if not value or breaks_line or (ends_line and value.endswith(" ")):
+                    raise ValueError(f"sentence {k}: {name} {value!r} would not read back")
         lines = [
             "\t".join(fields[name][i] for name in columns)
             for i in range(len(sent))

@@ -9,16 +9,18 @@ exists as a diagnostic and as a test oracle, never on the training path.
 Modes
 -----
 discrete
-    emission[i][y] = theta_out . f_out(x, i, y); transitions from the
-    label-bigram edge features under theta_edge.
+    emission[i][y] = sum of theta_out[c][y] over the template contexts c
+    instantiated at position i (``theta_out`` is a (contexts, L) matrix
+    over ``out_alphabet``); the transition is ``theta_edge``, an (L+1, L)
+    matrix laid out like the lattice's, with the start row last.
 neural
     emission[i][y] = theta_dense[y] . h_i; transitions are the learned
     matrix tau.
 joint
-    emission[i][y] = theta_dense[y] . h_i + theta_out . f_out(x, i, y);
-    transition = tau_weight * tau[y'][y] + theta_edge . f_edge(y', y), i.e.
-    tau enters the edge clique as one real-valued feature with its own
-    learned weight.
+    emission[i][y] = theta_dense[y] . h_i + the discrete emission;
+    transition = tau_weight * tau[y'][y] + theta_edge[y'][y], i.e. tau
+    enters the edge clique as one real-valued feature with its own learned
+    weight.
 
 Viterbi and the forward recursion are the numpy loops ``_viterbi_path``
 and ``_logz`` below; every decode and ``log_partition`` goes through them.
@@ -43,12 +45,7 @@ import numpy as np
 from .corpus import LabelAlphabet, Sentence
 from .embeddings import InputComposer
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
-from .features import (
-    START_LABEL,
-    FeatureAlphabet,
-    TemplateSet,
-    edge_feature_string,
-)
+from .features import FeatureAlphabet, TemplateSet
 
 MODES = ("discrete", "neural", "joint")
 
@@ -233,7 +230,6 @@ class ModelParams:
     dropout_p: float = 0.25
     templates: TemplateSet | None = None
     out_alphabet: FeatureAlphabet | None = None
-    edge_alphabet: FeatureAlphabet | None = None
     theta_out: np.ndarray | None = None
     theta_edge: np.ndarray | None = None
     composer: InputComposer | None = None
@@ -257,13 +253,13 @@ class ModelParams:
         if L == 0:
             raise ValueError("empty label alphabet")
         if self.uses_discrete:
-            for name in ("templates", "out_alphabet", "edge_alphabet", "theta_out", "theta_edge"):
+            for name in ("templates", "out_alphabet", "theta_out", "theta_edge"):
                 if getattr(self, name) is None:
                     raise ValueError(f"{self.mode} mode requires {name}")
-            if self.theta_out.shape != (self.out_alphabet.size,):
-                raise ValueError("theta_out does not match the output feature alphabet")
-            if self.theta_edge.shape != (self.edge_alphabet.size,):
-                raise ValueError("theta_edge does not match the edge feature alphabet")
+            if self.theta_out.shape != (self.out_alphabet.size, L):
+                raise ValueError(f"theta_out must be ({self.out_alphabet.size}, {L})")
+            if self.theta_edge.shape != (L + 1, L):
+                raise ValueError(f"theta_edge must be ({L + 1}, {L})")
         if self.uses_neural:
             for name in ("composer", "lstm", "theta_dense", "tau"):
                 if getattr(self, name) is None:
@@ -306,9 +302,8 @@ class ModelParams:
                 raise ValueError(f"{mode} mode needs templates and an output alphabet")
             params.templates = templates
             params.out_alphabet = out_alphabet
-            params.edge_alphabet = build_edge_alphabet(labels)
-            params.theta_out = np.zeros(out_alphabet.size)
-            params.theta_edge = np.zeros(params.edge_alphabet.size)
+            params.theta_out = np.zeros((out_alphabet.size, L))
+            params.theta_edge = np.zeros((L + 1, L))
         if mode in ("neural", "joint"):
             if composer is None:
                 raise ValueError(f"{mode} mode needs an input composer")
@@ -347,23 +342,13 @@ class ModelParams:
             yield "tau_weight", self.tau_weight
 
 
-def build_edge_alphabet(labels: LabelAlphabet) -> FeatureAlphabet:
-    """Every label bigram, including the start label, registered and frozen."""
-    alpha = FeatureAlphabet()
-    for prev in (START_LABEL, *labels.labels):
-        for cur in labels.labels:
-            alpha.add(edge_feature_string(prev, cur))
-    alpha.freeze()
-    return alpha
-
-
 @dataclass
 class ForwardPass:
     """Per-sentence artifacts needed to route gradients after decoding."""
 
     sentence: Sentence
     lattice: ScoreLattice
-    instantiations: list[list[str]] | None = None
+    context_ids: list[list[int]] | None = None
     composed: np.ndarray | None = None
     encoder_output: object | None = None
 
@@ -380,22 +365,14 @@ def build_forward(
     fp = ForwardPass(sentence=sent, lattice=None)  # type: ignore[arg-type]
 
     if params.uses_discrete:
-        inst = [params.templates.instantiate(sent, i) for i in range(n)]
-        fp.instantiations = inst
+        lookup = params.out_alphabet.lookup
+        fp.context_ids = []
         for i in range(n):
-            for y, label in enumerate(params.labels.labels):
-                total = 0.0
-                for s in inst[i]:
-                    idx = params.out_alphabet.lookup(f"{s}|{label}")
-                    if idx is not None:
-                        total += params.theta_out[idx]
-                emission[i, y] += total
-        names = (*params.labels.labels, START_LABEL)
-        for row in range(L + 1):
-            for col, cur in enumerate(params.labels.labels):
-                idx = params.edge_alphabet.lookup(edge_feature_string(names[row], cur))
-                if idx is not None:
-                    transition[row, col] += params.theta_edge[idx]
+            # contexts unseen in training have no weights
+            ids = [c for c in map(lookup, params.templates.instantiate(sent, i)) if c is not None]
+            fp.context_ids.append(ids)
+            emission[i] += params.theta_out[ids].sum(axis=0)
+        transition += params.theta_edge
 
     if params.uses_neural:
         composed = params.composer.compose_all(sent)
@@ -428,10 +405,10 @@ def build_lattice(
 class GradientBundle(dict):
     """d(loss)/d(parameters) for one sentence, keyed by ``named_arrays`` name.
 
-    ``theta_out`` and ``theta_edge`` map feature ids to counts, and
-    ``emb.<key>`` maps table rows to vectors; those classes update only the
-    ids and rows present.  Every other entry is an array shaped like its
-    parameter.
+    ``theta_out`` and ``theta_edge`` map ``(row, label)`` cells to counts,
+    and ``emb.<key>`` maps table rows to vectors; those classes update only
+    the cells and rows present.  Every other entry is an array shaped like
+    its parameter.
     """
 
     def is_zero(self) -> bool:
@@ -440,14 +417,12 @@ class GradientBundle(dict):
         )
 
 
-def _count_into(counter: dict[int, float], idx, delta):
-    if idx is None:
-        return
-    new = counter.get(idx, 0.0) + delta
+def _count_into(counter: dict[tuple[int, int], float], cell, delta):
+    new = counter.get(cell, 0.0) + delta
     if new == 0.0:
-        counter.pop(idx, None)
+        counter.pop(cell, None)
     else:
-        counter[idx] = new
+        counter[cell] = new
 
 
 def loss_gradients(
@@ -465,32 +440,28 @@ def loss_gradients(
     if np.array_equal(predicted, gold):
         return bundle
     n = len(fp.sentence)
-    label_names = params.labels.labels
+    L = len(params.labels)
 
     if params.uses_discrete:
-        out_ids = bundle["theta_out"] = {}
-        edge_ids = bundle["theta_edge"] = {}
+        out_cells = bundle["theta_out"] = {}
+        edge_cells = bundle["theta_edge"] = {}
         for i in range(n):
-            if predicted[i] == gold[i]:
+            pred_i, gold_i = int(predicted[i]), int(gold[i])
+            if pred_i == gold_i:
                 continue
-            for s in fp.instantiations[i]:
-                _count_into(out_ids, params.out_alphabet.lookup(f"{s}|{label_names[predicted[i]]}"), +1.0)
-                _count_into(out_ids, params.out_alphabet.lookup(f"{s}|{label_names[gold[i]]}"), -1.0)
+            for c in fp.context_ids[i]:
+                _count_into(out_cells, (c, pred_i), +1.0)
+                _count_into(out_cells, (c, gold_i), -1.0)
         for seq, delta in ((predicted, +1.0), (gold, -1.0)):
-            prev = START_LABEL
+            prev = L  # start row
             for i in range(n):
-                cur = label_names[seq[i]]
-                _count_into(
-                    edge_ids,
-                    params.edge_alphabet.lookup(edge_feature_string(prev, cur)),
-                    delta,
-                )
+                cur = int(seq[i])
+                _count_into(edge_cells, (prev, cur), delta)
                 prev = cur
 
     if params.uses_neural:
         enc = fp.encoder_output
         h = enc.h
-        L = len(label_names)
         d_dense = np.zeros_like(params.theta_dense)
         d_h = np.zeros_like(h)
         for i in range(n):

@@ -1,11 +1,12 @@
 """Sparse indicator feature extraction for the discrete models.
 
 Each task/language pair has a closed template table.  A template row
-instantiates to strings of the form ``T<row>[<offsets>]=<values>`` with the
-label appended as ``|<label>``; multi-part values are joined with ``~``.
-Context positions outside the sentence contribute the boundary sentinels
-``<S>`` / ``</S>``.  Edge features are the label bigram ``BI=<prev>|<cur>``
-with the distinguished ``<START>`` label before position 0.
+instantiates to context strings of the form ``T<row>[<offsets>]=<values>``;
+multi-part values are joined with ``~``.  Context positions outside the
+sentence contribute the boundary sentinels ``<S>`` / ``</S>``.  Contexts
+carry no label: the discrete scorer crosses each context with every output
+label by indexing a (contexts x labels) weight matrix with the context's
+``FeatureAlphabet`` id.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ log = logging.getLogger(__name__)
 
 BOS = "<S>"
 EOS = "</S>"
-START_LABEL = "<START>"
 
 TASKS = ("SEG", "POS", "NER")
 LANGUAGES = ("EN", "ZH")
@@ -85,7 +85,7 @@ def is_capitalized(w: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# alphabets and feature vectors
+# context alphabet
 # ---------------------------------------------------------------------------
 
 
@@ -125,22 +125,6 @@ class FeatureAlphabet:
             alpha.add(s)
         alpha.frozen = frozen
         return alpha
-
-
-@dataclass(frozen=True)
-class SparseFeatureVector:
-    """Strictly increasing ids of binary features with value 1."""
-
-    ids: tuple[int, ...]
-
-    def __post_init__(self):
-        ids = tuple(self.ids)
-        object.__setattr__(self, "ids", ids)
-        if any(b <= a for a, b in zip(ids, ids[1:])):
-            raise ValueError("feature ids must be strictly increasing")
-
-    def __len__(self):
-        return len(self.ids)
 
 
 # ---------------------------------------------------------------------------
@@ -382,47 +366,3 @@ class TemplateSet:
             else:
                 raise AssertionError(kind)
         return out
-
-
-def output_feature_strings(templates: TemplateSet, sent: Sentence, i: int, label: str) -> list[str]:
-    return [f"{s}|{label}" for s in templates.instantiate(sent, i)]
-
-
-def edge_feature_string(y_prev: str, y: str) -> str:
-    return f"BI={y_prev}|{y}"
-
-
-def extract_output_features(
-    templates: TemplateSet,
-    alphabet: FeatureAlphabet,
-    sent: Sentence,
-    i: int,
-    label: str,
-) -> SparseFeatureVector:
-    """Feature ids for (sentence, position, label) under ``alphabet``.
-
-    Grows the alphabet when it is unfrozen; otherwise unseen strings are
-    silently absent from the result.
-    """
-    ids = set()
-    for s in output_feature_strings(templates, sent, i, label):
-        idx = alphabet.add(s)
-        if idx is not None:
-            ids.add(idx)
-    return SparseFeatureVector(tuple(sorted(ids)))
-
-
-def extract_edge_features(
-    alphabet: FeatureAlphabet,
-    sent: Sentence,
-    i: int,
-    label: str,
-    prev_label: str | None,
-) -> SparseFeatureVector:
-    """The label-bigram edge feature; ``prev_label=None`` at position 0."""
-    if prev_label is None:
-        if i != 0:
-            raise ValueError("prev_label may be omitted only at position 0")
-        prev_label = START_LABEL
-    idx = alphabet.add(edge_feature_string(prev_label, label))
-    return SparseFeatureVector(() if idx is None else (idx,))

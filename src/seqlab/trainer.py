@@ -25,7 +25,7 @@ import numpy as np
 from . import crf, evaluator
 from .corpus import LabelAlphabet, Sentence
 from .embeddings import EmbeddingTable, InputComposer, init_random_table
-from .features import EOS, TemplateSet
+from .features import EOS, FeatureAlphabet, TemplateSet
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +93,18 @@ def adagrad_step_dense(param, grad, accum, eta, l2):
 
 
 def adagrad_step_sparse(param, accum, ids, values, eta, l2):
-    """Update only the listed ids of ``param``: entries, or rows of a matrix."""
+    """Update only the listed ids of ``param``.
+
+    An id is an entry of a vector or a row of a matrix; an id that is a
+    ``(row, col)`` pair is one cell of a matrix.  Ids must be distinct.
+    """
     ids = np.asarray(ids, dtype=np.int64)
+    index = tuple(ids.T) if ids.ndim == 2 else ids
     values = np.asarray(values, dtype=np.float64)
     _check_finite("sparse update", values)
-    g = values + l2 * param[ids]
-    accum[ids] += g * g
-    param[ids] -= eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
+    g = values + l2 * param[index]
+    accum[index] += g * g
+    param[index] -= eta * g / (np.sqrt(accum[index]) + ADAGRAD_EPS)
 
 
 def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaGradState, eta, l2):
@@ -178,20 +183,17 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
     return tables
 
 
-def build_output_alphabet(templates: TemplateSet, labels: LabelAlphabet, sentences):
-    """First-pass alphabet growth over the training corpus, then freeze.
+def build_output_alphabet(templates: TemplateSet, sentences) -> FeatureAlphabet:
+    """The frozen alphabet of template contexts seen in the training corpus.
 
-    Every instantiation is registered with every label so that lattice
-    scoring sees a complete feature space for seen contexts.
+    Ids follow first appearance; each id is one row of ``theta_out``, which
+    holds a weight for that context under every label.
     """
-    from .features import FeatureAlphabet
-
     alpha = FeatureAlphabet()
     for sent in sentences:
         for i in range(len(sent)):
             for s in templates.instantiate(sent, i):
-                for label in labels.labels:
-                    alpha.add(f"{s}|{label}")
+                alpha.add(s)
     alpha.freeze()
     return alpha
 
@@ -222,7 +224,7 @@ def build_model(
             cluster_lexicon=dict(cluster_lexicon or {}),
             radical_lexicon=dict(radical_lexicon or {}),
         )
-        out_alpha = build_output_alphabet(templates, labels, train_sentences)
+        out_alpha = build_output_alphabet(templates, train_sentences)
     composer = None
     if mode in ("neural", "joint"):
         composer = InputComposer(task, default_tables(task, train_sentences, hypers, tables))
@@ -241,10 +243,10 @@ def build_model(
 def clone_model(model: crf.ModelParams) -> crf.ModelParams:
     """Deep copy with a fresh copy of every array in ``named_arrays()``.
 
-    Labels, templates and feature alphabets, which training never changes,
-    are shared.
+    Labels, templates and the context alphabet, which training never
+    changes, are shared.
     """
-    shared = (model.labels, model.templates, model.out_alphabet, model.edge_alphabet)
+    shared = (model.labels, model.templates, model.out_alphabet)
     return copy.deepcopy(model, {id(obj): obj for obj in shared if obj is not None})
 
 
@@ -528,7 +530,8 @@ def gradient_check(
             continue
         if isinstance(grad, dict):
             dense = np.zeros_like(array)
-            dense[list(grad)] = list(grad.values())
+            for cell, count in grad.items():
+                dense[cell] = count
             grad = dense
         check_array(_gradcheck_class(name), array, grad)
 

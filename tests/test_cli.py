@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ class TestConfig:
             cli.RunConfig.load(None, ["epochs=three"])
         with pytest.raises(cli.ConfigError):
             cli.RunConfig.load(None, ["shuffle=maybe"])
+
+    @pytest.mark.parametrize("item,key", [("epochs=x", "epochs"), ("eta=fast", "eta")])
+    def test_bad_number_names_its_key(self, item, key, capsys):
+        assert run_cli(["gradcheck", "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "invalid literal" not in err
 
     def test_hypers_override(self):
         config = cli.RunConfig.load(None, ["eta=0.1", "dropout=0.5", "l2=0.0"])
@@ -179,7 +186,9 @@ class TestPredictCommand:
     def test_corrupted_checkpoint_diagnostics(self, pos_setup, tmp_path, capsys):
         _, train, model_out, _ = self.train_once(pos_setup)
         blob = model_out.read_bytes()
-        for contents, message in ((b"XXXX" + blob[4:], "magic"), (blob[:6], "prefix")):
+        v1 = blob[:4] + (1).to_bytes(4, "little") + blob[8:]
+        cases = ((b"XXXX" + blob[4:], "magic"), (blob[:6], "prefix"), (v1, "format version 1"))
+        for contents, message in cases:
             corrupt = tmp_path / "bad.bin"
             corrupt.write_bytes(contents)
             status = run_cli(
@@ -257,8 +266,8 @@ def drop_theta_edge(blob):
     header, data = split_checkpoint(blob)
     out_entry, edge_entry = header["arrays"][:2]
     assert (out_entry["name"], edge_entry["name"]) == ("theta_out", "theta_edge")
-    start = 8 * out_entry["shape"][0]
-    end = start + 8 * edge_entry["shape"][0]
+    start = 8 * math.prod(out_entry["shape"])
+    end = start + 8 * math.prod(edge_entry["shape"])
     del header["arrays"][1]
     return join_checkpoint(header, data[:start] + data[end:], blob)
 

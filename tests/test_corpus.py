@@ -85,6 +85,63 @@ class TestColumnCorpus:
             results.append(read_column_corpus(path))
         assert all(r == results[0] for r in results)
 
+    def test_non_ascii_whitespace_is_a_token(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("中\n\u3000\n国\n", encoding="utf-8")
+        assert read_column_corpus(path, ("token",)) == [Sentence(tokens=["中", "\u3000", "国"])]
+        path.write_text("中\tS\n\u3000\tS\u3000\n", encoding="utf-8")
+        sents = read_column_corpus(path)
+        assert sents[0].tokens == ("中", "\u3000")
+        assert sents[0].gold_labels == ("S", "S\u3000")
+
+    @pytest.mark.parametrize("column", ["token", "aux", "label"])
+    @pytest.mark.parametrize("value", ["a\tb", "a\nb", "a\rb", ""])
+    def test_writer_rejects_unreadable_values(self, tmp_path, column, value):
+        fields = {"token": ["x", "y"], "aux": ["N", "N"], "label": ["B", "E"]}
+        fields[column] = ["x", value]
+        sents = [
+            Sentence(tokens=["w"], gold_labels=["S"], aux_tags=["N"]),
+            Sentence(tokens=fields["token"], gold_labels=fields["label"], aux_tags=fields["aux"]),
+        ]
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=f"sentence 1: {column}"):
+            write_column_corpus(path, sents, ("token", "aux", "label"))
+        assert not path.exists()
+
+    def test_writer_rejects_space_ending_a_line(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match="sentence 0: label"):
+            write_column_corpus(path, [Sentence(tokens=["a "], gold_labels=["X "])])
+        with pytest.raises(ValueError, match="sentence 0: token"):
+            write_column_corpus(path, [Sentence(tokens=["a "])], ("token",))
+        sents = [Sentence(tokens=["a ", " "], gold_labels=["X", "Y"])]
+        write_column_corpus(path, sents)
+        assert read_column_corpus(path) == sents
+
+    @given(
+        st.lists(
+            st.lists(
+                st.text(
+                    st.characters(whitelist_categories=("L", "M", "N", "P", "S")),
+                    min_size=1,
+                    max_size=4,
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_write_read_round_trip_property(self, tmp_path_factory, token_lists):
+        sents = [Sentence(tokens=toks, gold_labels=toks[::-1]) for toks in token_lists]
+        path = tmp_path_factory.mktemp("rt") / "out.txt"
+        write_column_corpus(path, sents)
+        assert read_column_corpus(path) == sents
+        unlabeled = [Sentence(tokens=toks) for toks in token_lists]
+        write_column_corpus(path, unlabeled, ("token",))
+        assert read_column_corpus(path, ("token",)) == unlabeled
+
     def test_aux_column(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("EU\tNNP\tB-ORG\n", encoding="utf-8")

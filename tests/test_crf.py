@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from seqlab import crf
+from seqlab import crf, trainer
 from seqlab.corpus import LabelAlphabet, Sentence
 from seqlab.embeddings import EmbeddingTable, InputComposer, UNK
-from seqlab.features import FeatureAlphabet, TemplateSet
+from seqlab.features import TemplateSet
 
 
 def random_lattice(rng, n=None, L=None):
@@ -171,17 +171,11 @@ class TestPartition:
 def tiny_discrete_model():
     labels = LabelAlphabet(["B", "E", "S"])
     templates = TemplateSet("SEG", "ZH")
-    alpha = FeatureAlphabet()
     sents = [
         Sentence(tokens=list("中国人"), gold_labels=["B", "E", "S"]),
         Sentence(tokens=list("人民"), gold_labels=["B", "E"]),
     ]
-    for sent in sents:
-        for i in range(len(sent)):
-            for s in templates.instantiate(sent, i):
-                for lab in labels.labels:
-                    alpha.add(f"{s}|{lab}")
-    alpha.freeze()
+    alpha = trainer.build_output_alphabet(templates, sents)
     model = crf.ModelParams.create("discrete", labels, templates=templates, out_alphabet=alpha)
     return model, sents
 
@@ -251,6 +245,33 @@ class TestBuildLattice:
             crf.ModelParams.create("discrete", labels)
 
 
+class TestDiscreteLayout:
+    def test_one_weight_per_context_label_pair(self):
+        # "T1[0]=a|B" x "C" and "T1[0]=a" x "B|C" must not share a weight
+        sents = [
+            Sentence(tokens=["a|B"], gold_labels=["C"]),
+            Sentence(tokens=["a"], gold_labels=["B|C"]),
+        ]
+        model = trainer.build_model("discrete", "POS", "EN", sents, trainer.HyperParams())
+        templates = model.templates
+        contexts = {s for sent in sents for s in templates.instantiate(sent, 0)}
+        assert model.theta_out.shape == (len(contexts), 2)
+        c = model.out_alphabet.lookup("T1[0]=a|B")
+        model.theta_out[c, model.labels.to_index("C")] = 1.0
+        assert crf.build_lattice(model, sents[0]).emission[0, 0] == 1.0
+        assert not np.any(crf.build_lattice(model, sents[1]).emission)
+
+    def test_label_named_start_keeps_its_own_row(self):
+        sents = [Sentence(tokens=["x", "y"], gold_labels=["<START>", "X"])]
+        model = trainer.build_model("discrete", "POS", "EN", sents, trainer.HyperParams())
+        L = len(model.labels)
+        assert model.theta_edge.shape == (L + 1, L)
+        model.theta_edge[model.labels.to_index("<START>")] = 1.0
+        transition = crf.build_lattice(model, sents[0]).transition
+        assert not np.any(transition[L])  # the start state's row
+        assert np.all(transition[model.labels.to_index("<START>")] == 1.0)
+
+
 class TestLossGradients:
     def test_equal_sequences_zero_bundle(self):
         model, sents = tiny_discrete_model()
@@ -267,18 +288,16 @@ class TestLossGradients:
         pred = gold.copy()
         pred[1] = model.labels.to_index("S")  # one position flipped E -> S
         bundle = crf.loss_gradients(model, fp, pred, gold)
-        inst = model.templates.instantiate(sent, 1)
-        for s in inst:
-            plus = model.out_alphabet.lookup(f"{s}|S")
-            minus = model.out_alphabet.lookup(f"{s}|E")
-            assert bundle["theta_out"][plus] == 1.0
-            assert bundle["theta_out"][minus] == -1.0
+        B, E, S = (model.labels.to_index(l) for l in "BES")
+        for s in model.templates.instantiate(sent, 1):
+            c = model.out_alphabet.lookup(s)
+            assert bundle["theta_out"][(c, S)] == 1.0
+            assert bundle["theta_out"][(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
         for s in model.templates.instantiate(sent, 0):
-            idx = model.out_alphabet.lookup(f"{s}|B")
-            assert idx not in bundle["theta_out"]
-        # edge counts: (B,S),(S,S' -> gold had E..) differ
-        assert sum(v for v in bundle["theta_edge"].values()) == 0.0  # +1s match -1s
+            assert (model.out_alphabet.lookup(s), B) not in bundle["theta_out"]
+        # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
+        assert bundle["theta_edge"] == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
 
     def test_count_range_bounded(self):
         model, sents = tiny_discrete_model()

@@ -7,16 +7,11 @@ from seqlab.corpus import Sentence
 from seqlab.features import (
     CharType,
     FeatureAlphabet,
-    SparseFeatureVector,
     TemplateSet,
     char_type,
     connect_class,
-    edge_feature_string,
-    extract_edge_features,
-    extract_output_features,
     is_capitalized,
     load_lexicon,
-    output_feature_strings,
     word_shape,
 )
 
@@ -108,23 +103,18 @@ class TestFeatureAlphabet:
         assert alpha.lookup("b") is None
         assert alpha.size == 1
 
-    def test_sparse_vector_invariant(self):
-        with pytest.raises(ValueError):
-            SparseFeatureVector((3, 3))
-        assert len(SparseFeatureVector((0, 2, 5))) == 3
-
 
 class TestSegTemplates:
     def test_pinned_row1_strings(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("中国人"))
-        feats = output_feature_strings(t, s, 1, "E")
+        feats = t.instantiate(s, 1)
         for expected in (
-            "T1[-1]=中|E",
-            "T1[0]=国|E",
-            "T1[1]=人|E",
-            "T1[-2]=<S>|E",
-            "T1[2]=</S>|E",
+            "T1[-1]=中",
+            "T1[0]=国",
+            "T1[1]=人",
+            "T1[-2]=<S>",
+            "T1[2]=</S>",
         ):
             assert expected in feats
 
@@ -222,62 +212,29 @@ class TestExtraction:
         s = Sentence(tokens=list("中国人民"))
         assert t.instantiate(s, 2) == t.instantiate(s, 2)
 
-    def test_label_factoring(self):
-        # feature strings differ across labels only in the suffix
-        t = TemplateSet("SEG", "ZH")
-        s = Sentence(tokens=list("中国人"))
-        by_label = {
-            label: output_feature_strings(t, s, 1, label) for label in ("B", "I", "E", "S")
-        }
-        stripped = {
-            label: [f.rsplit("|", 1)[0] for f in feats] for label, feats in by_label.items()
-        }
-        assert stripped["B"] == stripped["I"] == stripped["E"] == stripped["S"]
-        for label, feats in by_label.items():
-            assert all(f.endswith(f"|{label}") for f in feats)
-
     def test_frozen_alphabet_never_grows(self):
         t = TemplateSet("SEG", "ZH")
         alpha = FeatureAlphabet()
-        s1 = Sentence(tokens=list("中国"))
-        extract_output_features(t, alpha, s1, 0, "B")
+        for s in t.instantiate(Sentence(tokens=list("中国")), 0):
+            alpha.add(s)
         alpha.freeze()
         size = alpha.size
-        extract_output_features(t, alpha, Sentence(tokens=list("日本")), 0, "B")
+        for s in t.instantiate(Sentence(tokens=list("日本")), 0):
+            alpha.add(s)
         assert alpha.size == size
 
-    def test_ids_sorted_and_deduped(self):
-        t = TemplateSet("SEG", "ZH")
-        alpha = FeatureAlphabet()
-        vec = extract_output_features(t, alpha, Sentence(tokens=list("中国人")), 1, "E")
-        assert list(vec.ids) == sorted(set(vec.ids))
-
-
-class TestEdgeFeatures:
-    def test_bigram_string(self):
-        assert edge_feature_string("B", "E") == "BI=B|E"
-
-    def test_start_boundary(self):
-        alpha = FeatureAlphabet()
-        vec = extract_edge_features(alpha, Sentence(tokens=["x"]), 0, "S", None)
-        assert alpha.strings() == ["BI=<START>|S"]
-        assert len(vec) == 1
-
-    def test_prev_label_required_after_start(self):
-        alpha = FeatureAlphabet()
-        with pytest.raises(ValueError):
-            extract_edge_features(alpha, Sentence(tokens=["x", "y"]), 1, "S", None)
-
-    def test_enumerate_all_pairs(self):
-        labels = ("B", "I", "E", "S")
-        alpha = FeatureAlphabet()
-        sent = Sentence(tokens=["a", "b"])
-        for cur in labels:
-            extract_edge_features(alpha, sent, 0, cur, None)
-        for prev in labels:
-            for cur in labels:
-                extract_edge_features(alpha, sent, 1, cur, prev)
-        assert alpha.size == 4 * 5  # four current labels, four previous plus start
+    def test_contexts_deduped(self):
+        # each context counts once per position in the emission and its gradient
+        for task, language, tokens in (
+            ("SEG", "ZH", list("中中国中")),
+            ("POS", "EN", ["aa", "aa", "a", "aa"]),
+            ("POS", "ZH", ["中中", "中", "中中"]),
+        ):
+            t = TemplateSet(task, language)
+            s = Sentence(tokens=tokens)
+            for i in range(len(s)):
+                feats = t.instantiate(s, i)
+                assert len(feats) == len(set(feats))
 
 
 class TestLexiconLoading:
