@@ -9,7 +9,9 @@ lists the template contexts in id order: context k owns row k of the
 ``(contexts, L)`` ``theta_out``.  Loading a saved model
 reproduces decoding behavior bitwise, and saving the same model twice
 produces identical bytes, which is what the reproducibility tests compare.
-Anything else, down to a stray trailing byte, is a ``CheckpointError``.
+Anything else, down to a stray trailing byte or a NaN weight, is a
+``CheckpointError``; loading is where weights are checked for non-finite
+values, so the per-sentence forward pass does not re-check them.
 """
 
 from __future__ import annotations
@@ -118,8 +120,10 @@ def load_model(path) -> tuple[ModelParams, dict]:
         need = sum(arr.nbytes for _, arr in arrays)
         if data_len != need:
             raise CheckpointError(f"{path}: {data_len} bytes of array data, expected {need}")
-        for _, arr in arrays:
+        for name, arr in arrays:
             arr[...] = np.frombuffer(fh.read(arr.nbytes), dtype="<f8").reshape(arr.shape)
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: array {name} holds non-finite values")
     return model, header["meta"]
 
 

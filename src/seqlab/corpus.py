@@ -14,6 +14,7 @@ context starts a new segment; dangling segments close at the boundary).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -157,10 +158,8 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
     def flush():
         if not rows:
             return
-        fields = {name: [] for name in columns}
-        for row in rows:
-            for name, value in zip(columns, row):
-                fields[name].append(value)
+        # one shared string per distinct value, however often it recurs
+        fields = {name: tuple(map(sys.intern, column)) for name, column in zip(columns, zip(*rows))}
         sentences.append(
             Sentence(
                 tokens=fields["token"],

@@ -264,6 +264,7 @@ class ModelParams:
             for name in ("composer", "lstm", "theta_dense", "tau"):
                 if getattr(self, name) is None:
                     raise ValueError(f"{self.mode} mode requires {name}")
+            self.lstm.check()
             two_h = 2 * self.lstm.hidden
             if self.theta_dense.shape != (L, two_h):
                 raise ValueError(f"theta_dense must be ({L}, {two_h})")
@@ -357,7 +358,6 @@ def build_forward(
     params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None
 ) -> ForwardPass:
     """Score lattice plus the caches needed for gradient routing."""
-    params.validate()
     n = len(sent)
     L = len(params.labels)
     emission = np.zeros((n, L))

@@ -79,9 +79,10 @@ def load_text_embeddings(
 
     A first line consisting of exactly two integers is taken as a
     ``count dim`` header and skipped.  A vector of the wrong width raises
-    with the offending line number; a repeated symbol keeps the last vector
-    and logs the replacement.  ``<UNK>`` is appended freshly initialized
-    unless the file provides one.
+    with the offending line number, and so does a value that is not a finite
+    number (``nan``, ``inf`` or text); a repeated symbol keeps the last
+    vector and logs the replacement.  ``<UNK>`` is appended freshly
+    initialized unless the file provides one.
     """
     symbols: list[str] = []
     rows: list[np.ndarray] = []
@@ -109,7 +110,15 @@ def load_text_embeddings(
                     f"{path}: line {lineno}: {len(values)} values for {symbol!r}, "
                     f"expected {dim_expected}"
                 )
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError:
+                vec = None
+            if vec is None or not np.all(np.isfinite(vec)):
+                raise ValueError(
+                    f"{path}: line {lineno}: the vector for {symbol!r} holds a value "
+                    "that is not a finite number"
+                )
             if symbol in index:
                 log.info("%s: duplicate symbol %r at line %d; keeping the later vector", path, symbol, lineno)
                 rows[index[symbol]] = vec

@@ -1,12 +1,14 @@
 """Windowed bidirectional LSTM producing the dense emission features.
 
 Position ``i`` consumes the concatenation of the (dropout-masked) input
-vectors at ``i-2 .. i+2``, zero-padded beyond the sentence, and the two
-directions run over those windows left-to-right and right-to-left.  Each
-direction sees the window in its own scan order (the backward direction
-reads the five blocks reversed), which makes the encoder exactly symmetric:
-reversing the input sequence and swapping the direction parameter blocks
-reverses and block-swaps the output sequence.
+vectors at ``i-2 .. i+2``, zero-padded beyond the sentence.  Both
+directions are one left-to-right scan: the backward direction is that scan
+run over the reversed sentence, with its outputs reversed back.  Its window
+at ``i`` therefore reads the five blocks in the order ``i+2 .. i-2``, which
+makes the encoder exactly symmetric: reversing the input sequence and
+swapping the direction parameter blocks reverses and block-swaps the output
+sequence.  Each scan builds its zero-padded ``(n, 5d)`` window matrix once,
+from five shifted slices.
 
 The cell is the standard LSTM: sigmoid input/forget/output gates, tanh
 candidate, no peepholes, state clipping disabled.  Gate pre-activations are
@@ -15,13 +17,18 @@ candidate].  Dropout is inverted (masks scaled by 1/(1-p) at train time),
 so inference is a plain unmasked pass.
 
 ``backward`` returns exact analytic gradients for every parameter and every
-input vector, accumulating through the window sharing (one input feeds up
-to five windows) and back through the dropout masks.  All math is float64.
+input vector, and back through the dropout masks.  Its step loop carries
+only the recurrence and collects the gate pre-activation gradients
+``D_pre (n, 4H)``; the weight gradients are then whole-sentence products
+(``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and ``D_pre @ W`` is summed
+back through the same five slices, which accumulates the window sharing
+(one input feeds up to five windows).  All math is float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,19 +111,19 @@ class BiLSTMParams:
         for name, arr in self.arrays().items():
             if arr.shape != expect[name]:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expect[name]}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite values")
 
 
-class _DirectionCache:
-    __slots__ = ("windows", "gates", "c", "tanh_c", "h")
+class _DirectionCache(NamedTuple):
+    """One direction's scan; row ``i`` belongs to sentence position ``i``."""
 
-    def __init__(self, n, hidden, win_dim):
-        self.windows = np.zeros((n, win_dim))
-        self.gates = np.zeros((n, 4, hidden))  # post-activation i, f, o, g
-        self.c = np.zeros((n, hidden))
-        self.tanh_c = np.zeros((n, hidden))
-        self.h = np.zeros((n, hidden))
+    windows: np.ndarray  # (n, 5d) the window each step consumed
+    gates: np.ndarray  # (n, 4, H) post-activation i, f, o, g
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
+
+    def reversed(self) -> "_DirectionCache":
+        return _DirectionCache(*(a[::-1] for a in self))
 
 
 @dataclass
@@ -131,44 +138,65 @@ class EncoderOutput:
     bwd: _DirectionCache
 
 
-def _window_at(dropped, i, order):
-    n, d = dropped.shape
-    parts = []
-    for off in order:
-        j = i + off
-        if 0 <= j < n:
-            parts.append(dropped[j])
-        else:
-            parts.append(np.zeros(d))
-    return np.concatenate(parts)
+def _windows(x):
+    """The ``(n, 5d)`` window matrix: row i is ``x[i-2] .. x[i+2]``, zero beyond the ends."""
+    n, d = x.shape
+    padded = np.zeros((n + WINDOW - 1, d))
+    padded[_HALF : _HALF + n] = x
+    return np.concatenate([padded[s : s + n] for s in range(WINDOW)], axis=1)
 
 
-def _run_direction(w, u, b, dropped, positions, order, hidden):
-    n, d = dropped.shape
-    cache = _DirectionCache(n, hidden, WINDOW * d)
-    h_prev = np.zeros(hidden)
-    c_prev = np.zeros(hidden)
-    H = hidden
-    for i in positions:
-        win = _window_at(dropped, i, order)
-        pre = w @ win + u @ h_prev + b
-        ig = _sigmoid(pre[:H])
-        fg = _sigmoid(pre[H : 2 * H])
-        og = _sigmoid(pre[2 * H : 3 * H])
-        gg = np.tanh(pre[3 * H :])
-        c = fg * c_prev + ig * gg
-        tc = np.tanh(c)
-        h = og * tc
-        cache.windows[i] = win
-        cache.gates[i, 0] = ig
-        cache.gates[i, 1] = fg
-        cache.gates[i, 2] = og
-        cache.gates[i, 3] = gg
-        cache.c[i] = c
-        cache.tanh_c[i] = tc
-        cache.h[i] = h
-        h_prev, c_prev = h, c
-    return cache
+def _unwindow(d_windows, d):
+    """Adjoint of ``_windows``: sum every slot's gradient onto its input."""
+    n = d_windows.shape[0]
+    padded = np.zeros((n + WINDOW - 1, d))
+    for s in range(WINDOW):
+        padded[s : s + n] += d_windows[:, s * d : (s + 1) * d]
+    return padded[_HALF : _HALF + n]
+
+
+def _scan(w, u, b, x) -> _DirectionCache:
+    """One left-to-right LSTM pass over the windows of ``x``."""
+    n = x.shape[0]
+    H = u.shape[1]
+    windows = _windows(x)
+    gates = np.empty((n, 4, H))
+    c = np.empty((n, H))
+    tanh_c = np.empty((n, H))
+    h = np.empty((n, H))
+    h_prev = c_prev = np.zeros(H)
+    for i in range(n):
+        pre = w @ windows[i] + u @ h_prev + b
+        ig, fg, og = gates[i, :3] = _sigmoid(pre[: 3 * H]).reshape(3, H)
+        gg = gates[i, 3] = np.tanh(pre[3 * H :])
+        c_prev = c[i] = fg * c_prev + ig * gg
+        tanh_c[i] = np.tanh(c_prev)
+        h_prev = h[i] = og * tanh_c[i]
+    return _DirectionCache(windows, gates, c, tanh_c, h)
+
+
+def _backprop_scan(w, u, scan: _DirectionCache, d_h):
+    """BPTT through ``_scan``; returns ``(dW, dU, db, d_x)`` for its input ``x``."""
+    n, H = scan.h.shape
+    c_prev = np.vstack([np.zeros(H), scan.c[:-1]])
+    d_pre = np.empty((n, 4 * H))
+    dh_next = dc_next = np.zeros(H)
+    for i in range(n - 1, -1, -1):
+        ig, fg, og, gg = scan.gates[i]
+        tc = scan.tanh_c[i]
+        dh = d_h[i] + dh_next
+        dc = dh * og * (1.0 - tc * tc) + dc_next
+        row = d_pre[i]
+        row[:H] = dc * gg * ig * (1.0 - ig)
+        row[H : 2 * H] = dc * c_prev[i] * fg * (1.0 - fg)
+        row[2 * H : 3 * H] = dh * tc * og * (1.0 - og)
+        row[3 * H :] = dc * ig * (1.0 - gg * gg)
+        dh_next = u.T @ row
+        dc_next = dc * fg
+    dW = d_pre.T @ scan.windows
+    dU = d_pre[1:].T @ scan.h[:-1]  # h_prev is zero at the first step
+    db = d_pre.sum(axis=0)
+    return dW, dU, db, _unwindow(d_pre @ w, w.shape[1] // WINDOW)
 
 
 def encode(
@@ -180,7 +208,6 @@ def encode(
     ``rng`` (or taken from ``masks`` when given, which keeps gradient checks
     deterministic); inference applies no mask and no rescaling.
     """
-    params.check()
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
         raise ValueError("inputs must be a non-empty (n, input_dim) array")
@@ -188,7 +215,6 @@ def encode(
         raise ValueError(
             f"input dim {inputs.shape[1]} does not match parameters ({params.input_dim})"
         )
-    n = inputs.shape[0]
 
     if train:
         p = dropout_p
@@ -208,65 +234,14 @@ def encode(
         masks = None
         dropped = inputs
 
-    fwd_order = tuple(range(-_HALF, _HALF + 1))
-    bwd_order = tuple(reversed(fwd_order))
-    fwd = _run_direction(
-        params.w_fwd, params.u_fwd, params.b_fwd, dropped, range(n), fwd_order, params.hidden
-    )
-    bwd = _run_direction(
-        params.w_bwd, params.u_bwd, params.b_bwd, dropped, range(n - 1, -1, -1), bwd_order, params.hidden
-    )
+    fwd = _scan(params.w_fwd, params.u_fwd, params.b_fwd, dropped)
+    bwd = _scan(params.w_bwd, params.u_bwd, params.b_bwd, dropped[::-1]).reversed()
     h = np.concatenate([fwd.h, bwd.h], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")
     return EncoderOutput(
         h=h, train=train, dropout_p=p, masks=masks, inputs=inputs, dropped=dropped, fwd=fwd, bwd=bwd
     )
-
-
-def _backprop_direction(w, u, cache, d_h, positions, order, d_dropped):
-    """Reverse-order BPTT through one direction; returns (dW, dU, db)."""
-    n, win_dim = cache.windows.shape
-    H = cache.h.shape[1]
-    dW = np.zeros_like(w)
-    dU = np.zeros_like(u)
-    db = np.zeros(4 * H)
-    dh_next = np.zeros(H)
-    dc_next = np.zeros(H)
-    seq = list(positions)
-    for step in range(len(seq) - 1, -1, -1):
-        i = seq[step]
-        prev = seq[step - 1] if step > 0 else None
-        ig, fg, og, gg = cache.gates[i]
-        tc = cache.tanh_c[i]
-        dh = d_h[i] + dh_next
-        do = dh * tc
-        dc = dh * og * (1.0 - tc * tc) + dc_next
-        c_prev = cache.c[prev] if prev is not None else np.zeros(H)
-        di = dc * gg
-        dg = dc * ig
-        df = dc * c_prev
-        dc_next = dc * fg
-        d_pre = np.concatenate(
-            [
-                di * ig * (1.0 - ig),
-                df * fg * (1.0 - fg),
-                do * og * (1.0 - og),
-                dg * (1.0 - gg * gg),
-            ]
-        )
-        h_prev = cache.h[prev] if prev is not None else np.zeros(H)
-        dW += np.outer(d_pre, cache.windows[i])
-        dU += np.outer(d_pre, h_prev)
-        db += d_pre
-        dh_next = u.T @ d_pre
-        d_win = w.T @ d_pre
-        d = d_dropped.shape[1]
-        for slot, off in enumerate(order):
-            j = i + off
-            if 0 <= j < d_dropped.shape[0]:
-                d_dropped[j] += d_win[slot * d : (slot + 1) * d]
-    return dW, dU, db
 
 
 def backward(
@@ -283,17 +258,12 @@ def backward(
     d_h = np.asarray(d_h, dtype=np.float64)
     if d_h.shape != output.h.shape:
         raise ValueError(f"upstream gradient shape {d_h.shape} != {output.h.shape}")
-    n = output.h.shape[0]
     H = params.hidden
-    fwd_order = tuple(range(-_HALF, _HALF + 1))
-    bwd_order = tuple(reversed(fwd_order))
-    d_dropped = np.zeros_like(output.dropped)
-    dWf, dUf, dbf = _backprop_direction(
-        params.w_fwd, params.u_fwd, output.fwd, d_h[:, :H], range(n), fwd_order, d_dropped
+    dWf, dUf, dbf, d_fwd = _backprop_scan(params.w_fwd, params.u_fwd, output.fwd, d_h[:, :H])
+    dWb, dUb, dbb, d_bwd = _backprop_scan(
+        params.w_bwd, params.u_bwd, output.bwd.reversed(), d_h[::-1, H:]
     )
-    dWb, dUb, dbb = _backprop_direction(
-        params.w_bwd, params.u_bwd, output.bwd, d_h[:, H:], range(n - 1, -1, -1), bwd_order, d_dropped
-    )
+    d_dropped = d_fwd + d_bwd[::-1]
     if output.masks is not None:
         d_inputs = d_dropped * output.masks / (1.0 - output.dropout_p)
     else:

@@ -16,7 +16,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass, field
 
-from .corpus import Sentence
+from .corpus import Sentence, strip_line
 
 log = logging.getLogger(__name__)
 
@@ -213,7 +213,7 @@ def load_lexicon(path, what: str) -> dict[str, str]:
     lex = {}
     with fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip()
+            line = strip_line(raw)
             if not line:
                 continue
             parts = line.split("\t")

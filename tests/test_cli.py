@@ -112,6 +112,21 @@ class TestTrainCommand:
         assert status == 2
         assert not model_out.exists()
 
+    def test_non_finite_embedding_file_rejected(self, pos_setup, capsys):
+        tmp_path, train, dev, sents = pos_setup
+        word = sents[0].tokens[0]
+        emb = tmp_path / "words.txt"
+        emb.write_text(f"{word} nan 0 0 0 0\n", encoding="utf-8")
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "word_emb=5",
+             "--set", f"word_embeddings={emb}",
+             "--set", f"train={train}", "--set", f"dev={dev}",
+             "--set", f"model_out={tmp_path/'m.bin'}"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert str(emb) in err and "line 1" in err and repr(word) in err
+
     def test_same_seed_same_bytes(self, pos_setup):
         tmp_path, train, dev, _ = pos_setup
         blobs = []
@@ -239,15 +254,20 @@ class TestCompareCommand:
         assert rows and all(a == b for _, a, b in rows)
 
 
+GRADCHECK_CLASSES = {
+    "discrete": {"theta_out", "theta_edge"},
+    "neural": {"theta_dense", "tau", "lstm_weights", "lstm_biases", "embeddings"},
+}
+GRADCHECK_CLASSES["joint"] = GRADCHECK_CLASSES["discrete"] | GRADCHECK_CLASSES["neural"]
+
+
 class TestGradcheckCommand:
-    def test_passes_and_reports(self, capsys):
-        assert run_cli(["gradcheck", "--set", "mode=joint", "--set", "seed=1"]) == 0
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_passes_and_reports(self, mode, capsys):
+        assert run_cli(["gradcheck", "--set", f"mode={mode}", "--set", "seed=1"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["passed"] is True
-        assert set(record["max_rel_err"]) >= {
-            "theta_out", "theta_edge", "theta_dense", "tau", "lstm_weights",
-            "lstm_biases", "embeddings",
-        }
+        assert set(record["max_rel_err"]) >= GRADCHECK_CLASSES[mode]
         assert all(v < record["tolerance"] for v in record["max_rel_err"].values())
 
 
@@ -270,6 +290,20 @@ def drop_theta_edge(blob):
     end = start + 8 * math.prod(edge_entry["shape"])
     del header["arrays"][1]
     return join_checkpoint(header, data[:start] + data[end:], blob)
+
+
+def nan_in_array(blob, name):
+    """The checkpoint with the first value of array ``name`` set to NaN."""
+    header, data = split_checkpoint(blob)
+    start = 0
+    for entry in header["arrays"]:
+        if entry["name"] == name:
+            break
+        start += 8 * math.prod(entry["shape"])
+    else:
+        raise KeyError(name)
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    return blob[: len(blob) - len(data)] + data[:start] + nan + data[start + 8 :]
 
 
 def drop_labels(blob):
@@ -323,9 +357,10 @@ class TestCheckpointRoundTrip:
             drop_labels,
             huge_table_dim,
             overlong_header,
+            lambda blob: nan_in_array(blob, "emb.word"),
         ],
         ids=["six_bytes", "trailing_byte", "manifest_without_theta_edge", "header_without_labels",
-             "huge_table_dim", "header_past_end"],
+             "huge_table_dim", "header_past_end", "nan_in_array_data"],
     )
     def test_malformed_file_rejected(self, tmp_path, mutate):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -356,6 +391,24 @@ class TestCheckpointRoundTrip:
             b = crf.viterbi(crf.build_lattice(reloaded, sent))
             assert np.array_equal(a.labels, b.labels)
             assert a.score == b.score
+
+    @pytest.mark.parametrize("mode,array", [("neural", "emb.word"), ("discrete", "theta_out")])
+    def test_predict_rejects_non_finite_array(self, pos_setup, tmp_path, capsys, mode, array):
+        _, train, _, sents = pos_setup
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
+        model = trainer.build_model(mode, "POS", "EN", sents, h)
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {"task": "POS"})
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(nan_in_array(path.read_bytes(), array))
+        status = run_cli(
+            ["predict", "--set", "task=POS",
+             "--set", f"model_in={bad}", "--set", f"input={train}",
+             "--set", f"output={tmp_path/'p.col'}"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert array in err and "non-finite" in err
 
     def test_truncated_file_rejected(self, tmp_path):
         sents = synthetic.separable_corpus(5, seed=1)

@@ -60,6 +60,14 @@ class TestColumnCorpus:
         sents = read_column_corpus(path)
         assert [len(s) for s in sents] == [3, 2]
 
+    def test_repeated_values_share_one_string(self, tmp_path):
+        # a corpus holds one string per distinct value, not one per line
+        path = tmp_path / "c.txt"
+        path.write_text("the\tDT\ncat\tNN\n\nthe\tDT\n", encoding="utf-8")
+        first, second = read_column_corpus(path)
+        assert first.tokens[0] is second.tokens[0]
+        assert first.gold_labels[0] is second.gold_labels[0]
+
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("EU\tB-ORG\textra\n", encoding="utf-8")

@@ -37,6 +37,15 @@ class TestLoading:
         with pytest.raises(ValueError, match="line 2"):
             load_text_embeddings(path, 2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0.1x"])
+    def test_bad_value_names_file_line_and_symbol(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 0.1 0.2\nwb0 {value} 0.4\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_text_embeddings(path, 2)
+        message = str(info.value)
+        assert str(path) in message and "line 2" in message and "'wb0'" in message
+
     def test_duplicate_last_wins(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 1.0\na 2.0 2.0\n", encoding="utf-8")

@@ -26,6 +26,53 @@ def fd_window(inputs, i, offsets):
     return np.concatenate(parts)
 
 
+def reference_bptt(w, u, b, inputs, positions, offsets, d_h):
+    """Straight-line per-step BPTT for one direction, independent of the encoder code.
+
+    Scans ``positions`` in order, reading each window in ``offsets`` order,
+    then walks the steps back, accumulating every product step by step.
+    Returns ``(dW, dU, db, d_inputs)``.
+    """
+    n, d = inputs.shape
+    hidden = u.shape[1]
+    steps = []
+    h = c = np.zeros(hidden)
+    for i in positions:
+        x = fd_window(inputs, i, offsets)
+        pre = w @ x + u @ h + b
+        ig = 1.0 / (1.0 + np.exp(-pre[0 * hidden : 1 * hidden]))
+        fg = 1.0 / (1.0 + np.exp(-pre[1 * hidden : 2 * hidden]))
+        og = 1.0 / (1.0 + np.exp(-pre[2 * hidden : 3 * hidden]))
+        gg = np.tanh(pre[3 * hidden : 4 * hidden])
+        c_new = fg * c + ig * gg
+        steps.append((i, x, h, c, ig, fg, og, gg, np.tanh(c_new)))
+        h, c = og * np.tanh(c_new), c_new
+    dW, dU, db = np.zeros_like(w), np.zeros_like(u), np.zeros_like(b)
+    d_inputs = np.zeros_like(inputs)
+    dh_next = dc_next = np.zeros(hidden)
+    for i, x, h_prev, c_prev, ig, fg, og, gg, tc in reversed(steps):
+        dh = d_h[i] + dh_next
+        dc = dh * og * (1.0 - tc**2) + dc_next
+        d_pre = np.concatenate(
+            [
+                dc * gg * ig * (1.0 - ig),
+                dc * c_prev * fg * (1.0 - fg),
+                dh * tc * og * (1.0 - og),
+                dc * ig * (1.0 - gg**2),
+            ]
+        )
+        dW += np.outer(d_pre, x)
+        dU += np.outer(d_pre, h_prev)
+        db += d_pre
+        dx = w.T @ d_pre
+        for slot, off in enumerate(offsets):
+            if 0 <= i + off < n:
+                d_inputs[i + off] += dx[slot * d : (slot + 1) * d]
+        dh_next = u.T @ d_pre
+        dc_next = dc * fg
+    return dW, dU, db, d_inputs
+
+
 class TestForward:
     def test_single_token_output_shape(self):
         rng = np.random.default_rng(0)
@@ -198,6 +245,36 @@ class TestBackward:
                     f_sq += fd**2
             rel = np.sqrt(diff_sq) / max(np.sqrt(a_sq), np.sqrt(f_sq), 1e-8)
             assert rel < 1e-4, ("inputs", rel)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_per_step_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        d, H, p = 3, 4, 0.25
+        params = BiLSTMParams.init(d, H, rng)
+        params.b_fwd[:] = rng.normal(size=4 * H)
+        params.b_bwd[:] = rng.normal(size=4 * H)
+        inputs = rng.normal(size=(n, d))
+        masks = (rng.random((n, d)) >= p).astype(np.float64)
+        upstream = rng.normal(size=(n, 2 * H))
+        out = encode(params, inputs, train=True, masks=masks, dropout_p=p)
+        grads, d_in = backward(params, out, upstream)
+
+        dropped = inputs * masks / (1.0 - p)
+        fwd = reference_bptt(
+            params.w_fwd, params.u_fwd, params.b_fwd, dropped,
+            range(n), (-2, -1, 0, 1, 2), upstream[:, :H],
+        )
+        bwd = reference_bptt(
+            params.w_bwd, params.u_bwd, params.b_bwd, dropped,
+            range(n - 1, -1, -1), (2, 1, 0, -1, -2), upstream[:, H:],
+        )
+        expect = dict(zip(("w_fwd", "u_fwd", "b_fwd"), fwd[:3]))
+        expect.update(zip(("w_bwd", "u_bwd", "b_bwd"), bwd[:3]))
+        assert set(grads) == set(expect)
+        for name, want in expect.items():
+            np.testing.assert_allclose(grads[name], want, rtol=1e-12, atol=0, err_msg=name)
+        want_in = (fwd[3] + bwd[3]) * masks / (1.0 - p)
+        np.testing.assert_allclose(d_in, want_in, rtol=1e-12, atol=0)
 
     def test_middle_token_of_five_feeds_all_positions(self):
         rng = np.random.default_rng(9)

@@ -249,5 +249,11 @@ class TestLexiconLoading:
         path.write_text("中\t氵\n国\t口\n", encoding="utf-8")
         assert load_lexicon(path, "radical") == {"中": "氵", "国": "口"}
 
+    def test_trailing_non_ascii_whitespace_kept(self, tmp_path):
+        # as in corpora, only trailing ASCII space, tab, CR and LF are stripped
+        path = tmp_path / "lex.txt"
+        path.write_text("a\tX\u3000\nb\tY\u00a0 \r\n", encoding="utf-8")
+        assert load_lexicon(path, "cluster") == {"a": "X\u3000", "b": "Y\u00a0"}
+
     def test_none_path_is_empty(self):
         assert load_lexicon(None, "cluster") == {}
