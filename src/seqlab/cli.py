@@ -30,7 +30,7 @@ TASK_COLUMNS = {
 }
 
 _BOOL_KEYS = ("shuffle", "fine_tune_words", "fine_tune_chars", "embeddings_lowercase", "diagnostics")
-_INT_KEYS = ("epochs", "seed", "word_hidden", "char_hidden", "char_emb", "word_emb", "pos_emb")
+_INT_KEYS = ("epochs", "seed", "word_hidden", "char_emb", "word_emb", "pos_emb")
 _FLOAT_KEYS = ("eta", "l2", "dropout", "gc_tolerance", "gc_eps")
 _PATH_KEYS = (
     "train",
@@ -127,26 +127,14 @@ class RunConfig:
                 raise ConfigError(f"{key}: file {p} does not exist")
 
     def hypers(self) -> trainer.HyperParams:
-        h = trainer.HyperParams()
-        mapping = {
-            "dropout": "dropout_p",
-            "word_hidden": "word_hidden",
-            "char_hidden": "char_hidden",
-            "char_emb": "char_emb",
-            "word_emb": "word_emb",
-            "pos_emb": "pos_emb",
-            "fine_tune_words": "fine_tune_words",
-            "fine_tune_chars": "fine_tune_chars",
-            "eta": "eta",
-            "l2": "l2",
-            "epochs": "epochs",
-            "seed": "seed",
-            "shuffle": "shuffle",
-        }
+        """A key named like a ``HyperParams`` field sets it; ``dropout`` sets ``dropout_p``."""
+        names = {f.name for f in dataclasses.fields(trainer.HyperParams)} | {"dropout"}
         updates = {
-            attr: self.values[key] for key, attr in mapping.items() if key in self.values
+            "dropout_p" if key == "dropout" else key: value
+            for key, value in self.values.items()
+            if key in names
         }
-        return dataclasses.replace(h, **updates)
+        return dataclasses.replace(trainer.HyperParams(), **updates)
 
 
 def parse_config_file(path) -> dict[str, str]:

@@ -345,19 +345,33 @@ class ModelParams:
 
 @dataclass
 class ForwardPass:
-    """Per-sentence artifacts needed to route gradients after decoding."""
+    """Per-sentence artifacts needed to route gradients after decoding;
+    ``context_ids`` is the sentence's ``context_ids()`` pair."""
 
     sentence: Sentence
     lattice: ScoreLattice
-    context_ids: list[list[int]] | None = None
+    context_ids: tuple[np.ndarray, np.ndarray] | None = None
     composed: np.ndarray | None = None
     encoder_output: object | None = None
 
 
+def context_ids(params: ModelParams, sent: Sentence) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(flat, offsets)``: position i's known context ids, in instantiation order,
+    are ``flat[offsets[i]:offsets[i + 1]]`` (int32); None without a discrete scorer."""
+    if not params.uses_discrete:
+        return None
+    lookup = params.out_alphabet.lookup
+    flat, offsets = [], [0]
+    for i in range(len(sent)):
+        flat += [c for c in map(lookup, params.templates.instantiate(sent, i)) if c is not None]
+        offsets.append(len(flat))
+    return np.array(flat, dtype=np.int32), np.array(offsets, dtype=np.int32)
+
+
 def build_forward(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
 ) -> ForwardPass:
-    """Score lattice plus the caches needed for gradient routing."""
+    """Score lattice plus gradient-routing caches; ``ids``: ``context_ids()`` or None."""
     n = len(sent)
     L = len(params.labels)
     emission = np.zeros((n, L))
@@ -365,13 +379,10 @@ def build_forward(
     fp = ForwardPass(sentence=sent, lattice=None)  # type: ignore[arg-type]
 
     if params.uses_discrete:
-        lookup = params.out_alphabet.lookup
-        fp.context_ids = []
+        flat, offsets = fp.context_ids = context_ids(params, sent) if ids is None else ids
+        rows = params.theta_out[flat]
         for i in range(n):
-            # contexts unseen in training have no weights
-            ids = [c for c in map(lookup, params.templates.instantiate(sent, i)) if c is not None]
-            fp.context_ids.append(ids)
-            emission[i] += params.theta_out[ids].sum(axis=0)
+            emission[i] += rows[offsets[i] : offsets[i + 1]].sum(axis=0)
         transition += params.theta_edge
 
     if params.uses_neural:
@@ -392,9 +403,9 @@ def build_forward(
 
 
 def build_lattice(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
 ) -> ScoreLattice:
-    return build_forward(params, sent, train=train, rng=rng, masks=masks).lattice
+    return build_forward(params, sent, train=train, rng=rng, masks=masks, ids=ids).lattice
 
 
 # ---------------------------------------------------------------------------
@@ -405,24 +416,25 @@ def build_lattice(
 class GradientBundle(dict):
     """d(loss)/d(parameters) for one sentence, keyed by ``named_arrays`` name.
 
-    ``theta_out`` and ``theta_edge`` map ``(row, label)`` cells to counts,
-    and ``emb.<key>`` maps table rows to vectors; those classes update only
-    the cells and rows present.  Every other entry is an array shaped like
-    its parameter.
+    ``theta_out`` and ``theta_edge`` are ``(flat cell ids, counts)`` pairs
+    (cell ``row * L + label``; distinct, sorted, nonzero); ``emb.<key>`` maps
+    table rows to vectors.  Those classes update only the cells and rows
+    present; every other entry is an array shaped like its parameter.
     """
 
     def is_zero(self) -> bool:
         return not any(
-            np.any(grad) if isinstance(grad, np.ndarray) else grad for grad in self.values()
+            grad if isinstance(grad, dict) else np.any(grad[1] if isinstance(grad, tuple) else grad)
+            for grad in self.values()
         )
 
 
-def _count_into(counter: dict[tuple[int, int], float], cell, delta):
-    new = counter.get(cell, 0.0) + delta
-    if new == 0.0:
-        counter.pop(cell, None)
-    else:
-        counter[cell] = new
+def _cell_counts(plus, minus) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct cells with their counts, +1 per ``plus`` and -1 per ``minus``
+    entry; cancelled cells are dropped.  Small integer sums are exact."""
+    cells, inverse = np.unique(np.concatenate([plus, minus]), return_inverse=True)
+    counts = np.bincount(inverse, np.repeat([1.0, -1.0], [len(plus), len(minus)]), len(cells))
+    return cells[counts != 0.0], counts[counts != 0.0]
 
 
 def loss_gradients(
@@ -443,21 +455,13 @@ def loss_gradients(
     L = len(params.labels)
 
     if params.uses_discrete:
-        out_cells = bundle["theta_out"] = {}
-        edge_cells = bundle["theta_edge"] = {}
-        for i in range(n):
-            pred_i, gold_i = int(predicted[i]), int(gold[i])
-            if pred_i == gold_i:
-                continue
-            for c in fp.context_ids[i]:
-                _count_into(out_cells, (c, pred_i), +1.0)
-                _count_into(out_cells, (c, gold_i), -1.0)
-        for seq, delta in ((predicted, +1.0), (gold, -1.0)):
-            prev = L  # start row
-            for i in range(n):
-                cur = int(seq[i])
-                _count_into(edge_cells, (prev, cur), delta)
-                prev = cur
+        flat, offsets = fp.context_ids
+        pos = np.repeat(np.arange(n), np.diff(offsets))  # the position of each context id
+        wrong = predicted[pos] != gold[pos]
+        rows, pos = flat[wrong].astype(np.int64) * L, pos[wrong]
+        bundle["theta_out"] = _cell_counts(rows + predicted[pos], rows + gold[pos])
+        prev_pred, prev_gold = (np.concatenate(([L], seq[:-1])) for seq in (predicted, gold))
+        bundle["theta_edge"] = _cell_counts(prev_pred * L + predicted, prev_gold * L + gold)
 
     if params.uses_neural:
         enc = fp.encoder_output

@@ -5,8 +5,10 @@ the gradient: ``g' = g + l2 * w``, ``G += g'^2``,
 ``w -= eta * g' / (sqrt(G) + 1e-8)``.  Sparse parameters (indicator feature
 weights, embedding rows) touch only the coordinates with gradient in the
 current sentence, so regularization reaches them lazily; dense parameters
-regularize on every update step.  Sentences whose margin loss is zero
-change nothing, not even the AdaGrad accumulators.
+regularize on every update step, in place, block by block.
+Sentences whose margin loss is zero change nothing, not even the AdaGrad
+accumulators.  Every training and dev sentence's ``crf.context_ids`` are
+computed once per run, before the first epoch.
 
 All randomness descends from one run seed through fixed sub-streams
 (parameter init, shuffling, dropout), which makes a full training run a
@@ -30,6 +32,7 @@ from .features import EOS, FeatureAlphabet, TemplateSet
 log = logging.getLogger(__name__)
 
 ADAGRAD_EPS = 1e-8
+DENSE_BLOCK = 16384  # elements per block of a dense step, so its operands stay in cache
 
 # sub-seed tags so components can be re-seeded independently
 SEED_INIT = 3
@@ -42,7 +45,6 @@ SEED_TABLE_BASE = 10
 class HyperParams:
     dropout_p: float = 0.25
     word_hidden: int = 100
-    char_hidden: int = 60  # recorded for config fidelity; the mean-pooling composer has no use for it
     char_emb: int = 30
     word_emb: int = 50
     pos_emb: int = 20
@@ -67,10 +69,17 @@ class HyperParams:
 
 
 class AdaGradState:
-    """Accumulated squared gradients, one array per named parameter."""
+    """Squared-gradient sums per named parameter, plus scratch for dense steps."""
 
     def __init__(self):
         self._accum: dict[str, np.ndarray] = {}
+        self._scratch = (np.empty(0), np.empty(0))
+
+    def scratch(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        size = int(np.prod(shape))
+        if self._scratch[0].size < size:
+            self._scratch = (np.empty(size), np.empty(size))
+        return tuple(buf[:size].reshape(shape) for buf in self._scratch)
 
     def for_param(self, name: str, param: np.ndarray) -> np.ndarray:
         acc = self._accum.get(name)
@@ -85,37 +94,50 @@ def _check_finite(name, values):
         raise FloatingPointError(f"non-finite gradient for {name}")
 
 
-def adagrad_step_dense(param, grad, accum, eta, l2):
+def adagrad_step_dense(param, grad, accum, eta, l2, state=None):
+    """The rule above, in its operation order, in place over blocks of rows;
+    the two scratch buffers come from ``state``, or are allocated when None."""
     _check_finite("dense update", grad)
-    g = grad + l2 * param
-    accum += g * g
-    param -= eta * g / (np.sqrt(accum) + ADAGRAD_EPS)
+    rows = max(1, DENSE_BLOCK * len(param) // param.size)
+    for lo in range(0, len(param), rows):
+        w, acc = param[lo : lo + rows], accum[lo : lo + rows]
+        g, tmp = (np.empty_like(w), np.empty_like(w)) if state is None else state.scratch(w.shape)
+        np.add(grad[lo : lo + rows], np.multiply(l2, w, out=g), out=g)
+        acc += np.multiply(g, g, out=tmp)
+        np.add(np.sqrt(acc, out=tmp), ADAGRAD_EPS, out=tmp)
+        w -= np.divide(np.multiply(eta, g, out=g), tmp, out=g)
 
 
 def adagrad_step_sparse(param, accum, ids, values, eta, l2):
-    """Update only the listed ids of ``param``.
+    """Update only the listed ids on the first axis of ``param``.
 
-    An id is an entry of a vector or a row of a matrix; an id that is a
-    ``(row, col)`` pair is one cell of a matrix.  Ids must be distinct.
+    An id is an entry of a vector or a row of a matrix; ids must be
+    distinct.  Matrix cells are entries of the flattened matrix.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    index = tuple(ids.T) if ids.ndim == 2 else ids
     values = np.asarray(values, dtype=np.float64)
     _check_finite("sparse update", values)
-    g = values + l2 * param[index]
-    accum[index] += g * g
-    param[index] -= eta * g / (np.sqrt(accum[index]) + ADAGRAD_EPS)
+    g = values + l2 * param[ids]
+    accum[ids] += g * g
+    param[ids] -= eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
 
 
 def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaGradState, eta, l2):
     """One AdaGrad step for every trainable array that has a gradient."""
     for name, param in model.named_arrays(trainable_only=True):
         grad = bundle.get(name)
-        if isinstance(grad, dict) and grad:
-            accum = state.for_param(name, param)
+        if grad is None or (isinstance(grad, dict) and not grad):
+            continue
+        accum = state.for_param(name, param)
+        if isinstance(grad, np.ndarray):
+            adagrad_step_dense(param, grad, accum, eta, l2, state)
+        elif isinstance(grad, tuple):  # (flat cell ids, counts)
+            flat_param, flat_accum = param.reshape(-1), accum.reshape(-1)
+            if not (np.shares_memory(flat_param, param) and np.shares_memory(flat_accum, accum)):
+                raise ValueError(f"{name}: cell updates need contiguous arrays")
+            adagrad_step_sparse(flat_param, flat_accum, *grad, eta, l2)
+        else:  # embedding rows
             adagrad_step_sparse(param, accum, list(grad), list(grad.values()), eta, l2)
-        elif isinstance(grad, np.ndarray):
-            adagrad_step_dense(param, grad, state.for_param(name, param), eta, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -293,18 +315,18 @@ class TrainReport:
             fh.write(f"wall clock: {self.wall_clock_sec:.2f}s\n")
 
 
-def predict_labels(model: crf.ModelParams, sentences) -> list[list[str]]:
-    """Viterbi decode each sentence in inference mode (no dropout)."""
+def predict_labels(model: crf.ModelParams, sentences, ids=None) -> list[list[str]]:
+    """Viterbi decode each sentence (no dropout); ``ids``: their ``crf.context_ids``, or None."""
     out = []
-    for sent in sentences:
-        lattice = crf.build_lattice(model, sent, train=False)
+    for k, sent in enumerate(sentences):
+        lattice = crf.build_lattice(model, sent, train=False, ids=None if ids is None else ids[k])
         result = crf.viterbi(lattice)
         out.append([model.labels.from_index(int(y)) for y in result.labels])
     return out
 
 
-def dev_metric(model: crf.ModelParams, sentences, task: str, scheme: str) -> float:
-    predictions = predict_labels(model, sentences)
+def dev_metric(model: crf.ModelParams, sentences, task: str, scheme: str, ids=None) -> float:
+    predictions = predict_labels(model, sentences, ids)
     return evaluator.corpus_metric(task, scheme, sentences, predictions)
 
 
@@ -320,11 +342,22 @@ def train(
     if not train_sentences or not dev_sentences:
         raise ValueError("train and dev corpora must be non-empty")
     model.validate()
-    gold_indices = []
+    gold_indices, train_ids = [], []
     for sent in train_sentences:
         if sent.gold_labels is None:
             raise ValueError("training sentences must carry gold labels")
         gold_indices.append(np.array([model.labels.to_index(l) for l in sent.gold_labels]))
+        train_ids.append(crf.context_ids(model, sent))
+    dev_ids, unseen = [], []
+    for k, sent in enumerate(dev_sentences):
+        if sent.gold_labels is None:
+            raise ValueError(f"dev sentence {k} carries no gold labels")
+        unseen += [l for l in sent.gold_labels if l not in model.labels]
+        dev_ids.append(crf.context_ids(model, sent))
+    if unseen:
+        log.warning(
+            "%d dev tokens have labels unseen in training: %s", len(unseen), sorted(set(unseen))
+        )
 
     shuffle_rng = np.random.default_rng([hypers.seed, SEED_SHUFFLE])
     dropout_rng = np.random.default_rng([hypers.seed, SEED_DROPOUT])
@@ -343,7 +376,7 @@ def train(
         for k in order:
             sent = train_sentences[k]
             gold = gold_indices[k]
-            fp = crf.build_forward(model, sent, train=True, rng=dropout_rng)
+            fp = crf.build_forward(model, sent, train=True, rng=dropout_rng, ids=train_ids[k])
             loss, result = crf.margin_loss(fp.lattice, gold)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch}")
@@ -351,7 +384,7 @@ def train(
             if loss > 0.0:
                 bundle = crf.loss_gradients(model, fp, result.labels, gold)
                 apply_bundle(model, bundle, state, hypers.eta, hypers.l2)
-        metric = dev_metric(model, dev_sentences, task, scheme)
+        metric = dev_metric(model, dev_sentences, task, scheme, dev_ids)
         record = EpochRecord(
             epoch=epoch,
             mean_loss=total_loss / len(train_sentences),
@@ -520,19 +553,18 @@ def gradient_check(
             err.add(float(grad[idx]), fd_for(array, idx))
 
     for name, array in model.named_arrays():
-        grad = analytic.get(name, {})  # absent: no gradient
         if name.startswith("emb."):
             # only the rows this sentence touches can have a gradient
             err = pooled.setdefault("embeddings", _ClassError())
-            for row, vec in sorted(grad.items()):
+            for row, vec in sorted(analytic.get(name, {}).items()):
                 for col in range(array.shape[1]):
                     err.add(float(vec[col]), fd_for(array, (row, col)))
             continue
-        if isinstance(grad, dict):
-            dense = np.zeros_like(array)
-            for cell, count in grad.items():
-                dense[cell] = count
-            grad = dense
+        grad = analytic.get(name, ([], []))  # absent: no gradient
+        if isinstance(grad, tuple):  # (flat cell ids, counts)
+            dense = np.zeros(array.size)
+            dense[grad[0]] = grad[1]
+            grad = dense.reshape(array.shape)
         check_array(_gradcheck_class(name), array, grad)
 
     report.max_rel_err = {cls: err.value() for cls, err in pooled.items()}

@@ -1,8 +1,11 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import synthetic
 from seqlab import checkpoint, cli, crf, trainer
@@ -63,6 +66,19 @@ class TestConfig:
         config = cli.RunConfig.load(None, ["eta=0.1", "dropout=0.5", "l2=0.0"])
         h = config.hypers()
         assert (h.eta, h.dropout_p, h.l2) == (0.1, 0.5, 0.0)
+
+    def test_every_hyperparameter_key_reaches_hypers(self):
+        overrides = ["dropout=0.5", "word_hidden=8", "char_emb=3", "word_emb=4", "pos_emb=2",
+                     "fine_tune_words=false", "fine_tune_chars=false", "eta=0.5", "l2=0.25",
+                     "epochs=7", "seed=11", "shuffle=false"]
+        h = cli.RunConfig.load(None, overrides).hypers()
+        assert h == HyperParams(dropout_p=0.5, word_hidden=8, char_emb=3, word_emb=4, pos_emb=2,
+                                fine_tune_words=False, fine_tune_chars=False, eta=0.5, l2=0.25,
+                                epochs=7, seed=11, shuffle=False)
+
+    def test_char_hidden_is_an_unknown_key(self):
+        with pytest.raises(cli.ConfigError, match="unknown config keys"):
+            cli.RunConfig.load(None, ["char_hidden=60"])
 
     @pytest.mark.parametrize(
         "command,overrides",
@@ -430,3 +446,59 @@ class TestCheckpointRoundTrip:
         (tmp_path / "v.bin").write_bytes(bytes(blob))
         with pytest.raises(checkpoint.CheckpointError, match="version"):
             checkpoint.load_model(tmp_path / "v.bin")
+
+
+NER_SENTS = [
+    Sentence(tokens=["EU", "rejects", "German", "call"], aux_tags=["NNP", "VBZ", "JJ", "NN"],
+             gold_labels=["B-ORG", "O", "B-MISC", "O"]),
+    Sentence(tokens=["Peter", "Blackburn"], aux_tags=["NNP", "NNP"],
+             gold_labels=["B-PER", "I-PER"]),
+]
+NER_PROBES = NER_SENTS + [Sentence(tokens=["Unseen", "words"], aux_tags=["NNP", "XX"])]
+
+
+@functools.lru_cache(maxsize=None)
+def ner_checkpoint(mode, directory):
+    """The bytes of a small saved NER model whose weights are all nonzero."""
+    h = HyperParams(word_hidden=4, char_emb=2, word_emb=3, pos_emb=2)
+    model = trainer.build_model(
+        mode, "NER", "EN", NER_SENTS, h, cluster_lexicon={"EU": "0110", "German": "1011"}
+    )
+    rng = np.random.default_rng(1)
+    for _, arr in model.named_arrays():
+        arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
+    path = directory / f"{mode}.bin"
+    checkpoint.save_model(path, model, {"task": "NER"})
+    return path.read_bytes()
+
+
+def header_end(blob):
+    return 16 + int.from_bytes(blob[8:16], "little")
+
+
+class TestCheckpointFuzz:
+    @given(mode=st.sampled_from(crf.MODES), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_truncation_at_any_offset_rejected(self, tmp_path_factory, mode, data):
+        blob = ner_checkpoint(mode, tmp_path_factory.getbasetemp())
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+        path.write_bytes(blob[:cut])
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load_model(path)
+
+    @given(mode=st.sampled_from(crf.MODES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_header_byte_replaced_rejected_or_usable(self, tmp_path_factory, mode, data):
+        blob = ner_checkpoint(mode, tmp_path_factory.getbasetemp())
+        at = data.draw(st.integers(0, header_end(blob) - 1), label="offset")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="value")
+        path = tmp_path_factory.getbasetemp() / "fuzzed.bin"
+        path.write_bytes(blob[:at] + bytes([value]) + blob[at + 1 :])
+        try:
+            model, _ = checkpoint.load_model(path)
+        except checkpoint.CheckpointError:
+            return
+        model.validate()
+        for labels, sent in zip(trainer.predict_labels(model, NER_PROBES), NER_PROBES):
+            assert len(labels) == len(sent) and all(l in model.labels for l in labels)

@@ -289,15 +289,18 @@ class TestLossGradients:
         pred[1] = model.labels.to_index("S")  # one position flipped E -> S
         bundle = crf.loss_gradients(model, fp, pred, gold)
         B, E, S = (model.labels.to_index(l) for l in "BES")
+        out_cells = cell_dict(model, bundle["theta_out"])
+        edge_cells = cell_dict(model, bundle["theta_edge"])
         for s in model.templates.instantiate(sent, 1):
             c = model.out_alphabet.lookup(s)
-            assert bundle["theta_out"][(c, S)] == 1.0
-            assert bundle["theta_out"][(c, E)] == -1.0
+            assert out_cells[(c, S)] == 1.0
+            assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
         for s in model.templates.instantiate(sent, 0):
-            assert (model.out_alphabet.lookup(s), B) not in bundle["theta_out"]
+            assert (model.out_alphabet.lookup(s), B) not in out_cells
+        assert len(out_cells) == 2 * len(model.templates.instantiate(sent, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
-        assert bundle["theta_edge"] == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
+        assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
 
     def test_count_range_bounded(self):
         model, sents = tiny_discrete_model()
@@ -306,4 +309,67 @@ class TestLossGradients:
         pred = np.array([2, 0, 1])
         bundle = crf.loss_gradients(model, fp, pred, gold)
         n = len(sents[0])
-        assert all(-n <= v <= n for v in bundle["theta_out"].values())
+        assert bundle["theta_out"][0].size > 0
+        assert all(-n <= v <= n for v in cell_dict(model, bundle["theta_out"]).values())
+
+    def test_cells_are_distinct_sorted_and_nonzero(self):
+        model, sents = tiny_discrete_model()
+        fp = crf.build_forward(model, sents[1])
+        gold = np.array([model.labels.to_index(l) for l in sents[1].gold_labels])
+        pred = (gold + 1) % len(model.labels)
+        bundle = crf.loss_gradients(model, fp, pred, gold)
+        for name in ("theta_out", "theta_edge"):
+            cells, counts = bundle[name]
+            assert np.all(np.diff(cells) > 0)
+            assert np.all(counts != 0.0)
+            assert cells.max() < getattr(model, name).size
+
+
+def cell_dict(model, pair):
+    """A ``(flat cell ids, counts)`` gradient as ``{(row, label): count}``."""
+    L = len(model.labels)
+    return {divmod(int(cell), L): float(count) for cell, count in zip(*pair)}
+
+
+class TestContextIds:
+    def test_flat_ids_and_offsets_follow_instantiation(self):
+        model, sents = tiny_discrete_model()
+        sent = sents[0]
+        flat, offsets = crf.context_ids(model, sent)
+        assert flat.dtype == np.int32 and offsets.dtype == np.int32
+        assert offsets.tolist()[0] == 0 and len(offsets) == len(sent) + 1
+        for i in range(len(sent)):
+            expected = [model.out_alphabet.lookup(s) for s in model.templates.instantiate(sent, i)]
+            assert flat[offsets[i] : offsets[i + 1]].tolist() == expected
+
+    def test_unseen_contexts_left_out(self):
+        model, _ = tiny_discrete_model()
+        sent = Sentence(tokens=list("国外"))
+        flat, offsets = crf.context_ids(model, sent)
+        for i in range(len(sent)):
+            found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
+            known = [c for c in found if c is not None]
+            assert 0 < len(known) < len(model.templates.instantiate(sent, i))
+            assert flat[offsets[i] : offsets[i + 1]].tolist() == known
+
+    def test_neural_model_has_no_ids(self):
+        model, sent = trainer.make_gradcheck_instance("neural", seed=1)
+        assert crf.context_ids(model, sent) is None
+        assert crf.build_forward(model, sent).context_ids is None
+
+    @pytest.mark.parametrize("mode", crf.MODES)
+    @pytest.mark.parametrize("train", [False, True])
+    def test_cached_ids_give_a_bitwise_equal_lattice(self, mode, train):
+        model, sent = trainer.make_gradcheck_instance(mode, seed=1)
+        for other in (sent, Sentence(tokens=("beta", "unseen", "alpha", "gamma"))):
+            ids = crf.context_ids(model, other)
+            fresh = crf.build_forward(model, other, train=train, rng=np.random.default_rng(4))
+            cached = crf.build_forward(
+                model, other, train=train, rng=np.random.default_rng(4), ids=ids
+            )
+            np.testing.assert_array_equal(cached.lattice.emission, fresh.lattice.emission)
+            np.testing.assert_array_equal(cached.lattice.transition, fresh.lattice.transition)
+            assert cached.lattice.emission.tobytes() == fresh.lattice.emission.tobytes()
+            if ids is not None:
+                assert cached.context_ids is ids
+                np.testing.assert_array_equal(fresh.context_ids[0], ids[0])

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import synthetic
 from seqlab import crf, trainer
 from seqlab.corpus import Sentence
 from seqlab.embeddings import EmbeddingTable, UNK
+from seqlab.features import TemplateSet
 from seqlab.trainer import (
     ADAGRAD_EPS,
     AdaGradState,
@@ -62,6 +65,26 @@ class TestAdagradStep:
             assert step <= last
             last = step
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_blocked_step_bitwise_equals_the_formula(self, shared):
+        # blocks of rows, in one shared scratch pair or fresh buffers, must
+        # match the whole-array expression operation for operation
+        rng = np.random.default_rng(3)
+        state = AdaGradState() if shared else None
+        for shape in [(200, 500), (3,), (2, 3 * trainer.DENSE_BLOCK), (40, 7), (200, 500)]:
+            param, accum = rng.normal(size=shape), rng.uniform(0.0, 2.0, size=shape)
+            grad = rng.normal(size=shape)
+            want_param, want_accum = param.copy(), accum.copy()
+            g = grad + 1e-3 * want_param
+            want_accum += g * g
+            want_param -= 0.05 * g / (np.sqrt(want_accum) + ADAGRAD_EPS)
+            adagrad_step_dense(param, grad, accum, 0.05, 1e-3, state)
+            assert param.tobytes() == want_param.tobytes()
+            assert accum.tobytes() == want_accum.tobytes()
+        if shared:  # one pair, grown only for the row longer than a block
+            assert state.scratch((3,))[0].base is state.scratch((200, 50))[0].base
+            assert state.scratch((1,))[0].base.size == 3 * trainer.DENSE_BLOCK
+
     def test_l2_pull_drives_weights_to_zero(self):
         # zero task gradient, l2 on: the dense rule decays the norm each step
         param = np.array([1.0, -1.0, 0.7])
@@ -118,12 +141,38 @@ class TestEmbeddingUpdates:
         np.testing.assert_array_equal(table.matrix, dense)
 
 
+class TestCellUpdates:
+    def test_flat_cells_update_only_their_cells(self):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        L = len(model.labels)
+        state = AdaGradState()
+        bundle = crf.GradientBundle(
+            theta_out=(np.array([1 * L + 2, 4 * L]), np.array([1.0, -2.0])),
+            theta_edge=(np.array([L * L + 1]), np.array([1.0])),
+        )
+        trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
+        touched = {(1, 2): -1.0, (4, 0): 1.0}
+        for (row, col), sign in touched.items():
+            assert np.sign(model.theta_out[row, col]) == sign
+        assert np.count_nonzero(model.theta_out) == 2
+        assert np.count_nonzero(model.theta_edge) == 1 and model.theta_edge[L, 1] < 0
+        assert np.count_nonzero(state._accum["theta_out"]) == 2
+
+    def test_non_contiguous_parameter_refused(self):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        model.theta_out = np.asfortranarray(model.theta_out + 1.0)
+        bundle = crf.GradientBundle(theta_out=(np.array([1]), np.array([1.0])))
+        with pytest.raises(ValueError):
+            trainer.apply_bundle(model, bundle, AdaGradState(), 0.1, 0.0)
+
+
 class TestHyperParams:
     def test_defaults(self):
         h = HyperParams()
         assert h.dropout_p == 0.25
         assert h.word_hidden == 100
-        assert h.char_hidden == 60
         assert h.char_emb == 30
         assert h.word_emb == 50
         assert h.eta == 0.01
@@ -197,6 +246,51 @@ class TestTrainLoop:
         _, report = trainer.train(model, sents, sents, h, "POS")
         metrics = [r.dev_metric for r in report.records]
         assert report.best_epoch == int(np.argmax(metrics))
+
+    def test_instantiates_each_train_and_dev_position_once(self, monkeypatch):
+        train = synthetic.separable_corpus(6, seed=1)
+        dev = synthetic.separable_corpus(4, seed=2)
+        h = HyperParams(epochs=2, seed=3)
+        for mode in ("discrete", "joint"):
+            model = trainer.build_model(
+                mode, "POS", "EN", train, HyperParams(word_hidden=8, char_emb=3, word_emb=4)
+            )
+            calls = []
+            original = TemplateSet.instantiate
+
+            def counting(self, sent, i):
+                calls.append((id(sent), i))
+                return original(self, sent, i)
+
+            monkeypatch.setattr(TemplateSet, "instantiate", counting)
+            trainer.train(model, train, dev, h, "POS")
+            monkeypatch.setattr(TemplateSet, "instantiate", original)
+            expected = [(id(s), i) for s in train + dev for i in range(len(s))]
+            assert sorted(calls) == sorted(expected)
+
+    def test_unlabeled_dev_sentence_named(self):
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(epochs=1)
+        for mode in crf.MODES:
+            model = trainer.build_model(mode, "POS", "EN", sents, HyperParams(word_hidden=8))
+            dev = [sents[0], Sentence(tokens=["wa0"])]
+            with pytest.raises(ValueError, match="dev sentence 1"):
+                trainer.train(model, sents, dev, h, "POS")
+
+    def test_unseen_dev_labels_counted_in_one_warning(self, caplog):
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(epochs=2)
+        model = trainer.build_model("discrete", "POS", "EN", sents, h)
+        dev = [
+            Sentence(tokens=["wa0", "wb1"], gold_labels=["A", "NEW"]),
+            Sentence(tokens=["wa0", "wb1", "wc2"], gold_labels=["ODD", "NEW", "C"]),
+        ]
+        with caplog.at_level(logging.WARNING, logger="seqlab.trainer"):
+            trainer.train(model, sents, dev, h, "POS")
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        message = warnings[0].getMessage()
+        assert message.startswith("3 dev tokens") and "['NEW', 'ODD']" in message
 
     def test_unknown_gold_label_rejected(self):
         sents = synthetic.separable_corpus(5, seed=1)
