@@ -403,9 +403,9 @@ def build_forward(
 
 
 def build_lattice(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None
 ) -> ScoreLattice:
-    return build_forward(params, sent, train=train, rng=rng, masks=masks, ids=ids).lattice
+    return build_forward(params, sent, train=train, rng=rng, masks=masks).lattice
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ the gradient: ``g' = g + l2 * w``, ``G += g'^2``,
 ``w -= eta * g' / (sqrt(G) + 1e-8)``.  Sparse parameters (indicator feature
 weights, embedding rows) touch only the coordinates with gradient in the
 current sentence, so regularization reaches them lazily; dense parameters
-regularize on every update step, in place, block by block.
-Sentences whose margin loss is zero change nothing, not even the AdaGrad
-accumulators.  Every training and dev sentence's ``crf.context_ids`` are
-computed once per run, before the first epoch.
+regularize on every update step.  Sentences whose margin loss is zero
+change nothing, not even the AdaGrad accumulators.  Every training and dev
+sentence's ``crf.context_ids`` are computed once per run, before the first
+epoch.
 
 All randomness descends from one run seed through fixed sub-streams
 (parameter init, shuffling, dropout), which makes a full training run a
@@ -32,7 +32,6 @@ from .features import EOS, FeatureAlphabet, TemplateSet
 log = logging.getLogger(__name__)
 
 ADAGRAD_EPS = 1e-8
-DENSE_BLOCK = 16384  # elements per block of a dense step, so its operands stay in cache
 
 # sub-seed tags so components can be re-seeded independently
 SEED_INIT = 3
@@ -69,17 +68,10 @@ class HyperParams:
 
 
 class AdaGradState:
-    """Squared-gradient sums per named parameter, plus scratch for dense steps."""
+    """Accumulated squared gradients, one array per named parameter."""
 
     def __init__(self):
         self._accum: dict[str, np.ndarray] = {}
-        self._scratch = (np.empty(0), np.empty(0))
-
-    def scratch(self, shape) -> tuple[np.ndarray, np.ndarray]:
-        size = int(np.prod(shape))
-        if self._scratch[0].size < size:
-            self._scratch = (np.empty(size), np.empty(size))
-        return tuple(buf[:size].reshape(shape) for buf in self._scratch)
 
     def for_param(self, name: str, param: np.ndarray) -> np.ndarray:
         acc = self._accum.get(name)
@@ -94,18 +86,11 @@ def _check_finite(name, values):
         raise FloatingPointError(f"non-finite gradient for {name}")
 
 
-def adagrad_step_dense(param, grad, accum, eta, l2, state=None):
-    """The rule above, in its operation order, in place over blocks of rows;
-    the two scratch buffers come from ``state``, or are allocated when None."""
+def adagrad_step_dense(param, grad, accum, eta, l2):
     _check_finite("dense update", grad)
-    rows = max(1, DENSE_BLOCK * len(param) // param.size)
-    for lo in range(0, len(param), rows):
-        w, acc = param[lo : lo + rows], accum[lo : lo + rows]
-        g, tmp = (np.empty_like(w), np.empty_like(w)) if state is None else state.scratch(w.shape)
-        np.add(grad[lo : lo + rows], np.multiply(l2, w, out=g), out=g)
-        acc += np.multiply(g, g, out=tmp)
-        np.add(np.sqrt(acc, out=tmp), ADAGRAD_EPS, out=tmp)
-        w -= np.divide(np.multiply(eta, g, out=g), tmp, out=g)
+    g = grad + l2 * param
+    accum += g * g
+    param -= eta * g / (np.sqrt(accum) + ADAGRAD_EPS)
 
 
 def adagrad_step_sparse(param, accum, ids, values, eta, l2):
@@ -130,7 +115,7 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaG
             continue
         accum = state.for_param(name, param)
         if isinstance(grad, np.ndarray):
-            adagrad_step_dense(param, grad, accum, eta, l2, state)
+            adagrad_step_dense(param, grad, accum, eta, l2)
         elif isinstance(grad, tuple):  # (flat cell ids, counts)
             flat_param, flat_accum = param.reshape(-1), accum.reshape(-1)
             if not (np.shares_memory(flat_param, param) and np.shares_memory(flat_accum, accum)):
@@ -319,7 +304,8 @@ def predict_labels(model: crf.ModelParams, sentences, ids=None) -> list[list[str
     """Viterbi decode each sentence (no dropout); ``ids``: their ``crf.context_ids``, or None."""
     out = []
     for k, sent in enumerate(sentences):
-        lattice = crf.build_lattice(model, sent, train=False, ids=None if ids is None else ids[k])
+        sent_ids = None if ids is None else ids[k]
+        lattice = crf.build_forward(model, sent, train=False, ids=sent_ids).lattice
         result = crf.viterbi(lattice)
         out.append([model.labels.from_index(int(y)) for y in result.labels])
     return out

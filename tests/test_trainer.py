@@ -65,26 +65,6 @@ class TestAdagradStep:
             assert step <= last
             last = step
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_blocked_step_bitwise_equals_the_formula(self, shared):
-        # blocks of rows, in one shared scratch pair or fresh buffers, must
-        # match the whole-array expression operation for operation
-        rng = np.random.default_rng(3)
-        state = AdaGradState() if shared else None
-        for shape in [(200, 500), (3,), (2, 3 * trainer.DENSE_BLOCK), (40, 7), (200, 500)]:
-            param, accum = rng.normal(size=shape), rng.uniform(0.0, 2.0, size=shape)
-            grad = rng.normal(size=shape)
-            want_param, want_accum = param.copy(), accum.copy()
-            g = grad + 1e-3 * want_param
-            want_accum += g * g
-            want_param -= 0.05 * g / (np.sqrt(want_accum) + ADAGRAD_EPS)
-            adagrad_step_dense(param, grad, accum, 0.05, 1e-3, state)
-            assert param.tobytes() == want_param.tobytes()
-            assert accum.tobytes() == want_accum.tobytes()
-        if shared:  # one pair, grown only for the row longer than a block
-            assert state.scratch((3,))[0].base is state.scratch((200, 50))[0].base
-            assert state.scratch((1,))[0].base.size == 3 * trainer.DENSE_BLOCK
-
     def test_l2_pull_drives_weights_to_zero(self):
         # zero task gradient, l2 on: the dense rule decays the norm each step
         param = np.array([1.0, -1.0, 0.7])
