@@ -21,7 +21,6 @@ from .corpus import Sentence, read_column_corpus, strip_line, write_column_corpu
 from .embeddings import load_text_embeddings
 from .features import load_lexicon
 
-log = logging.getLogger(__name__)
 
 TASK_COLUMNS = {
     "SEG": ("token", "label"),
@@ -29,7 +28,7 @@ TASK_COLUMNS = {
     "NER": ("token", "aux", "label"),
 }
 
-_BOOL_KEYS = ("shuffle", "fine_tune_words", "fine_tune_chars", "embeddings_lowercase", "diagnostics")
+_BOOL_KEYS = ("shuffle", "fine_tune_words", "fine_tune_chars", "embeddings_lowercase")
 _INT_KEYS = ("epochs", "seed", "word_hidden", "char_emb", "word_emb", "pos_emb")
 _FLOAT_KEYS = ("eta", "l2", "dropout", "gc_tolerance", "gc_eps")
 _PATH_KEYS = (
@@ -263,13 +262,6 @@ def cmd_predict(config: RunConfig) -> int:
         )
     sentences = read_task_corpus(config.path("input"), config.task, require_labels=False)
     predictions = trainer.predict_labels(model, sentences)
-    if config.get("diagnostics", False):
-        for idx, sent in enumerate(sentences):
-            lattice = crf.build_lattice(model, sent, train=False)
-            log.info(
-                "sentence %d: logZ=%.6f best=%.6f",
-                idx, crf.log_partition(lattice), crf.viterbi(lattice).score,
-            )
     labeled = [
         Sentence(tokens=s.tokens, gold_labels=pred, aux_tags=s.aux_tags)
         for s, pred in zip(sentences, predictions)

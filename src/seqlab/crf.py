@@ -237,6 +237,11 @@ class ModelParams:
     theta_dense: np.ndarray | None = None
     tau: np.ndarray | None = None
     tau_weight: np.ndarray | None = None
+    # The training sentences' ``context_ids`` pairs, keyed by sentence, that
+    # ``trainer.build_model`` leaves for the next ``trainer.train`` to take.
+    # Unannotated, so not a field: no constructor, comparison, checkpoint or
+    # clone sees it.
+    _train_ids = None
 
     @property
     def uses_discrete(self):
@@ -355,17 +360,24 @@ class ForwardPass:
     encoder_output: object | None = None
 
 
-def context_ids(params: ModelParams, sent: Sentence) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(flat, offsets)``: position i's known context ids, in instantiation order,
-    are ``flat[offsets[i]:offsets[i + 1]]`` (int32); None without a discrete scorer."""
-    if not params.uses_discrete:
-        return None
-    lookup = params.out_alphabet.lookup
+def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, offsets)``: position i's context ids, in instantiation order, are
+    ``flat[offsets[i]:offsets[i + 1]]`` (int32).  ``index`` maps a context string
+    to its id, or to None to leave it out."""
     flat, offsets = [], [0]
     for i in range(len(sent)):
-        flat += [c for c in map(lookup, params.templates.instantiate(sent, i)) if c is not None]
+        flat += [c for c in map(index, templates.instantiate(sent, i)) if c is not None]
         offsets.append(len(flat))
     return np.array(flat, dtype=np.int32), np.array(offsets, dtype=np.int32)
+
+
+def context_ids(params: ModelParams, sent: Sentence) -> tuple[np.ndarray, np.ndarray] | None:
+    """``index_contexts`` over the frozen alphabet, so unseen contexts are left
+    out; None without a discrete scorer.  The training sentences' pairs are
+    made by ``trainer.build_output_alphabet`` while it grows the alphabet."""
+    if not params.uses_discrete:
+        return None
+    return index_contexts(params.templates, params.out_alphabet.lookup, sent)
 
 
 def build_forward(
@@ -422,12 +434,6 @@ class GradientBundle(dict):
     present; every other entry is an array shaped like its parameter.
     """
 
-    def is_zero(self) -> bool:
-        return not any(
-            grad if isinstance(grad, dict) else np.any(grad[1] if isinstance(grad, tuple) else grad)
-            for grad in self.values()
-        )
-
 
 def _cell_counts(plus, minus) -> tuple[np.ndarray, np.ndarray]:
     """Distinct cells with their counts, +1 per ``plus`` and -1 per ``minus``
@@ -443,8 +449,8 @@ def loss_gradients(
     """Subgradient of the margin loss: d score(predicted) - d score(gold).
 
     ``predicted`` is the cost-augmented decode; the cost term is constant in
-    the parameters so it contributes nothing.  Returns an all-zero bundle
-    when the two sequences coincide.
+    the parameters so it contributes nothing.  Returns an empty bundle when
+    the two sequences coincide.
     """
     predicted = np.asarray(predicted, dtype=np.int64)
     gold = np.asarray(gold, dtype=np.int64)

@@ -8,7 +8,10 @@ current sentence, so regularization reaches them lazily; dense parameters
 regularize on every update step.  Sentences whose margin loss is zero
 change nothing, not even the AdaGrad accumulators.  Every training and dev
 sentence's ``crf.context_ids`` are computed once per run, before the first
-epoch.
+epoch.  The training sentences' ids come from ``build_model``: the
+alphabet build makes them in its one pass over the corpus, and ``train``
+takes them from the model.  Dev sentences, and training sentences the
+build never saw, are indexed at the start of ``train``.
 
 All randomness descends from one run seed through fixed sub-streams
 (parameter init, shuffling, dropout), which makes a full training run a
@@ -190,19 +193,20 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
     return tables
 
 
-def build_output_alphabet(templates: TemplateSet, sentences) -> FeatureAlphabet:
-    """The frozen alphabet of template contexts seen in the training corpus.
+def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[FeatureAlphabet, dict]:
+    """The frozen alphabet of template contexts seen in the training corpus,
+    and each sentence's ``crf.context_ids`` pair, keyed by sentence.
 
     Ids follow first appearance; each id is one row of ``theta_out``, which
-    holds a weight for that context under every label.
+    holds a weight for that context under every label.  The pairs are made
+    in the same pass, so the templates run once per training position;
+    every context is in the alphabet, so they equal ``crf.context_ids`` on
+    the finished model.
     """
     alpha = FeatureAlphabet()
-    for sent in sentences:
-        for i in range(len(sent)):
-            for s in templates.instantiate(sent, i):
-                alpha.add(s)
+    ids = {sent: crf.index_contexts(templates, alpha.add, sent) for sent in sentences}
     alpha.freeze()
-    return alpha
+    return alpha, ids
 
 
 def build_model(
@@ -222,8 +226,7 @@ def build_model(
     labels = LabelAlphabet.from_sentences(train_sentences)
     if len(labels) == 0:
         raise ValueError("empty label alphabet")
-    templates = None
-    out_alpha = None
+    templates = out_alpha = train_ids = None
     if mode in ("discrete", "joint"):
         templates = TemplateSet(
             task,
@@ -231,11 +234,11 @@ def build_model(
             cluster_lexicon=dict(cluster_lexicon or {}),
             radical_lexicon=dict(radical_lexicon or {}),
         )
-        out_alpha = build_output_alphabet(templates, train_sentences)
+        out_alpha, train_ids = build_output_alphabet(templates, train_sentences)
     composer = None
     if mode in ("neural", "joint"):
         composer = InputComposer(task, default_tables(task, train_sentences, hypers, tables))
-    return crf.ModelParams.create(
+    model = crf.ModelParams.create(
         mode,
         labels,
         templates=templates,
@@ -245,16 +248,21 @@ def build_model(
         rng=np.random.default_rng([hypers.seed, SEED_INIT]),
         dropout_p=hypers.dropout_p,
     )
+    model._train_ids = train_ids
+    return model
 
 
 def clone_model(model: crf.ModelParams) -> crf.ModelParams:
     """Deep copy with a fresh copy of every array in ``named_arrays()``.
 
     Labels, templates and the context alphabet, which training never
-    changes, are shared.
+    changes, are shared; the training ids ``build_model`` left are not
+    copied.
     """
     shared = (model.labels, model.templates, model.out_alphabet)
-    return copy.deepcopy(model, {id(obj): obj for obj in shared if obj is not None})
+    memo = {id(obj): obj for obj in shared if obj is not None}
+    memo[id(model._train_ids)] = None
+    return copy.deepcopy(model, memo)
 
 
 def parameter_norm(model: crf.ModelParams) -> float:
@@ -324,7 +332,11 @@ def train(
     task: str,
     scheme: str = "BIO",
 ) -> tuple[crf.ModelParams, TrainReport]:
-    """Run the online margin trainer; returns the best-dev snapshot."""
+    """Run the online margin trainer; returns the best-dev snapshot.
+
+    Takes the training ids ``build_model`` left on ``model``, if any.
+    """
+    handoff, model._train_ids = model._train_ids or {}, None
     if not train_sentences or not dev_sentences:
         raise ValueError("train and dev corpora must be non-empty")
     model.validate()
@@ -333,7 +345,7 @@ def train(
         if sent.gold_labels is None:
             raise ValueError("training sentences must carry gold labels")
         gold_indices.append(np.array([model.labels.to_index(l) for l in sent.gold_labels]))
-        train_ids.append(crf.context_ids(model, sent))
+        train_ids.append(handoff[sent] if sent in handoff else crf.context_ids(model, sent))
     dev_ids, unseen = [], []
     for k, sent in enumerate(dev_sentences):
         if sent.gold_labels is None:

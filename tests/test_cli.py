@@ -80,6 +80,10 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
             cli.RunConfig.load(None, ["char_hidden=60"])
 
+    def test_diagnostics_is_an_unknown_key(self):
+        with pytest.raises(cli.ConfigError, match="unknown config keys"):
+            cli.RunConfig.load(None, ["diagnostics=1"])
+
     @pytest.mark.parametrize(
         "command,overrides",
         [

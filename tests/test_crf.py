@@ -175,7 +175,7 @@ def tiny_discrete_model():
         Sentence(tokens=list("中国人"), gold_labels=["B", "E", "S"]),
         Sentence(tokens=list("人民"), gold_labels=["B", "E"]),
     ]
-    alpha = trainer.build_output_alphabet(templates, sents)
+    alpha, _ = trainer.build_output_alphabet(templates, sents)
     model = crf.ModelParams.create("discrete", labels, templates=templates, out_alphabet=alpha)
     return model, sents
 
@@ -278,7 +278,7 @@ class TestLossGradients:
         fp = crf.build_forward(model, sents[0])
         gold = np.array([0, 1, 2])
         bundle = crf.loss_gradients(model, fp, gold, gold)
-        assert bundle.is_zero()
+        assert bundle == {}
 
     def test_discrete_counts_by_hand(self):
         model, sents = tiny_discrete_model()

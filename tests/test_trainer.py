@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import synthetic
-from seqlab import crf, trainer
+from seqlab import checkpoint, crf, trainer
 from seqlab.corpus import Sentence
 from seqlab.embeddings import EmbeddingTable, UNK
 from seqlab.features import TemplateSet
@@ -15,6 +15,15 @@ from seqlab.trainer import (
     adagrad_step_dense,
     adagrad_step_sparse,
 )
+
+
+SMALL = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
+
+
+def checkpoint_bytes(model, tmp_path) -> bytes:
+    path = tmp_path / "model.bin"
+    checkpoint.save_model(path, model, {"task": "POS"})
+    return path.read_bytes()
 
 
 class TestAdagradStep:
@@ -230,23 +239,40 @@ class TestTrainLoop:
     def test_instantiates_each_train_and_dev_position_once(self, monkeypatch):
         train = synthetic.separable_corpus(6, seed=1)
         dev = synthetic.separable_corpus(4, seed=2)
-        h = HyperParams(epochs=2, seed=3)
+        original = TemplateSet.instantiate
         for mode in ("discrete", "joint"):
-            model = trainer.build_model(
-                mode, "POS", "EN", train, HyperParams(word_hidden=8, char_emb=3, word_emb=4)
-            )
             calls = []
-            original = TemplateSet.instantiate
 
             def counting(self, sent, i):
                 calls.append((id(sent), i))
                 return original(self, sent, i)
 
             monkeypatch.setattr(TemplateSet, "instantiate", counting)
-            trainer.train(model, train, dev, h, "POS")
+            model = trainer.build_model(mode, "POS", "EN", train, SMALL)
+            trainer.train(model, train, dev, HyperParams(epochs=2, seed=3), "POS")
             monkeypatch.setattr(TemplateSet, "instantiate", original)
             expected = [(id(s), i) for s in train + dev for i in range(len(s))]
-            assert sorted(calls) == sorted(expected)
+            assert sorted(calls) == sorted(expected), mode
+
+    @pytest.mark.parametrize("mode", ["discrete", "joint"])
+    def test_later_and_unseen_trains_ignore_the_build_ids(self, mode, tmp_path):
+        seen = synthetic.separable_corpus(8, seed=1)
+        unseen = synthetic.separable_corpus(8, seed=4)
+        assert not set(seen) & set(unseen)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4, epochs=2, seed=3)
+
+        def checkpoints(clear, corpora):
+            model = trainer.build_model(mode, "POS", "EN", seen, h)
+            if clear:
+                model._train_ids = None
+            blobs = []
+            for sents in corpora:
+                best, _ = trainer.train(model, sents, seen, h, "POS")
+                blobs.append(checkpoint_bytes(best, tmp_path))
+            return blobs
+
+        for corpora in ((seen, seen), (unseen,)):
+            assert checkpoints(False, corpora) == checkpoints(True, corpora)
 
     def test_unlabeled_dev_sentence_named(self):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -323,6 +349,34 @@ class TestGradientCheck:
 
 
 class TestBuildModel:
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_build_ids_equal_context_ids(self, mode):
+        sents = synthetic.separable_corpus(6, seed=1)
+        model = trainer.build_model(mode, "POS", "EN", sents, SMALL)
+        if mode == "neural":
+            assert model._train_ids is None
+            return
+        assert list(model._train_ids) == sents
+        for sent in sents:
+            ids = model._train_ids[sent]
+            for got, expected in zip(ids, crf.context_ids(model, sent)):
+                assert got.dtype == expected.dtype == np.int32
+                np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_build_ids_reach_no_checkpoint_or_clone(self, mode, tmp_path):
+        sents = synthetic.separable_corpus(5, seed=1)
+        kept, cleared = (trainer.build_model(mode, "POS", "EN", sents, SMALL) for _ in range(2))
+        cleared._train_ids = None
+        assert (kept._train_ids is None) == (mode == "neural")
+        blobs = set()
+        for model in (kept, cleared):
+            clone = trainer.clone_model(model)
+            assert clone._train_ids is None
+            blobs |= {checkpoint_bytes(model, tmp_path), checkpoint_bytes(clone, tmp_path)}
+        assert len(blobs) == 1
+        assert (kept._train_ids is None) == (mode == "neural")
+
     def test_alphabet_frozen_after_build(self):
         sents = synthetic.separable_corpus(5, seed=1)
         model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
