@@ -140,6 +140,8 @@ def _model_from_header(path, header) -> ModelParams:
     missing = [key for key in required if key not in header]
     if missing:
         raise CheckpointError(f"{path}: header lacks {missing}")
+    if not isinstance(header["meta"], dict):
+        raise CheckpointError(f"{path}: meta is not a JSON object")
     try:
         templates = out_alphabet = composer = None
         if discrete:

@@ -252,14 +252,19 @@ def cmd_train(config: RunConfig) -> int:
     return 0
 
 
+def _load_task_model(config: RunConfig, key) -> crf.ModelParams:
+    model, meta = checkpoint.load_model(config.path(key))
+    if "task" not in meta:
+        raise ConfigError(f"{key}: checkpoint meta lacks 'task'")
+    if meta["task"] != config.task:
+        raise ConfigError(f"{key} was trained for task {meta['task']}, not {config.task}")
+    return model
+
+
 def cmd_predict(config: RunConfig) -> int:
     config.require_paths("model_in", "input")
     config.require_paths("output", exist=False)
-    model, meta = checkpoint.load_model(config.path("model_in"))
-    if meta["task"] != config.task:
-        raise ConfigError(
-            f"checkpoint was trained for task {meta['task']}, config says {config.task}"
-        )
+    model = _load_task_model(config, "model_in")
     sentences = read_task_corpus(config.path("input"), config.task, require_labels=False)
     predictions = trainer.predict_labels(model, sentences)
     labeled = [
@@ -287,12 +292,10 @@ def cmd_compare(config: RunConfig) -> int:
     config.require_paths("model_a", "model_b", "input")
     config.require_paths("compare_out", exist=False)
     sentences = read_task_corpus(config.path("input"), config.task, require_labels=True)
-    preds = []
-    for key in ("model_a", "model_b"):
-        model, meta = checkpoint.load_model(config.path(key))
-        if meta["task"] != config.task:
-            raise ConfigError(f"{key} was trained for task {meta['task']}")
-        preds.append(trainer.predict_labels(model, sentences))
+    preds = [
+        trainer.predict_labels(_load_task_model(config, key), sentences)
+        for key in ("model_a", "model_b")
+    ]
     evaluator.export_comparison(
         config.path("compare_out"), sentences, preds[0], preds[1], config.task, config.scheme
     )

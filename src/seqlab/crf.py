@@ -428,10 +428,11 @@ def build_lattice(
 class GradientBundle(dict):
     """d(loss)/d(parameters) for one sentence, keyed by ``named_arrays`` name.
 
-    ``theta_out`` and ``theta_edge`` are ``(flat cell ids, counts)`` pairs
-    (cell ``row * L + label``; distinct, sorted, nonzero); ``emb.<key>`` maps
-    table rows to vectors.  Those classes update only the cells and rows
-    present; every other entry is an array shaped like its parameter.
+    ``theta_out``, ``theta_edge`` and ``emb.<key>`` are ``(flat cell ids,
+    values)`` pairs over the flattened parameter (distinct, sorted) and update
+    only the cells listed: discrete cells ``row * L + label`` with nonzero
+    counts, and every cell ``row * dim + col`` of each embedding row the
+    sentence touches.  Every other entry is an array shaped like its parameter.
     """
 
 
@@ -495,8 +496,7 @@ def loss_gradients(
             bundle["tau_weight"] = np.array([d_tau_weight])
         lstm_grads, d_inputs = encoder_backward(params.lstm, enc, d_h)
         bundle.update((f"lstm.{name}", grad) for name, grad in lstm_grads.items())
-        emb_rows: dict[str, dict[int, np.ndarray]] = {}
-        params.composer.backward(fp.sentence, d_inputs, emb_rows)
-        bundle.update((f"emb.{key}", rows) for key, rows in emb_rows.items())
+        cells = params.composer.backward(fp.sentence, d_inputs)
+        bundle.update((f"emb.{key}", pair) for key, pair in cells.items())
 
     return bundle

@@ -73,7 +73,7 @@ def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> Embe
 
 
 def load_text_embeddings(
-    path, dim_expected, *, name="table", fine_tune=True, lowercase=False, unk_seed=0
+    path, dim_expected, *, name="table", fine_tune=True, lowercase=False
 ) -> EmbeddingTable:
     """Load a text-format embedding file.
 
@@ -81,8 +81,8 @@ def load_text_embeddings(
     ``count dim`` header and skipped.  A vector of the wrong width raises
     with the offending line number, and so does a value that is not a finite
     number (``nan``, ``inf`` or text); a repeated symbol keeps the last
-    vector and logs the replacement.  ``<UNK>`` is appended freshly
-    initialized unless the file provides one.
+    vector and logs the replacement.  ``<UNK>`` is appended, drawn from
+    seed 0, unless the file provides one.
     """
     symbols: list[str] = []
     rows: list[np.ndarray] = []
@@ -127,7 +127,7 @@ def load_text_embeddings(
                 symbols.append(symbol)
                 rows.append(vec)
     if UNK not in index:
-        rng = np.random.default_rng(unk_seed)
+        rng = np.random.default_rng(0)
         symbols.append(UNK)
         rows.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=dim_expected))
     matrix = np.vstack(rows) if rows else np.zeros((0, dim_expected))
@@ -194,31 +194,30 @@ class InputComposer:
     def compose_all(self, sent: Sentence) -> np.ndarray:
         return np.stack([self.compose(sent, i) for i in range(len(sent))])
 
-    def backward(self, sent: Sentence, grads: np.ndarray, out: dict) -> None:
+    def backward(self, sent: Sentence, grads: np.ndarray) -> dict:
         """Scatter d(composed input) back onto table rows.
 
-        ``grads`` is (n, dim); ``out`` maps each table key to a dict from row
-        index to an accumulated gradient vector, so repeated touches of one
-        row within a sentence sum before any optimizer step.
+        ``grads`` is (n, dim).  Returns per table key the ``(flat cell ids,
+        values)`` of every cell ``row * dim + col`` of each row the sentence
+        touches (sorted, distinct, zero sums included); repeated touches of a
+        row sum in position order.
         """
+        touched: dict[str, tuple[list, list]] = {}
         for i in range(len(sent)):
             offset = 0
             for key, symbol in self._symbols(sent, i):
                 table = self.tables[key]
-                rows = out.setdefault(key, {})
-                piece = grads[i, offset : offset + table.dim]
+                symbols = symbol if isinstance(symbol, list) else [symbol]
+                piece = grads[i, offset : offset + table.dim] / len(symbols)  # exact for one
                 offset += table.dim
-                if isinstance(symbol, list):
-                    share = piece / len(symbol)
-                    for c in symbol:
-                        _accumulate(rows, table.index(c), share)
-                else:
-                    _accumulate(rows, table.index(symbol), piece)
-
-
-def _accumulate(rows, row, vec):
-    slot = rows.get(row)
-    if slot is None:
-        rows[row] = vec.copy()
-    else:
-        slot += vec
+                rows, pieces = touched.setdefault(key, ([], []))
+                rows += [table.index(c) for c in symbols]
+                pieces += [piece] * len(symbols)
+        out = {}
+        for key, (rows, pieces) in touched.items():
+            dim = self.tables[key].dim
+            distinct, inverse = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
+            summed = np.zeros((len(distinct), dim))
+            np.add.at(summed, inverse, np.array(pieces).reshape(-1, dim))
+            out[key] = ((distinct[:, None] * dim + np.arange(dim)).reshape(-1), summed.reshape(-1))
+        return out

@@ -68,8 +68,7 @@ def eval_spans(gold_label_seqs, pred_label_seqs, scheme: str) -> PRF:
     return prf_from_counts(tp, pred_count, gold_count)
 
 
-def eval_accuracy(gold_label_seqs, pred_label_seqs) -> float:
-    """Fraction of positions labeled correctly, micro-averaged."""
+def _accuracy_counts(gold_label_seqs, pred_label_seqs) -> tuple[int, int]:
     if len(gold_label_seqs) != len(pred_label_seqs):
         raise ValueError("gold and predicted corpora have different sizes")
     correct = total = 0
@@ -78,6 +77,12 @@ def eval_accuracy(gold_label_seqs, pred_label_seqs) -> float:
             raise ValueError("gold and predicted sentence lengths differ")
         correct += sum(g == p for g, p in zip(gold, pred))
         total += len(gold)
+    return correct, total
+
+
+def eval_accuracy(gold_label_seqs, pred_label_seqs) -> float:
+    """Fraction of positions labeled correctly, micro-averaged."""
+    correct, total = _accuracy_counts(gold_label_seqs, pred_label_seqs)
     return correct / total if total else 0.0
 
 
@@ -93,15 +98,18 @@ def sentence_accuracy(gold_labels, pred_labels) -> float:
     return sum(g == p for g, p in zip(gold_labels, pred_labels)) / len(gold_labels)
 
 
+def span_scheme(task: str, scheme: str) -> str:
+    """The span scheme a task is scored in: BIES word spans for SEG, else ``scheme``."""
+    return "BIES" if task == "SEG" else scheme
+
+
 def corpus_metric(task: str, scheme: str, gold_sentences, pred_label_seqs) -> float:
     """The model-selection metric: word/entity F for SEG/NER, accuracy for POS."""
     gold_seqs = [s.gold_labels for s in gold_sentences]
     if task == "POS":
         return eval_accuracy(gold_seqs, pred_label_seqs)
-    if task == "SEG":
-        return eval_spans(gold_seqs, pred_label_seqs, "BIES").f1
-    if task == "NER":
-        return eval_spans(gold_seqs, pred_label_seqs, scheme).f1
+    if task in ("SEG", "NER"):
+        return eval_spans(gold_seqs, pred_label_seqs, span_scheme(task, scheme)).f1
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -109,23 +117,20 @@ def metric_record(task: str, scheme: str, gold_sentences, pred_label_seqs) -> di
     """Corpus metrics as the JSON record printed by the CLI."""
     gold_seqs = [s.gold_labels for s in gold_sentences]
     if task == "POS":
-        correct = sum(
-            sum(g == p for g, p in zip(gs, ps)) for gs, ps in zip(gold_seqs, pred_label_seqs)
-        )
-        total = sum(len(gs) for gs in gold_seqs)
+        correct, total = _accuracy_counts(gold_seqs, pred_label_seqs)
         return {
             "task": task,
             "metric": "accuracy",
-            "accuracy": eval_accuracy(gold_seqs, pred_label_seqs),
+            "accuracy": correct / total if total else 0.0,
             "correct": correct,
             "total": total,
         }
-    span_scheme = "BIES" if task == "SEG" else scheme
-    prf = eval_spans(gold_seqs, pred_label_seqs, span_scheme)
+    scheme = span_scheme(task, scheme)
+    prf = eval_spans(gold_seqs, pred_label_seqs, scheme)
     record = {
         "task": task,
         "metric": "span_f1",
-        "scheme": span_scheme,
+        "scheme": scheme,
         "precision": prf.precision,
         "recall": prf.recall,
         "f1": prf.f1,
@@ -157,7 +162,7 @@ def export_comparison(
     """
     if not (len(gold_sentences) == len(preds_a) == len(preds_b)):
         raise ValueError("both prediction sets must cover the same corpus")
-    span_scheme = "BIES" if task == "SEG" else scheme
+    scheme = span_scheme(task, scheme)
     with open(path, "w", encoding="utf-8") as fh:
         for idx, sent in enumerate(gold_sentences):
             gold = sent.gold_labels
@@ -167,6 +172,6 @@ def export_comparison(
                 a = sentence_accuracy(gold, preds_a[idx])
                 b = sentence_accuracy(gold, preds_b[idx])
             else:
-                a = sentence_f1(gold, preds_a[idx], span_scheme)
-                b = sentence_f1(gold, preds_b[idx], span_scheme)
+                a = sentence_f1(gold, preds_a[idx], scheme)
+                b = sentence_f1(gold, preds_b[idx], scheme)
             fh.write(f"{idx}\t{a!r}\t{b!r}\n")

@@ -119,11 +119,12 @@ class FeatureAlphabet:
         return list(self._index)
 
     @classmethod
-    def from_strings(cls, strings, frozen=True) -> "FeatureAlphabet":
+    def from_strings(cls, strings) -> "FeatureAlphabet":
+        """The frozen alphabet of ``strings``, ids in list order."""
         alpha = cls()
         for s in strings:
             alpha.add(s)
-        alpha.frozen = frozen
+        alpha.freeze()
         return alpha
 
 

@@ -3,8 +3,9 @@
 One update per sentence, in shuffled order, with the L2 term folded into
 the gradient: ``g' = g + l2 * w``, ``G += g'^2``,
 ``w -= eta * g' / (sqrt(G) + 1e-8)``.  Sparse parameters (indicator feature
-weights, embedding rows) touch only the coordinates with gradient in the
-current sentence, so regularization reaches them lazily; dense parameters
+weights, embedding rows) update only the cells of their flat ``(cell ids,
+values)`` gradient, which lists every cell of each embedding row the
+sentence touches, so regularization reaches them lazily; dense parameters
 regularize on every update step.  Sentences whose margin loss is zero
 change nothing, not even the AdaGrad accumulators.  Every training and dev
 sentence's ``crf.context_ids`` are computed once per run, before the first
@@ -97,10 +98,9 @@ def adagrad_step_dense(param, grad, accum, eta, l2):
 
 
 def adagrad_step_sparse(param, accum, ids, values, eta, l2):
-    """Update only the listed ids on the first axis of ``param``.
-
-    An id is an entry of a vector or a row of a matrix; ids must be
-    distinct.  Matrix cells are entries of the flattened matrix.
+    """Update only the listed ids on the first axis of ``param``; ids must be
+    distinct.  ``apply_bundle`` passes flat views, so there an id is one cell
+    of the flattened parameter, for discrete weights and embedding rows alike.
     """
     ids = np.asarray(ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -114,18 +114,16 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaG
     """One AdaGrad step for every trainable array that has a gradient."""
     for name, param in model.named_arrays(trainable_only=True):
         grad = bundle.get(name)
-        if grad is None or (isinstance(grad, dict) and not grad):
+        if grad is None:
             continue
         accum = state.for_param(name, param)
-        if isinstance(grad, np.ndarray):
-            adagrad_step_dense(param, grad, accum, eta, l2)
-        elif isinstance(grad, tuple):  # (flat cell ids, counts)
+        if isinstance(grad, tuple):  # (flat cell ids, values)
             flat_param, flat_accum = param.reshape(-1), accum.reshape(-1)
             if not (np.shares_memory(flat_param, param) and np.shares_memory(flat_accum, accum)):
                 raise ValueError(f"{name}: cell updates need contiguous arrays")
             adagrad_step_sparse(flat_param, flat_accum, *grad, eta, l2)
-        else:  # embedding rows
-            adagrad_step_sparse(param, accum, list(grad), list(grad.values()), eta, l2)
+        else:
+            adagrad_step_dense(param, grad, accum, eta, l2)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +481,8 @@ def _gradcheck_class(name: str) -> str:
         return "lstm_biases"
     if name.startswith("lstm."):
         return "lstm_weights"
+    if name.startswith("emb."):
+        return "embeddings"
     return name
 
 
@@ -542,28 +542,17 @@ def gradient_check(
         return (lp - lm) / (2 * eps)
 
     pooled: dict[str, _ClassError] = {}
-
-    def check_array(cls, array, grad):
-        err = pooled.setdefault(cls, _ClassError())
+    for name, array in model.named_arrays():
+        grad = analytic.get(name, ([], []))  # absent: no gradient
+        if isinstance(grad, tuple):  # (flat cell ids, values)
+            dense = np.zeros(array.size)
+            dense[grad[0]] = grad[1]
+            grad = dense.reshape(array.shape)
+        err = pooled.setdefault(_gradcheck_class(name), _ClassError())
         it = np.nditer(array, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             err.add(float(grad[idx]), fd_for(array, idx))
-
-    for name, array in model.named_arrays():
-        if name.startswith("emb."):
-            # only the rows this sentence touches can have a gradient
-            err = pooled.setdefault("embeddings", _ClassError())
-            for row, vec in sorted(analytic.get(name, {}).items()):
-                for col in range(array.shape[1]):
-                    err.add(float(vec[col]), fd_for(array, (row, col)))
-            continue
-        grad = analytic.get(name, ([], []))  # absent: no gradient
-        if isinstance(grad, tuple):  # (flat cell ids, counts)
-            dense = np.zeros(array.size)
-            dense[grad[0]] = grad[1]
-            grad = dense.reshape(array.shape)
-        check_array(_gradcheck_class(name), array, grad)
 
     report.max_rel_err = {cls: err.value() for cls, err in pooled.items()}
     return report

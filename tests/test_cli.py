@@ -274,6 +274,29 @@ class TestCompareCommand:
         assert rows and all(a == b for _, a, b in rows)
 
 
+class TestCheckpointMeta:
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    @pytest.mark.parametrize(
+        "meta,message",
+        [({}, "lacks 'task'"), (5, "meta is not a JSON object")],
+        ids=["no_task", "int"],
+    )
+    def test_bad_meta_exits_2(self, pos_setup, tmp_path, capsys, command, meta, message):
+        _, train, _, sents = pos_setup
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, meta)
+        if command == "predict":
+            paths = [f"model_in={path}", f"output={tmp_path / 'p.col'}"]
+        else:
+            paths = [f"model_a={path}", f"model_b={path}", f"compare_out={tmp_path / 'c.tsv'}"]
+        args = [command, "--set", "task=POS", "--set", f"input={train}"]
+        for item in paths:
+            args += ["--set", item]
+        assert run_cli(args) == 2
+        assert message in capsys.readouterr().err
+
+
 GRADCHECK_CLASSES = {
     "discrete": {"theta_out", "theta_edge"},
     "neural": {"theta_dense", "tau", "lstm_weights", "lstm_biases", "embeddings"},

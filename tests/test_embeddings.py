@@ -153,32 +153,42 @@ class TestComposer:
             InputComposer("SEG", {"char": char})
 
 
+def assert_pair(pair, cells, values):
+    np.testing.assert_array_equal(pair[0], cells)
+    np.testing.assert_array_equal(pair[1], values)
+
+
 class TestComposerBackward:
     def test_scatter_splits_char_mean(self):
         char, _, word, _ = toy_tables()
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["ab"])
         grads = np.array([[1.0, 1.0, 1.0, 4.0, 6.0]])
-        out = {}
-        composer.backward(s, grads, out)
-        np.testing.assert_array_equal(out["word"][0], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out["char"][0], [2.0, 3.0])  # half of the mean slice
-        np.testing.assert_array_equal(out["char"][1], [2.0, 3.0])
+        out = composer.backward(s, grads)
+        assert_pair(out["word"], [0, 1, 2], [1.0, 1.0, 1.0])
+        # half of the mean slice to each of rows 0 and 1
+        assert_pair(out["char"], [0, 1, 2, 3], [2.0, 3.0, 2.0, 3.0])
 
     def test_untouched_rows_absent(self):
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["中"])
-        out = {}
-        composer.backward(s, np.ones((1, 4)), out)
-        assert 0 not in out["char"]  # row for "a" untouched
-        assert 2 in out["char"]
+        out = composer.backward(s, np.ones((1, 4)))
+        assert_pair(out["char"], [4, 5], [1.0, 1.0])  # row 2 only; row 0 ("a") untouched
 
     def test_repeated_rows_sum(self):
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["a", "a"])
         grads = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-        out = {}
-        composer.backward(s, grads, out)
-        np.testing.assert_array_equal(out["char"][0], [3.0, 0.0])
+        out = composer.backward(s, grads)
+        assert_pair(out["char"], [0, 1], [3.0, 0.0])
+
+    def test_touched_row_with_zero_gradient_listed(self):
+        char, bigram, _, _ = toy_tables()
+        composer = InputComposer("SEG", {"char": char, "bigram": bigram})
+        s = Sentence(tokens=["a", "a"])
+        grads = np.array([[1.0, -2.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0]])
+        out = composer.backward(s, grads)
+        assert_pair(out["char"], [0, 1], [0.0, 0.0])
+        assert_pair(out["bigram"], [4, 5], [0.0, 0.0])  # both positions read the UNK row

@@ -107,7 +107,8 @@ class TestEmbeddingUpdates:
         model = trainer.build_model("neural", "POS", "EN", sents, h)
         words = model.composer.tables["word"].matrix
         before = words.copy()
-        bundle = crf.GradientBundle({"emb.word": {0: np.ones(words.shape[1])}})
+        dim = words.shape[1]
+        bundle = crf.GradientBundle({"emb.word": (np.arange(dim), np.ones(dim))})
         state = AdaGradState()
         trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
         np.testing.assert_array_equal(words, before)
@@ -147,6 +148,36 @@ class TestCellUpdates:
         assert np.count_nonzero(model.theta_out) == 2
         assert np.count_nonzero(model.theta_edge) == 1 and model.theta_edge[L, 1] < 0
         assert np.count_nonzero(state._accum["theta_out"]) == 2
+
+    def test_embedding_cells_update_only_their_cells(self):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("neural", "POS", "EN", sents, SMALL)
+        before = {name: arr.copy() for name, arr in model.named_arrays()}
+        dim = model.composer.tables["word"].dim
+        cells = 2 * dim + np.arange(dim)  # all of row 2
+        state = AdaGradState()
+        bundle = crf.GradientBundle({"emb.word": (cells, np.linspace(-1.0, 1.0, dim))})
+        trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
+        for name, arr in model.named_arrays():
+            if name != "emb.word":
+                np.testing.assert_array_equal(arr, before[name])
+        words = model.composer.tables["word"].matrix
+        rest = np.delete(np.arange(words.size), cells)
+        np.testing.assert_array_equal(words.reshape(-1)[rest], before["emb.word"].reshape(-1)[rest])
+        assert np.all(words[2] != before["emb.word"][2])
+        assert set(np.flatnonzero(state._accum["emb.word"])) <= set(cells)
+
+    def test_zero_gradient_row_decays_lazily(self):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("neural", "POS", "EN", sents, SMALL)
+        words = model.composer.tables["word"].matrix
+        before = words.copy()
+        dim = words.shape[1]
+        bundle = crf.GradientBundle({"emb.word": (dim + np.arange(dim), np.zeros(dim))})
+        trainer.apply_bundle(model, bundle, AdaGradState(), 0.1, 0.5)
+        # the L2 term alone moves every cell of row 1 toward zero
+        np.testing.assert_array_equal(np.sign(words[1] - before[1]), -np.sign(before[1]))
+        np.testing.assert_array_equal(np.delete(words, 1, axis=0), np.delete(before, 1, axis=0))
 
     def test_non_contiguous_parameter_refused(self):
         sents = synthetic.separable_corpus(5, seed=1)
