@@ -41,7 +41,13 @@ class CheckpointError(ValueError):
 
 
 def save_model(path, model: ModelParams, meta: dict) -> None:
-    """Write the model and run metadata; ``meta`` must be JSON-serializable."""
+    """Write the model and run metadata; ``meta`` must be a JSON-serializable dict.
+
+    A ``meta`` that is not a dict raises before anything is written, since
+    ``load_model`` refuses such a file.
+    """
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta must be a dict (a JSON object), not {type(meta).__name__}")
     model.validate()
     arrays = dict(model.named_arrays())
     header = {

@@ -39,6 +39,7 @@ the same names.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,13 +88,15 @@ class DecodeResult:
 
 def _viterbi_path(emission, transition):
     n, L = emission.shape
+    # scores[y, y'] = alpha[y'] + transition[y', y]: one contiguous row per label
+    into, labels = np.ascontiguousarray(transition[:L].T), np.arange(L)
+    scores = np.empty((L, L))
     alpha = transition[L] + emission[0]
     back = np.zeros((n, L), dtype=np.int64)
     for i in range(1, n):
-        scores = alpha[:, None] + transition[:L]
-        best_prev = np.argmax(scores, axis=0)
-        alpha = scores[best_prev, np.arange(L)] + emission[i]
-        back[i] = best_prev
+        np.add(into, alpha, scores)
+        best_prev = np.argmax(scores, axis=1, out=back[i])
+        alpha = scores[labels, best_prev] + emission[i]
     labels = np.zeros(n, dtype=np.int64)
     labels[n - 1] = int(np.argmax(alpha))
     for i in range(n - 1, 0, -1):
@@ -351,13 +354,24 @@ class ModelParams:
 @dataclass
 class ForwardPass:
     """Per-sentence artifacts needed to route gradients after decoding;
-    ``context_ids`` is the sentence's ``context_ids()`` pair."""
+    ``context_ids`` is the sentence's ``context_ids()`` pair and ``row_ids``
+    its ``composer.row_ids()`` when they were handed in."""
 
     sentence: Sentence
     lattice: ScoreLattice
     context_ids: tuple[np.ndarray, np.ndarray] | None = None
+    row_ids: dict | None = None
     composed: np.ndarray | None = None
     encoder_output: object | None = None
+
+
+class SentenceIds(NamedTuple):
+    """A sentence's table indices, made once and handed to every ``build_forward``
+    over it: the ``context_ids()`` pair and the ``composer.row_ids()``, each None
+    without its scorer."""
+
+    contexts: tuple[np.ndarray, np.ndarray] | None
+    rows: dict | None
 
 
 def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
@@ -380,25 +394,35 @@ def context_ids(params: ModelParams, sent: Sentence) -> tuple[np.ndarray, np.nda
     return index_contexts(params.templates, params.out_alphabet.lookup, sent)
 
 
+def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
+    """``sent``'s ids for every scorer of ``params``; ``contexts``, when given,
+    is its ``context_ids()`` pair made elsewhere."""
+    if contexts is None:
+        contexts = context_ids(params, sent)
+    rows = params.composer.row_ids(sent) if params.uses_neural else None
+    return SentenceIds(contexts, rows)
+
+
 def build_forward(
     params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
 ) -> ForwardPass:
-    """Score lattice plus gradient-routing caches; ``ids``: ``context_ids()`` or None."""
+    """Score lattice plus gradient-routing caches; ``ids``: ``sentence_ids()`` or None."""
     n = len(sent)
     L = len(params.labels)
     emission = np.zeros((n, L))
     transition = np.zeros((L + 1, L))
-    fp = ForwardPass(sentence=sent, lattice=None)  # type: ignore[arg-type]
+    contexts, rows = (None, None) if ids is None else ids
+    fp = ForwardPass(sentence=sent, lattice=None, row_ids=rows)  # type: ignore[arg-type]
 
     if params.uses_discrete:
-        flat, offsets = fp.context_ids = context_ids(params, sent) if ids is None else ids
-        rows = params.theta_out[flat]
+        flat, offsets = fp.context_ids = context_ids(params, sent) if contexts is None else contexts
+        weights = params.theta_out[flat]
         for i in range(n):
-            emission[i] += rows[offsets[i] : offsets[i + 1]].sum(axis=0)
+            emission[i] += weights[offsets[i] : offsets[i + 1]].sum(axis=0)
         transition += params.theta_edge
 
     if params.uses_neural:
-        composed = params.composer.compose_all(sent)
+        composed = params.composer.compose_all(sent, rows)
         enc = encode(
             params.lstm, composed, train=train, rng=rng, masks=masks, dropout_p=params.dropout_p
         )
@@ -496,7 +520,7 @@ def loss_gradients(
             bundle["tau_weight"] = np.array([d_tau_weight])
         lstm_grads, d_inputs = encoder_backward(params.lstm, enc, d_h)
         bundle.update((f"lstm.{name}", grad) for name, grad in lstm_grads.items())
-        cells = params.composer.backward(fp.sentence, d_inputs)
+        cells = params.composer.backward(fp.sentence, d_inputs, fp.row_ids)
         bundle.update((f"emb.{key}", pair) for key, pair in cells.items())
 
     return bundle

@@ -11,6 +11,12 @@ Composition per task (concatenation order is fixed):
   the next character, ``</S>``-padded at the end);
 * POS: word embedding + mean of the word's character embeddings;
 * NER: word embedding + character mean + embedding of the auxiliary POS tag.
+
+``InputComposer.row_ids`` looks a sentence's symbols up once, into arrays
+of table row ids; ``compose_all`` is then a few gathers and ``backward``
+scatters through the same ids.  ``trainer.train`` computes every training
+and dev sentence's row ids once per run, next to its template context ids,
+and hands both to each ``crf.build_forward`` over the sentence.
 """
 
 from __future__ import annotations
@@ -167,57 +173,79 @@ class InputComposer:
     def table_order(self):
         return self.REQUIRED[self.task]
 
-    def _symbols(self, sent: Sentence, i: int):
-        """(table key, symbol or char list) pairs for position ``i``."""
+    def row_ids(self, sent: Sentence) -> dict:
+        """The table rows ``sent`` reads, keyed like ``tables``.
+
+        A table read once per token maps to its ``(n,)`` row ids.  The char
+        table of POS and NER, whose mean each word reads, maps to a pair: an
+        ``(n, m)`` matrix holding word i's char rows in its first ``counts[i]``
+        columns and -1 after them, and the ``(n,)`` counts.
+        """
+        tokens = sent.tokens
         if self.task == "SEG":
-            nxt = sent.tokens[i + 1] if i + 1 < len(sent) else EOS
-            return [("char", sent.tokens[i]), ("bigram", sent.tokens[i] + nxt)]
-        word = sent.tokens[i]
-        parts = [("word", word), ("char", list(word))]
+            bigrams = [a + b for a, b in zip(tokens, [*tokens[1:], EOS])]
+            return {"char": self._rows("char", tokens), "bigram": self._rows("bigram", bigrams)}
+        rows = {"word": self._rows("word", tokens)}
+        counts = np.array([len(word) for word in tokens], dtype=np.intp)
+        chars = np.full((len(tokens), counts.max()), -1, dtype=np.intp)
+        chars[np.arange(chars.shape[1]) < counts[:, None]] = self._rows("char", "".join(tokens))
+        rows["char"] = (chars, counts)
         if self.task == "NER":
             if sent.aux_tags is None:
                 raise ValueError("NER composition needs aux POS tags on the sentence")
-            parts.append(("pos", sent.aux_tags[i]))
-        return parts
+            rows["pos"] = self._rows("pos", sent.aux_tags)
+        return rows
 
-    def compose(self, sent: Sentence, i: int) -> np.ndarray:
+    def _rows(self, key, symbols) -> np.ndarray:
+        index = self.tables[key].index
+        return np.array([index(symbol) for symbol in symbols], dtype=np.intp)
+
+    def compose_all(self, sent: Sentence, rows=None) -> np.ndarray:
+        """The ``(n, dim)`` input vectors; ``rows``: ``row_ids(sent)``, or None.
+
+        A char mean sums the word's gathered rows in char order (the -1 slots
+        read as -0.0, which adds exactly nothing) and divides by the count,
+        bitwise what ``.mean(axis=0)`` over the word's rows gives.
+        """
+        if rows is None:
+            rows = self.row_ids(sent)
         pieces = []
-        for key, symbol in self._symbols(sent, i):
-            table = self.tables[key]
-            if isinstance(symbol, list):
-                rows = [table.index(c) for c in symbol]
-                pieces.append(table.matrix[rows].mean(axis=0))
+        for key in self.table_order():
+            matrix, ids = self.tables[key].matrix, rows[key]
+            if isinstance(ids, tuple):
+                chars, counts = ids
+                gathered = matrix[chars]
+                gathered[chars < 0] = -0.0
+                pieces.append(gathered.sum(axis=1) / counts[:, None])
             else:
-                pieces.append(table.matrix[table.index(symbol)])
-        return np.concatenate(pieces)
+                pieces.append(matrix[ids])
+        return np.concatenate(pieces, axis=1)
 
-    def compose_all(self, sent: Sentence) -> np.ndarray:
-        return np.stack([self.compose(sent, i) for i in range(len(sent))])
-
-    def backward(self, sent: Sentence, grads: np.ndarray) -> dict:
-        """Scatter d(composed input) back onto table rows.
+    def backward(self, sent: Sentence, grads: np.ndarray, rows=None) -> dict:
+        """Scatter d(composed input) back onto table rows; ``rows`` as in ``compose_all``.
 
         ``grads`` is (n, dim).  Returns per table key the ``(flat cell ids,
         values)`` of every cell ``row * dim + col`` of each row the sentence
         touches (sorted, distinct, zero sums included); repeated touches of a
-        row sum in position order.
+        row sum in position order, a char mean's share going to each char.
         """
-        touched: dict[str, tuple[list, list]] = {}
-        for i in range(len(sent)):
-            offset = 0
-            for key, symbol in self._symbols(sent, i):
-                table = self.tables[key]
-                symbols = symbol if isinstance(symbol, list) else [symbol]
-                piece = grads[i, offset : offset + table.dim] / len(symbols)  # exact for one
-                offset += table.dim
-                rows, pieces = touched.setdefault(key, ([], []))
-                rows += [table.index(c) for c in symbols]
-                pieces += [piece] * len(symbols)
+        if rows is None:
+            rows = self.row_ids(sent)
         out = {}
-        for key, (rows, pieces) in touched.items():
-            dim = self.tables[key].dim
-            distinct, inverse = np.unique(np.array(rows, dtype=np.int64), return_inverse=True)
-            summed = np.zeros((len(distinct), dim))
-            np.add.at(summed, inverse, np.array(pieces).reshape(-1, dim))
-            out[key] = ((distinct[:, None] * dim + np.arange(dim)).reshape(-1), summed.reshape(-1))
+        offset = 0
+        for key in self.table_order():
+            dim, ids = self.tables[key].dim, rows[key]
+            piece = grads[:, offset : offset + dim]
+            offset += dim
+            if isinstance(ids, tuple):
+                chars, counts = ids
+                ids = chars[chars >= 0]
+                piece = np.repeat(piece / counts[:, None], counts, axis=0)
+            distinct, inverse = np.unique(ids, return_inverse=True)
+            cols = np.arange(dim)
+            # bincount adds each cell's values in input order, i.e. position order
+            summed = np.bincount(
+                (inverse[:, None] * dim + cols).reshape(-1), piece.reshape(-1), len(distinct) * dim
+            )
+            out[key] = ((distinct[:, None] * dim + cols).reshape(-1), summed)
         return out

@@ -1,14 +1,23 @@
 """Windowed bidirectional LSTM producing the dense emission features.
 
 Position ``i`` consumes the concatenation of the (dropout-masked) input
-vectors at ``i-2 .. i+2``, zero-padded beyond the sentence.  Both
-directions are one left-to-right scan: the backward direction is that scan
-run over the reversed sentence, with its outputs reversed back.  Its window
-at ``i`` therefore reads the five blocks in the order ``i+2 .. i-2``, which
-makes the encoder exactly symmetric: reversing the input sequence and
-swapping the direction parameter blocks reverses and block-swaps the output
-sequence.  Each scan builds its zero-padded ``(n, 5d)`` window matrix once,
-from five shifted slices.
+vectors at ``i-2 .. i+2``, zero-padded beyond the sentence.  The backward
+direction is the forward recurrence run over the reversed sentence, with
+its outputs reversed back.  Its window at ``i`` therefore reads the five
+blocks in the order ``i+2 .. i-2``, which makes the encoder exactly
+symmetric: reversing the input sequence and swapping the direction
+parameter blocks reverses and block-swaps the output sequence.  Each
+direction's zero-padded ``(n, 5d)`` window matrix is built once, from five
+shifted slices.
+
+One step loop runs both directions.  Before it, each direction's input
+terms ``W @ window`` for every position come from one batched matmul, which
+numpy runs as one GEMV per position, the same GEMV as ``W @ windows[i]``;
+a GEMM ``windows @ W.T`` would round differently.  The loop carries only
+the recurrence: the direction is the last axis of the stacked state, so a
+step is one batched matmul on the stacked ``U`` and one numpy call per
+elementwise operation for both directions, each on contiguous memory.
+Every output is bitwise that of a plain per-step, per-direction loop.
 
 The cell is the standard LSTM: sigmoid input/forget/output gates, tanh
 candidate, no peepholes, state clipping disabled.  Gate pre-activations are
@@ -34,10 +43,6 @@ import numpy as np
 
 WINDOW = 5
 _HALF = WINDOW // 2
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass
@@ -155,28 +160,53 @@ def _unwindow(d_windows, d):
     return padded[_HALF : _HALF + n]
 
 
-def _scan(w, u, b, x) -> _DirectionCache:
-    """One left-to-right LSTM pass over the windows of ``x``."""
+def _scan(params: BiLSTMParams, x) -> tuple[_DirectionCache, _DirectionCache]:
+    """Both directions' LSTM passes, the backward one over ``x[::-1]``, in one step loop.
+
+    Each direction's cache is a view of the stacked arrays, in its own scan
+    order.  The sigmoid is ``1 / (1 + exp(-x))``, in that operation order.
+    """
     n = x.shape[0]
-    H = u.shape[1]
-    windows = _windows(x)
-    gates = np.empty((n, 4, H))
-    c = np.empty((n, H))
-    tanh_c = np.empty((n, H))
-    h = np.empty((n, H))
-    h_prev = c_prev = np.zeros(H)
+    H = params.hidden
+    windows = (_windows(x), _windows(x[::-1]))
+    xw = np.empty((n, 4, H, 2))
+    for k, w in enumerate((params.w_fwd, params.w_bwd)):
+        np.matmul(w, windows[k][:, :, None], xw.reshape(n, 4 * H, 2)[:, :, k, None])
+    u = np.stack([params.u_fwd, params.u_bwd])
+    b = np.stack([params.b_fwd, params.b_bwd], axis=-1).reshape(4, H, 2)
+    gates = np.empty((n, 4, H, 2))
+    c = np.empty((n, H, 2))
+    tanh_c = np.empty((n, H, 2))
+    h = np.empty((n, H, 2))
+    pre = np.empty((4, H, 2))
+    ifo = pre[:3]
+    ig_gg = np.empty((H, 2))
+    # the (2, H, 1) and (2, 4H, 1) views the batched matmul reads and writes
+    h_cols = h.transpose(0, 2, 1)[:, :, :, None]
+    pre_cols = pre.reshape(4 * H, 2).T[:, :, None]
+    h_prev, c_prev = np.zeros((2, H, 1)), np.zeros((H, 2))
     for i in range(n):
-        pre = w @ windows[i] + u @ h_prev + b
-        ig, fg, og = gates[i, :3] = _sigmoid(pre[: 3 * H]).reshape(3, H)
-        gg = gates[i, 3] = np.tanh(pre[3 * H :])
-        c_prev = c[i] = fg * c_prev + ig * gg
-        tanh_c[i] = np.tanh(c_prev)
-        h_prev = h[i] = og * tanh_c[i]
-    return _DirectionCache(windows, gates, c, tanh_c, h)
+        np.matmul(u, h_prev, pre_cols)
+        np.add(xw[i], pre, pre)
+        np.add(pre, b, pre)
+        ig, fg, og, gg = step = gates[i]
+        np.negative(ifo, ifo)
+        np.exp(ifo, ifo)
+        np.add(ifo, 1.0, ifo)
+        np.divide(1.0, ifo, step[:3])
+        np.tanh(pre[3], gg)
+        c_prev = np.multiply(fg, c_prev, c[i])
+        np.multiply(ig, gg, ig_gg)
+        np.add(c_prev, ig_gg, c_prev)
+        np.multiply(og, np.tanh(c_prev, tanh_c[i]), h[i])
+        h_prev = h_cols[i]
+    return tuple(
+        _DirectionCache(windows[k], *(a[..., k] for a in (gates, c, tanh_c, h))) for k in range(2)
+    )
 
 
 def _backprop_scan(w, u, scan: _DirectionCache, d_h):
-    """BPTT through ``_scan``; returns ``(dW, dU, db, d_x)`` for its input ``x``."""
+    """BPTT through one direction of ``_scan``: ``(dW, dU, db, d_x)`` for its input ``x``."""
     n, H = scan.h.shape
     c_prev = np.vstack([np.zeros(H), scan.c[:-1]])
     d_pre = np.empty((n, 4 * H))
@@ -234,8 +264,10 @@ def encode(
         masks = None
         dropped = inputs
 
-    fwd = _scan(params.w_fwd, params.u_fwd, params.b_fwd, dropped)
-    bwd = _scan(params.w_bwd, params.u_bwd, params.b_bwd, dropped[::-1]).reversed()
+    fwd, bwd = _scan(params, dropped)
+    if train:  # backward's whole-sentence products read contiguous rows
+        fwd, bwd = (_DirectionCache(*map(np.ascontiguousarray, scan)) for scan in (fwd, bwd))
+    bwd = bwd.reversed()
     h = np.concatenate([fwd.h, bwd.h], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")

@@ -8,11 +8,12 @@ values)`` gradient, which lists every cell of each embedding row the
 sentence touches, so regularization reaches them lazily; dense parameters
 regularize on every update step.  Sentences whose margin loss is zero
 change nothing, not even the AdaGrad accumulators.  Every training and dev
-sentence's ``crf.context_ids`` are computed once per run, before the first
-epoch.  The training sentences' ids come from ``build_model``: the
-alphabet build makes them in its one pass over the corpus, and ``train``
-takes them from the model.  Dev sentences, and training sentences the
-build never saw, are indexed at the start of ``train``.
+sentence's ``crf.sentence_ids`` are computed once per run, before the first
+epoch: its template context ids and its embedding row ids.  The training
+sentences' context ids come from ``build_model``: the alphabet build makes
+them in its one pass over the corpus, and ``train`` takes them from the
+model.  Dev sentences, training sentences the build never saw, and every
+sentence's row ids are indexed at the start of ``train``.
 
 All randomness descends from one run seed through fixed sub-streams
 (parameter init, shuffling, dropout), which makes a full training run a
@@ -307,7 +308,7 @@ class TrainReport:
 
 
 def predict_labels(model: crf.ModelParams, sentences, ids=None) -> list[list[str]]:
-    """Viterbi decode each sentence (no dropout); ``ids``: their ``crf.context_ids``, or None."""
+    """Viterbi decode each sentence (no dropout); ``ids``: their ``crf.sentence_ids``, or None."""
     out = []
     for k, sent in enumerate(sentences):
         sent_ids = None if ids is None else ids[k]
@@ -343,13 +344,13 @@ def train(
         if sent.gold_labels is None:
             raise ValueError("training sentences must carry gold labels")
         gold_indices.append(np.array([model.labels.to_index(l) for l in sent.gold_labels]))
-        train_ids.append(handoff[sent] if sent in handoff else crf.context_ids(model, sent))
+        train_ids.append(crf.sentence_ids(model, sent, handoff.get(sent)))
     dev_ids, unseen = [], []
     for k, sent in enumerate(dev_sentences):
         if sent.gold_labels is None:
             raise ValueError(f"dev sentence {k} carries no gold labels")
         unseen += [l for l in sent.gold_labels if l not in model.labels]
-        dev_ids.append(crf.context_ids(model, sent))
+        dev_ids.append(crf.sentence_ids(model, sent))
     if unseen:
         log.warning(
             "%d dev tokens have labels unseen in training: %s", len(unseen), sorted(set(unseen))

@@ -285,7 +285,11 @@ class TestCheckpointMeta:
         _, train, _, sents = pos_setup
         model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
         path = tmp_path / "m.bin"
-        checkpoint.save_model(path, model, meta)
+        checkpoint.save_model(path, model, {})
+        blob = path.read_bytes()
+        header, data = split_checkpoint(blob)
+        header["meta"] = meta  # save_model refuses a meta that is not an object
+        path.write_bytes(join_checkpoint(header, data, blob))
         if command == "predict":
             paths = [f"model_in={path}", f"output={tmp_path / 'p.col'}"]
         else:
@@ -295,6 +299,16 @@ class TestCheckpointMeta:
             args += ["--set", item]
         assert run_cli(args) == 2
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("meta", [5, None, ["task", "POS"], "POS"])
+    def test_save_refuses_meta_that_is_not_an_object(self, pos_setup, tmp_path, meta):
+        _, _, _, sents = pos_setup
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="meta"):
+            checkpoint.save_model(path, model, meta)
+        assert not path.exists()
 
 
 GRADCHECK_CLASSES = {

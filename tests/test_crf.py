@@ -69,6 +69,28 @@ class TestViterbi:
         lat = crf.ScoreLattice(np.ones((4, 3)), np.ones((4, 3)))
         assert crf.viterbi(lat).labels.tolist() == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, -0.5])
+    def test_45_label_all_ties_match_brute_force(self, value):
+        # the pos label count; 45^3 sequences is the longest enumerable window
+        for n in (1, 2, 3):
+            lat = crf.ScoreLattice(np.full((n, 45), value), np.full((46, 45), value))
+            vit, brute = crf.viterbi(lat), crf.brute_force_best(lat)
+            assert vit.labels.tolist() == brute.labels.tolist() == [0] * n
+            assert vit.score == brute.score
+
+    def test_45_labels_with_tied_emissions_match_brute_force(self):
+        # constant transitions and 0/1 emissions: ties at every position, and
+        # the lowest-index rule must still pick the enumeration's first best
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            n = int(rng.integers(1, 4))
+            lat = crf.ScoreLattice(
+                rng.integers(0, 2, (n, 45)).astype(np.float64), np.full((46, 45), 0.25)
+            )
+            vit, brute = crf.viterbi(lat), crf.brute_force_best(lat)
+            assert vit.labels.tolist() == brute.labels.tolist()
+            assert vit.score == brute.score
+
     def test_score_equals_sequence_score(self):
         rng = np.random.default_rng(2)
         lat = random_lattice(rng, n=5, L=3)
@@ -362,7 +384,9 @@ class TestContextIds:
     def test_cached_ids_give_a_bitwise_equal_lattice(self, mode, train):
         model, sent = trainer.make_gradcheck_instance(mode, seed=1)
         for other in (sent, Sentence(tokens=("beta", "unseen", "alpha", "gamma"))):
-            ids = crf.context_ids(model, other)
+            ids = crf.sentence_ids(model, other)
+            assert (ids.contexts is None) == (mode == "neural")
+            assert (ids.rows is None) == (mode == "discrete")
             fresh = crf.build_forward(model, other, train=train, rng=np.random.default_rng(4))
             cached = crf.build_forward(
                 model, other, train=train, rng=np.random.default_rng(4), ids=ids
@@ -370,6 +394,7 @@ class TestContextIds:
             np.testing.assert_array_equal(cached.lattice.emission, fresh.lattice.emission)
             np.testing.assert_array_equal(cached.lattice.transition, fresh.lattice.transition)
             assert cached.lattice.emission.tobytes() == fresh.lattice.emission.tobytes()
-            if ids is not None:
-                assert cached.context_ids is ids
-                np.testing.assert_array_equal(fresh.context_ids[0], ids[0])
+            assert cached.row_ids is ids.rows and fresh.row_ids is None
+            if ids.contexts is not None:
+                assert cached.context_ids is ids.contexts
+                np.testing.assert_array_equal(fresh.context_ids[0], ids.contexts[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqlab.corpus import Sentence
+from seqlab.features import EOS
 from seqlab.embeddings import (
     UNK,
     EmbeddingTable,
@@ -111,26 +112,73 @@ def toy_tables():
     return char, bigram, word, pos
 
 
+def reference_compose(composer, sent, i):
+    """Position ``i``'s input vector by the composition rule, token by token."""
+    tables, word = composer.tables, sent.tokens[i]
+    if composer.task == "SEG":
+        nxt = sent.tokens[i + 1] if i + 1 < len(sent) else EOS
+        return np.concatenate([tables["char"].vector(word), tables["bigram"].vector(word + nxt)])
+    chars = tables["char"].matrix[[tables["char"].index(c) for c in word]]
+    pieces = [tables["word"].vector(word), chars.mean(axis=0)]
+    if composer.task == "NER":
+        pieces.append(tables["pos"].vector(sent.aux_tags[i]))
+    return np.concatenate(pieces)
+
+
+def random_composer(task, seed=0):
+    """Tables at the benchmark widths; the word table is lowercased."""
+    rng = np.random.default_rng(seed)
+
+    def table(name, symbols, dim, lowercase=False):
+        symbols = [*symbols, UNK]
+        matrix = rng.uniform(-0.01, 0.01, (len(symbols), dim))
+        return EmbeddingTable(name, dim, symbols, matrix, lowercase=lowercase)
+
+    if task == "SEG":
+        char, bigram = table("char", "中国人民大", 30), table("bigram", ["中国", "国人"], 30)
+        return InputComposer("SEG", {"char": char, "bigram": bigram})
+    tables = {
+        "word": table("word", ["the", "cat", "a", "sat"], 50, lowercase=True),
+        "char": table("char", "thecaisdogCT", 30),
+    }
+    if task == "NER":
+        tables["pos"] = table("pos", ["DT", "NN"], 20)
+    return InputComposer(task, tables)
+
+
+COMPOSE_SENTENCES = {
+    # multi-char, 1-char and unknown symbols, and a lowercased word match
+    "SEG": Sentence(tokens=tuple("中国人民很大中")),
+    "POS": Sentence(
+        tokens=("The", "cat", "a", "zq", "I", "Ünïcode", "internationalization", "CAT")
+    ),
+    "NER": Sentence(
+        tokens=("The", "cat", "a", "zq", "I", "internationalization"),
+        aux_tags=("DT", "NN", "DT", "XX", "PRP", "NN"),
+    ),
+}
+
+
 class TestComposer:
     def test_seg_composition_with_boundary_bigram(self):
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["中", "国"])
-        np.testing.assert_array_equal(composer.compose(s, 0), [5.0, 6.0, 9.0, 9.0])
-        np.testing.assert_array_equal(composer.compose(s, 1), [7.0, 8.0, 8.0, 8.0])
+        np.testing.assert_array_equal(composer.compose_all(s)[0], [5.0, 6.0, 9.0, 9.0])
+        np.testing.assert_array_equal(composer.compose_all(s)[1], [7.0, 8.0, 8.0, 8.0])
 
     def test_pos_mean_pooling(self):
         char, _, word, _ = toy_tables()
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["ab"])
         # word vector then mean of the two character vectors
-        np.testing.assert_array_equal(composer.compose(s, 0), [1.0, 1.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(composer.compose_all(s)[0], [1.0, 1.0, 1.0, 2.0, 3.0])
 
     def test_unknown_word_uses_unk_row(self):
         char, _, word, _ = toy_tables()
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["zq"])
-        vec = composer.compose(s, 0)
+        vec = composer.compose_all(s)[0]
         np.testing.assert_array_equal(vec[:3], [0.2, 0.2, 0.2])
         np.testing.assert_array_equal(vec[3:], [0.5, 0.5])  # both chars unknown
 
@@ -138,7 +186,7 @@ class TestComposer:
         char, _, word, pos = toy_tables()
         composer = InputComposer("NER", {"word": word, "char": char, "pos": pos})
         with pytest.raises(ValueError):
-            composer.compose(Sentence(tokens=["ab"]), 0)
+            composer.compose_all(Sentence(tokens=["ab"]))
 
     def test_dimension_constant(self):
         char, bigram, _, _ = toy_tables()
@@ -151,6 +199,49 @@ class TestComposer:
         char, _, _, _ = toy_tables()
         with pytest.raises(ValueError):
             InputComposer("SEG", {"char": char})
+
+    @pytest.mark.parametrize("task", sorted(COMPOSE_SENTENCES))
+    def test_compose_all_is_bitwise_the_reference(self, task):
+        composer = random_composer(task)
+        sent = COMPOSE_SENTENCES[task]
+        expected = np.stack([reference_compose(composer, sent, i) for i in range(len(sent))])
+        got = composer.compose_all(sent)
+        np.testing.assert_array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
+        cached = composer.compose_all(sent, composer.row_ids(sent))
+        assert cached.tobytes() == expected.tobytes()
+
+    def test_lowercase_table_and_unknowns_read_their_rows(self):
+        composer = random_composer("POS")
+        rows = composer.row_ids(COMPOSE_SENTENCES["POS"])
+        word, char = composer.tables["word"], composer.tables["char"]
+        # "The" and "CAT" hit their lowercase rows; "zq", "I", "Ünïcode" and
+        # "internationalization" read <UNK>
+        assert rows["word"].tolist() == [0, 1, 2] + [word.unk_index] * 4 + [1]
+        chars, counts = rows["char"]
+        assert counts.tolist() == [3, 3, 1, 2, 1, 7, 20, 3]
+        assert chars.shape == (8, 20)
+        assert chars[2].tolist() == [char.index("a")] + [-1] * 19
+        assert chars[3, :2].tolist() == [char.unk_index] * 2
+        assert chars[7, :3].tolist() == [char.index(c) for c in "CAT"]
+
+
+class TestCharMeanIdentity:
+    def test_padded_sum_over_counts_is_bitwise_the_mean(self):
+        # compose_all's char mean: the padded gather summed over axis 1, with
+        # -0.0 in the padding, divided by the counts, for words of 1..20 chars
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(-0.01, 0.01, (60, 30))
+        for _ in range(20):
+            counts = rng.integers(1, 21, 25)
+            chars = np.full((25, counts.max()), -1)
+            real = np.arange(counts.max()) < counts[:, None]
+            chars[real] = rng.integers(0, 60, counts.sum())
+            gathered = matrix[chars]
+            gathered[chars < 0] = -0.0
+            got = gathered.sum(axis=1) / counts[:, None]
+            expected = np.stack([matrix[row[row >= 0]].mean(axis=0) for row in chars])
+            assert got.tobytes() == expected.tobytes()
 
 
 def assert_pair(pair, cells, values):
@@ -192,3 +283,40 @@ class TestComposerBackward:
         out = composer.backward(s, grads)
         assert_pair(out["char"], [0, 1], [0.0, 0.0])
         assert_pair(out["bigram"], [4, 5], [0.0, 0.0])  # both positions read the UNK row
+
+    @pytest.mark.parametrize("task", sorted(COMPOSE_SENTENCES))
+    def test_scatter_is_bitwise_the_per_position_reference(self, task):
+        composer = random_composer(task)
+        sent = COMPOSE_SENTENCES[task]
+        grads = np.random.default_rng(4).normal(size=(len(sent), composer.dim))
+        # each position's slice, split evenly over a word's chars, summed per
+        # row in position order
+        expected = {}
+        for i in range(len(sent)):
+            offset = 0
+            for key in composer.table_order():
+                table = composer.tables[key]
+                piece = grads[i, offset : offset + table.dim]
+                offset += table.dim
+                if key == "char" and task != "SEG":
+                    symbols = list(sent.tokens[i])
+                    piece = piece / len(symbols)
+                elif key == "bigram":
+                    nxt = sent.tokens[i + 1] if i + 1 < len(sent) else EOS
+                    symbols = [sent.tokens[i] + nxt]
+                else:
+                    symbols = [(sent.aux_tags if key == "pos" else sent.tokens)[i]]
+                rows = expected.setdefault(key, {})
+                for symbol in symbols:
+                    row = table.index(symbol)
+                    rows[row] = rows.get(row, np.zeros(table.dim)) + piece
+        for rows in (None, composer.row_ids(sent)):
+            out = composer.backward(sent, grads, rows)
+            assert list(out) == list(composer.table_order())
+            for key, by_row in expected.items():
+                dim = composer.tables[key].dim
+                order = sorted(by_row)
+                cells = (np.array(order)[:, None] * dim + np.arange(dim)).reshape(-1)
+                values = np.concatenate([by_row[r] for r in order])
+                assert_pair(out[key], cells, values)
+                assert out[key][1].tobytes() == values.tobytes()

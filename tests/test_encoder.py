@@ -4,14 +4,20 @@ import pytest
 from seqlab.encoder import WINDOW, BiLSTMParams, backward, encode
 
 
-def reference_lstm_step(w, u, b, window, h_prev, c_prev):
-    """Straight-line single LSTM step, independent of the encoder code."""
+def reference_gates(w, u, b, window, h_prev):
+    """Straight-line gate activations ``(i, f, o, g)`` of one LSTM step."""
     hidden = h_prev.shape[0]
     pre = w @ window + u @ h_prev + b
     i = 1.0 / (1.0 + np.exp(-pre[0 * hidden : 1 * hidden]))
     f = 1.0 / (1.0 + np.exp(-pre[1 * hidden : 2 * hidden]))
     o = 1.0 / (1.0 + np.exp(-pre[2 * hidden : 3 * hidden]))
     g = np.tanh(pre[3 * hidden : 4 * hidden])
+    return i, f, o, g
+
+
+def reference_lstm_step(w, u, b, window, h_prev, c_prev):
+    """Straight-line single LSTM step, independent of the encoder code."""
+    i, f, o, g = reference_gates(w, u, b, window, h_prev)
     c = f * c_prev + i * g
     h = o * np.tanh(c)
     return h, c
@@ -124,6 +130,35 @@ class TestForward:
             )
         np.testing.assert_allclose(out.h[0, H:], h, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("d", [80, 100])
+    def test_every_step_is_bitwise_the_reference_at_benchmark_widths(self, d, train):
+        # the pos and ner widths (H = 50), sentences of 1..30 tokens: h, c and
+        # the gates of every step of both directions, with atol=0
+        H = 50
+        rng = np.random.default_rng(d)
+        params = BiLSTMParams.init(d, H, rng)
+        params.b_fwd[:] = rng.normal(size=4 * H)
+        params.b_bwd[:] = rng.normal(size=4 * H)
+        for n in range(1, 31):
+            inputs = rng.normal(size=(n, d))
+            out = encode(params, inputs, train=train, rng=rng)
+            directions = (
+                (params.w_fwd, params.u_fwd, params.b_fwd, out.fwd, range(n), (-2, -1, 0, 1, 2)),
+                (params.w_bwd, params.u_bwd, params.b_bwd, out.bwd, range(n - 1, -1, -1),
+                 (2, 1, 0, -1, -2)),
+            )
+            for k, (w, u, b, cache, positions, offsets) in enumerate(directions):
+                h = c = np.zeros(H)
+                for i in positions:
+                    window = fd_window(out.dropped, i, offsets)
+                    gates = reference_gates(w, u, b, window, h)
+                    h, c = reference_lstm_step(w, u, b, window, h, c)
+                    np.testing.assert_allclose(cache.gates[i], gates, rtol=0, atol=0)
+                    np.testing.assert_allclose(cache.c[i], c, rtol=0, atol=0)
+                    np.testing.assert_allclose(cache.h[i], h, rtol=0, atol=0)
+                    np.testing.assert_allclose(out.h[i, k * H : (k + 1) * H], h, rtol=0, atol=0)
+
     def test_infer_deterministic(self):
         rng = np.random.default_rng(1)
         params = BiLSTMParams.init(3, 4, rng)
@@ -144,6 +179,36 @@ class TestForward:
         inputs = rng.uniform(-10, 10, (20, 6))
         out = encode(params, inputs, train=False)
         assert np.all(np.isfinite(out.h))
+
+
+class TestNumpyIdentities:
+    """The numpy results the bitwise-unchanged forward scan rests on."""
+
+    @pytest.mark.parametrize("d", [80, 100])
+    def test_batched_matmul_is_the_per_row_gemv(self, d):
+        # the input terms of all steps at once, written to a strided output
+        H = 50
+        rng = np.random.default_rng(d)
+        w = rng.uniform(-0.1, 0.1, (4 * H, WINDOW * d))
+        for n in range(1, 31):
+            windows = rng.normal(size=(n, WINDOW * d))
+            out = np.empty((n, 4 * H, 2))
+            np.matmul(w, windows[:, :, None], out[:, :, 1, None])
+            for i in range(n):
+                assert out[i, :, 1].tobytes() == (w @ windows[i]).tobytes()
+
+    def test_stacked_recurrent_matmul_is_each_directions_gemv(self):
+        # u stacked over the directions, h read and the result written with
+        # the direction as the last axis
+        H = 50
+        rng = np.random.default_rng(1)
+        u = rng.uniform(-0.2, 0.2, (2, 4 * H, H))
+        for _ in range(20):
+            h = rng.normal(size=(H, 2))
+            pre = np.empty((4 * H, 2))
+            np.matmul(u, h.T[:, :, None], pre.T[:, :, None])
+            for k in range(2):
+                assert pre[:, k].copy().tobytes() == (u[k] @ h[:, k].copy()).tobytes()
 
 
 class TestSymmetry:
