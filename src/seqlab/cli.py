@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -305,6 +306,10 @@ def cmd_compare(config: RunConfig) -> int:
 def cmd_gradcheck(config: RunConfig) -> int:
     tolerance = config.get("gc_tolerance", 1e-4)
     eps = config.get("gc_eps", 1e-4)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"gc_eps must be finite and positive, got {eps}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"gc_tolerance must be finite and non-negative, got {tolerance}")
     seed = config.get("seed", 1)
     model, sentence = trainer.make_gradcheck_instance(config.mode, seed=seed)
     report = trainer.gradient_check(model, sentence, tolerance=tolerance, eps=eps)
@@ -354,7 +359,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.load(args.config, args.overrides)
         return COMMANDS[args.command](config)
-    except (ConfigError, checkpoint.CheckpointError, ValueError, OSError) as exc:
+    except (
+        ConfigError, checkpoint.CheckpointError, ValueError, OSError, FloatingPointError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,12 +26,19 @@ candidate].  Dropout is inverted (masks scaled by 1/(1-p) at train time),
 so inference is a plain unmasked pass.
 
 ``backward`` returns exact analytic gradients for every parameter and every
-input vector, and back through the dropout masks.  Its step loop carries
-only the recurrence and collects the gate pre-activation gradients
-``D_pre (n, 4H)``; the weight gradients are then whole-sentence products
+input vector, and back through the dropout masks.  It mirrors the scan:
+``encode`` keeps the scan's stacked arrays, in scan order, and one step loop
+runs both directions back, the direction again the last axis.  Every factor
+that does not depend on the recurrence (``c_prev``, ``1 - tanh(c)^2``,
+``1 - gate``, ``1 - g^2``) is computed for all positions before the loop,
+so a step is a few elementwise calls on the stacked ``(4, H, 2)`` gate
+gradients and one batched matmul on the stacked ``U.T``.  The loop collects
+the gate pre-activation gradients ``D_pre``; each direction's are then made
+contiguous once, and the weight gradients are whole-sentence products
 (``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and ``D_pre @ W`` is summed
 back through the same five slices, which accumulates the window sharing
-(one input feeds up to five windows).  All math is float64.
+(one input feeds up to five windows).  Every gradient is bitwise that of a
+plain per-direction loop.  All math is float64.
 """
 
 from __future__ import annotations
@@ -118,17 +125,18 @@ class BiLSTMParams:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {expect[name]}")
 
 
-class _DirectionCache(NamedTuple):
-    """One direction's scan; row ``i`` belongs to sentence position ``i``."""
+class _ScanCache(NamedTuple):
+    """``_scan``'s stacked arrays, in scan order, the direction on the last axis.
 
-    windows: np.ndarray  # (n, 5d) the window each step consumed
-    gates: np.ndarray  # (n, 4, H) post-activation i, f, o, g
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
+    Step ``j`` of direction 0 is sentence position ``j``; step ``j`` of
+    direction 1 is position ``n - 1 - j``.
+    """
 
-    def reversed(self) -> "_DirectionCache":
-        return _DirectionCache(*(a[::-1] for a in self))
+    windows: tuple[np.ndarray, np.ndarray]  # each direction's (n, 5d) windows, in scan order
+    gates: np.ndarray  # (n, 4, H, 2) post-activation i, f, o, g
+    c: np.ndarray  # (n, H, 2)
+    tanh_c: np.ndarray  # (n, H, 2)
+    h: np.ndarray  # (n, H, 2)
 
 
 @dataclass
@@ -139,8 +147,7 @@ class EncoderOutput:
     masks: np.ndarray | None  # (n, input_dim) 0/1, train mode only
     inputs: np.ndarray  # composed inputs as given (pre-dropout)
     dropped: np.ndarray  # inputs after the inverted-dropout scaling
-    fwd: _DirectionCache
-    bwd: _DirectionCache
+    scan: _ScanCache
 
 
 def _windows(x):
@@ -160,11 +167,10 @@ def _unwindow(d_windows, d):
     return padded[_HALF : _HALF + n]
 
 
-def _scan(params: BiLSTMParams, x) -> tuple[_DirectionCache, _DirectionCache]:
+def _scan(params: BiLSTMParams, x) -> _ScanCache:
     """Both directions' LSTM passes, the backward one over ``x[::-1]``, in one step loop.
 
-    Each direction's cache is a view of the stacked arrays, in its own scan
-    order.  The sigmoid is ``1 / (1 + exp(-x))``, in that operation order.
+    The sigmoid is ``1 / (1 + exp(-x))``, in that operation order.
     """
     n = x.shape[0]
     H = params.hidden
@@ -200,33 +206,63 @@ def _scan(params: BiLSTMParams, x) -> tuple[_DirectionCache, _DirectionCache]:
         np.add(c_prev, ig_gg, c_prev)
         np.multiply(og, np.tanh(c_prev, tanh_c[i]), h[i])
         h_prev = h_cols[i]
-    return tuple(
-        _DirectionCache(windows[k], *(a[..., k] for a in (gates, c, tanh_c, h))) for k in range(2)
-    )
+    return _ScanCache(windows, gates, c, tanh_c, h)
 
 
-def _backprop_scan(w, u, scan: _DirectionCache, d_h):
-    """BPTT through one direction of ``_scan``: ``(dW, dU, db, d_x)`` for its input ``x``."""
-    n, H = scan.h.shape
-    c_prev = np.vstack([np.zeros(H), scan.c[:-1]])
-    d_pre = np.empty((n, 4 * H))
-    dh_next = dc_next = np.zeros(H)
+def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
+    """BPTT through both directions of ``_scan`` in one step loop.
+
+    ``d_h`` is ``(n, H, 2)`` in scan order.  Returns the parameter gradients
+    and each direction's gradient for its scan-order input.
+    """
+    n, _, H, _ = scan.gates.shape
+    gates, tanh_c = scan.gates, scan.tanh_c
+    # gate k's pre-activation gradient is ((lead * p1) * p2) * p3, where lead
+    # is dc for the i, f and g gates and dh for the o gate; p3 is 1.0 for g
+    p1 = np.empty((n, 4, H, 2))
+    p1[:, 0] = gates[:, 3]
+    p1[0, 1] = 0.0  # c_prev
+    p1[1:, 1] = scan.c[:-1]
+    p1[:, 2] = tanh_c
+    p1[:, 3] = gates[:, 0]
+    p2 = np.empty((n, 4, H, 2))
+    p2[:, :3] = gates[:, :3]
+    np.subtract(1.0, gates[:, 3] * gates[:, 3], p2[:, 3])
+    p3 = np.empty((n, 4, H, 2))
+    np.subtract(1.0, gates[:, :3], p3[:, :3])
+    p3[:, 3] = 1.0
+    dtanh_c = 1.0 - tanh_c * tanh_c
+    fg, og = gates[:, 1], gates[:, 2]
+    u_t = np.stack([params.u_fwd, params.u_bwd]).transpose(0, 2, 1)
+    d_pre = np.empty((n, 4, H, 2))
+    lead = np.empty((4, H, 2))
+    dc, dh = lead[0], lead[2]
+    dh_next, dc_next = np.zeros((H, 2)), np.zeros((H, 2))
+    # the (2, 4H, 1) and (2, H, 1) views the batched matmul reads and writes
+    row_cols = d_pre.reshape(n, 4 * H, 2).transpose(0, 2, 1)[:, :, :, None]
+    dh_next_cols = dh_next.T[:, :, None]
     for i in range(n - 1, -1, -1):
-        ig, fg, og, gg = scan.gates[i]
-        tc = scan.tanh_c[i]
-        dh = d_h[i] + dh_next
-        dc = dh * og * (1.0 - tc * tc) + dc_next
+        np.add(d_h[i], dh_next, dh)
+        np.multiply(dh, og[i], dc)
+        np.multiply(dc, dtanh_c[i], dc)
+        np.add(dc, dc_next, dc)
+        lead[1::2] = dc
         row = d_pre[i]
-        row[:H] = dc * gg * ig * (1.0 - ig)
-        row[H : 2 * H] = dc * c_prev[i] * fg * (1.0 - fg)
-        row[2 * H : 3 * H] = dh * tc * og * (1.0 - og)
-        row[3 * H :] = dc * ig * (1.0 - gg * gg)
-        dh_next = u.T @ row
-        dc_next = dc * fg
-    dW = d_pre.T @ scan.windows
-    dU = d_pre[1:].T @ scan.h[:-1]  # h_prev is zero at the first step
-    db = d_pre.sum(axis=0)
-    return dW, dU, db, _unwindow(d_pre @ w, w.shape[1] // WINDOW)
+        np.multiply(lead, p1[i], row)
+        np.multiply(row, p2[i], row)
+        np.multiply(row, p3[i], row)
+        np.matmul(u_t, row_cols[i], dh_next_cols)
+        np.multiply(dc, fg[i], dc_next)
+    # contiguous operands: strided ones would leave BLAS and round differently
+    grads, d_x = {}, []
+    for k, side in enumerate(("fwd", "bwd")):
+        d_pre_k = np.ascontiguousarray(d_pre[..., k]).reshape(n, 4 * H)
+        h_k = np.ascontiguousarray(scan.h[..., k])
+        grads[f"w_{side}"] = d_pre_k.T @ scan.windows[k]
+        grads[f"u_{side}"] = d_pre_k[1:].T @ h_k[:-1]  # h_prev is zero at the first step
+        grads[f"b_{side}"] = d_pre_k.sum(axis=0)
+        d_x.append(_unwindow(d_pre_k @ getattr(params, f"w_{side}"), params.input_dim))
+    return grads, d_x
 
 
 def encode(
@@ -264,15 +300,12 @@ def encode(
         masks = None
         dropped = inputs
 
-    fwd, bwd = _scan(params, dropped)
-    if train:  # backward's whole-sentence products read contiguous rows
-        fwd, bwd = (_DirectionCache(*map(np.ascontiguousarray, scan)) for scan in (fwd, bwd))
-    bwd = bwd.reversed()
-    h = np.concatenate([fwd.h, bwd.h], axis=1)
+    scan = _scan(params, dropped)
+    h = np.concatenate([scan.h[:, :, 0], scan.h[::-1, :, 1]], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")
     return EncoderOutput(
-        h=h, train=train, dropout_p=p, masks=masks, inputs=inputs, dropped=dropped, fwd=fwd, bwd=bwd
+        h=h, train=train, dropout_p=p, masks=masks, inputs=inputs, dropped=dropped, scan=scan
     )
 
 
@@ -291,14 +324,12 @@ def backward(
     if d_h.shape != output.h.shape:
         raise ValueError(f"upstream gradient shape {d_h.shape} != {output.h.shape}")
     H = params.hidden
-    dWf, dUf, dbf, d_fwd = _backprop_scan(params.w_fwd, params.u_fwd, output.fwd, d_h[:, :H])
-    dWb, dUb, dbb, d_bwd = _backprop_scan(
-        params.w_bwd, params.u_bwd, output.bwd.reversed(), d_h[::-1, H:]
+    grads, (d_fwd, d_bwd) = _backprop(
+        params, output.scan, np.stack([d_h[:, :H], d_h[::-1, H:]], axis=-1)
     )
     d_dropped = d_fwd + d_bwd[::-1]
     if output.masks is not None:
         d_inputs = d_dropped * output.masks / (1.0 - output.dropout_p)
     else:
         d_inputs = d_dropped
-    grads = {"w_fwd": dWf, "u_fwd": dUf, "b_fwd": dbf, "w_bwd": dWb, "u_bwd": dUb, "b_bwd": dbb}
     return grads, d_inputs

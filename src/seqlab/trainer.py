@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,8 +67,10 @@ class HyperParams:
         for name in ("word_hidden", "char_emb", "word_emb", "pos_emb", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.eta <= 0 or self.l2 < 0:
-            raise ValueError("eta must be positive and l2 non-negative")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
         if self.word_hidden % 2:
             raise ValueError("word_hidden must be even (split across two directions)")
 

@@ -147,6 +147,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert str(emb) in err and "line 1" in err and repr(word) in err
 
+    @pytest.mark.parametrize("item", ["eta=nan", "eta=inf", "l2=nan", "l2=inf"])
+    def test_non_finite_step_size_or_l2_exits_2(self, pos_setup, capsys, item):
+        tmp_path, train, dev, _ = pos_setup
+        model_out = tmp_path / "m.bin"
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", item,
+             "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={model_out}"]
+        )
+        assert status == 2
+        assert f"error: {item.partition('=')[0]} must be finite" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_run_reports_an_error(self, pos_setup, capsys):
+        # finite settings whose first updates overflow the weights
+        tmp_path, train, dev, _ = pos_setup
+        model_out = tmp_path / "m.bin"
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "eta=1e308",
+             "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={model_out}"]
+        )
+        assert status == 2
+        assert "error: " in capsys.readouterr().err
+        assert not model_out.exists()
+
     def test_same_seed_same_bytes(self, pos_setup):
         tmp_path, train, dev, _ = pos_setup
         blobs = []
@@ -326,6 +352,17 @@ class TestGradcheckCommand:
         assert record["passed"] is True
         assert set(record["max_rel_err"]) >= GRADCHECK_CLASSES[mode]
         assert all(v < record["tolerance"] for v in record["max_rel_err"].values())
+
+    @pytest.mark.parametrize(
+        "item",
+        ["gc_eps=0", "gc_eps=-1e-4", "gc_eps=nan", "gc_eps=inf",
+         "gc_tolerance=-1", "gc_tolerance=nan", "gc_tolerance=inf"],
+    )
+    def test_bad_step_or_tolerance_exits_2(self, item, capsys):
+        assert run_cli(["gradcheck", "--set", "mode=neural", "--set", item]) == 2
+        out = capsys.readouterr()
+        assert f"error: {item.partition('=')[0]} must be finite" in out.err
+        assert out.out == ""
 
 
 def split_checkpoint(blob):

@@ -79,6 +79,50 @@ def reference_bptt(w, u, b, inputs, positions, offsets, d_h):
     return dW, dU, db, d_inputs
 
 
+def per_direction_backward(params, out, d_h):
+    """``backward`` as one BPTT step loop per direction, on contiguous copies of the cache.
+
+    The gradients are ``(dW, dU, db)`` per direction and d(loss)/d(inputs);
+    every operation is in the order of the stacked loop it is checked against.
+    """
+    n, d = out.dropped.shape
+    H = params.hidden
+    grads, d_x = [], []
+    directions = (
+        (params.w_fwd, params.u_fwd, d_h[:, :H]),
+        (params.w_bwd, params.u_bwd, d_h[::-1, H:]),
+    )
+    scan = out.scan
+    for k, (w, u, d_h_k) in enumerate(directions):
+        gates, c, tanh_c, h = (
+            np.ascontiguousarray(a[..., k]) for a in (scan.gates, scan.c, scan.tanh_c, scan.h)
+        )
+        c_prev = np.vstack([np.zeros(H), c[:-1]])
+        d_pre = np.empty((n, 4 * H))
+        dh_next = dc_next = np.zeros(H)
+        for i in range(n - 1, -1, -1):
+            ig, fg, og, gg = gates[i]
+            tc = tanh_c[i]
+            dh = d_h_k[i] + dh_next
+            dc = dh * og * (1.0 - tc * tc) + dc_next
+            row = d_pre[i]
+            row[:H] = dc * gg * ig * (1.0 - ig)
+            row[H : 2 * H] = dc * c_prev[i] * fg * (1.0 - fg)
+            row[2 * H : 3 * H] = dh * tc * og * (1.0 - og)
+            row[3 * H :] = dc * ig * (1.0 - gg * gg)
+            dh_next = u.T @ row
+            dc_next = dc * fg
+        grads += [d_pre.T @ scan.windows[k], d_pre[1:].T @ h[:-1], d_pre.sum(axis=0)]
+        d_windows = d_pre @ w
+        padded = np.zeros((n + WINDOW - 1, d))
+        for slot in range(WINDOW):
+            padded[slot : slot + n] += d_windows[:, slot * d : (slot + 1) * d]
+        d_x.append(padded[WINDOW // 2 : WINDOW // 2 + n])
+    names = ("w_fwd", "u_fwd", "b_fwd", "w_bwd", "u_bwd", "b_bwd")
+    d_inputs = (d_x[0] + d_x[1][::-1]) * out.masks / (1.0 - out.dropout_p)
+    return dict(zip(names, grads)), d_inputs
+
+
 class TestForward:
     def test_single_token_output_shape(self):
         rng = np.random.default_rng(0)
@@ -144,19 +188,20 @@ class TestForward:
             inputs = rng.normal(size=(n, d))
             out = encode(params, inputs, train=train, rng=rng)
             directions = (
-                (params.w_fwd, params.u_fwd, params.b_fwd, out.fwd, range(n), (-2, -1, 0, 1, 2)),
-                (params.w_bwd, params.u_bwd, params.b_bwd, out.bwd, range(n - 1, -1, -1),
+                (params.w_fwd, params.u_fwd, params.b_fwd, range(n), (-2, -1, 0, 1, 2)),
+                (params.w_bwd, params.u_bwd, params.b_bwd, range(n - 1, -1, -1),
                  (2, 1, 0, -1, -2)),
             )
-            for k, (w, u, b, cache, positions, offsets) in enumerate(directions):
+            scan = out.scan  # stacked in scan order, the direction on the last axis
+            for k, (w, u, b, positions, offsets) in enumerate(directions):
                 h = c = np.zeros(H)
-                for i in positions:
+                for step, i in enumerate(positions):
                     window = fd_window(out.dropped, i, offsets)
                     gates = reference_gates(w, u, b, window, h)
                     h, c = reference_lstm_step(w, u, b, window, h, c)
-                    np.testing.assert_allclose(cache.gates[i], gates, rtol=0, atol=0)
-                    np.testing.assert_allclose(cache.c[i], c, rtol=0, atol=0)
-                    np.testing.assert_allclose(cache.h[i], h, rtol=0, atol=0)
+                    np.testing.assert_allclose(scan.gates[step, ..., k], gates, rtol=0, atol=0)
+                    np.testing.assert_allclose(scan.c[step, :, k], c, rtol=0, atol=0)
+                    np.testing.assert_allclose(scan.h[step, :, k], h, rtol=0, atol=0)
                     np.testing.assert_allclose(out.h[i, k * H : (k + 1) * H], h, rtol=0, atol=0)
 
     def test_infer_deterministic(self):
@@ -209,6 +254,19 @@ class TestNumpyIdentities:
             np.matmul(u, h.T[:, :, None], pre.T[:, :, None])
             for k in range(2):
                 assert pre[:, k].copy().tobytes() == (u[k] @ h[:, k].copy()).tobytes()
+
+    def test_stacked_transposed_recurrent_matmul_is_each_directions_gemv(self):
+        # backward's u.T @ row: the stacked u read transposed, the row read and
+        # the result written with the direction as the last axis
+        H = 50
+        rng = np.random.default_rng(2)
+        u = rng.uniform(-0.2, 0.2, (2, 4 * H, H))
+        for _ in range(20):
+            row = rng.normal(size=(4 * H, 2))
+            out = np.empty((H, 2))
+            np.matmul(u.transpose(0, 2, 1), row.T[:, :, None], out.T[:, :, None])
+            for k in range(2):
+                assert out[:, k].copy().tobytes() == (u[k].T @ row[:, k].copy()).tobytes()
 
 
 class TestSymmetry:
@@ -341,6 +399,26 @@ class TestBackward:
         want_in = (fwd[3] + bwd[3]) * masks / (1.0 - p)
         np.testing.assert_allclose(d_in, want_in, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("d", [80, 100])
+    def test_bitwise_the_per_direction_loops_at_benchmark_widths(self, d):
+        # the pos and ner widths (H = 50), sentences of 1..30 tokens: all six
+        # gradients and d_inputs, with atol=0
+        H = 50
+        rng = np.random.default_rng(d + 1)
+        params = BiLSTMParams.init(d, H, rng)
+        params.b_fwd[:] = rng.normal(size=4 * H)
+        params.b_bwd[:] = rng.normal(size=4 * H)
+        for n in range(1, 31):
+            inputs = rng.normal(size=(n, d))
+            out = encode(params, inputs, train=True, rng=rng)
+            upstream = rng.normal(size=(n, 2 * H))
+            grads, d_in = backward(params, out, upstream)
+            want, want_in = per_direction_backward(params, out, upstream)
+            assert list(grads) == list(want)
+            for name in want:
+                np.testing.assert_allclose(grads[name], want[name], rtol=0, atol=0, err_msg=name)
+            np.testing.assert_allclose(d_in, want_in, rtol=0, atol=0)
+
     def test_middle_token_of_five_feeds_all_positions(self):
         rng = np.random.default_rng(9)
         n, d, H = 5, 3, 4
@@ -369,7 +447,7 @@ class TestBackward:
         fwd_slots = []
         for i in range(n):
             for slot, off in enumerate((-2, -1, 0, 1, 2)):
-                block = out.fwd.windows[i, slot * d : (slot + 1) * d]
+                block = out.scan.windows[0][i, slot * d : (slot + 1) * d]
                 if i + off == middle:
                     np.testing.assert_array_equal(block, out.dropped[middle])
                     fwd_slots.append((i, slot))
@@ -377,7 +455,7 @@ class TestBackward:
         bwd_slots = []
         for i in range(n):
             for slot, off in enumerate((2, 1, 0, -1, -2)):
-                block = out.bwd.windows[i, slot * d : (slot + 1) * d]
+                block = out.scan.windows[1][n - 1 - i, slot * d : (slot + 1) * d]
                 if i + off == middle:
                     np.testing.assert_array_equal(block, out.dropped[middle])
                     bwd_slots.append((i, slot))
