@@ -150,7 +150,10 @@ def parse_config_file(path) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        raw[key.strip()] = value.strip()
+        key = key.strip()
+        if key in raw:
+            raise ConfigError(f"{path}: line {lineno}: key {key!r} is set twice")
+        raw[key] = value.strip()
     return raw
 
 

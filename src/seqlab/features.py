@@ -1,12 +1,14 @@
 """Sparse indicator feature extraction for the discrete models.
 
-Each task/language pair has a closed template table.  A template row
-instantiates to context strings of the form ``T<row>[<offsets>]=<values>``;
-multi-part values are joined with ``~``.  Context positions outside the
-sentence contribute the boundary sentinels ``<S>`` / ``</S>``.  Contexts
-carry no label: the discrete scorer crosses each context with every output
-label by indexing a (contexts x labels) weight matrix with the context's
-``FeatureAlphabet`` id.
+Each task/language pair has a closed template table.  ``TemplateSet``
+compiles each row once into offset groups, each carrying its finished
+``T<row>[<offsets>]=`` prefix; at a position a group appends its value to
+that prefix, multi-part values joined with ``~``.  Context positions outside
+the sentence contribute the boundary sentinels ``<S>`` / ``</S>``.  No two
+groups share a prefix, so the strings at one position are distinct by
+construction.  Contexts carry no label: the discrete scorer crosses each
+context with every output label by indexing a (contexts x labels) weight
+matrix with the context's ``FeatureAlphabet`` id.
 """
 
 from __future__ import annotations
@@ -224,9 +226,39 @@ def load_lexicon(path, what: str) -> dict[str, str]:
     return lex
 
 
+def _compile_row(row: int, kind: str, args) -> list[tuple[str, str, object]]:
+    """One table row as offset groups ``(how, prefix, arg)``.
+
+    ``prefix`` is the group's finished ``T<row>[<offsets>]=``.  A ``join``
+    group's ``arg`` lists the (per-token kind, offset) pairs whose values are
+    joined with ``~``; a ``char_eq`` group takes its offset pair, an affix
+    group its offset and a ``radical`` group the character index k.
+    """
+
+    def prefix(offsets):
+        return f"T{row}[{','.join(map(str, offsets))}]="
+
+    if kind == "char_eq":
+        return [(kind, prefix(pair), pair) for pair in args]
+    if kind in ("prefix", "suffix"):
+        return [(kind, prefix((off,)), off) for off in args]
+    if kind == "radical":
+        return [(kind, prefix((0, k)), k) for k in range(RADICAL_POSITIONS)]
+    if kind == "capital_connect":
+        return [("join", prefix((off, 0)), (("capital", off), ("connect", 0))) for off in args]
+    if kind in ("capital_word", "postag_word"):
+        first = kind.partition("_")[0]
+        return [("join", prefix(pair), ((first, pair[0]), ("word", pair[1]))) for pair in args]
+    if kind.endswith("_ngram") or kind == "char_type":
+        base = kind.removesuffix("_ngram")
+        return [("join", prefix(offsets), tuple((base, off) for off in offsets)) for offsets in args]
+    return [("join", prefix((off,)), ((kind, off),)) for off in args]
+
+
 @dataclass
 class TemplateSet:
-    """The closed template table for one (task, language) pair."""
+    """The closed template table for one (task, language) pair, compiled
+    once into offset groups (see ``_compile_row``)."""
 
     task: str
     language: str
@@ -238,26 +270,18 @@ class TemplateSet:
             raise ValueError(f"unknown task {self.task!r}")
         if self.language not in LANGUAGES:
             raise ValueError(f"unknown language {self.language!r}")
-        self.rows = _TABLES[(self.task, self.language)]
+        rows = _TABLES[(self.task, self.language)]
+        self.groups = [group for row in rows for group in _compile_row(*row)]
         self.affix_len = _AFFIX_LEN.get((self.task, self.language), 0)
 
-    # -- raw accessors ------------------------------------------------------
-
-    def _token(self, sent: Sentence, pos: int) -> str | None:
-        if pos < 0:
-            return None
-        if pos >= len(sent):
-            return None
-        return sent.tokens[pos]
-
-    def _sentinel(self, pos: int) -> str:
-        return BOS if pos < 0 else EOS
-
-    def _value(self, kind: str, sent: Sentence, pos: int):
-        """Component value for one offset; None means "skip this feature"."""
-        tok = self._token(sent, pos)
-        if tok is None:
-            return self._sentinel(pos)
+    def _value(self, kind: str, sent: Sentence, j: int) -> str | None:
+        """Per-token value of ``kind`` at position ``j``: the boundary sentinel
+        outside the sentence, None for a cluster miss (its group is skipped)."""
+        if j < 0:
+            return BOS
+        if j >= len(sent.tokens):
+            return EOS
+        tok = sent.tokens[j]
         if kind in ("char", "word"):
             return tok
         if kind == "char_type":
@@ -274,96 +298,46 @@ class TemplateSet:
         if kind == "postag":
             if sent.aux_tags is None:
                 raise ValueError("templates need an aux tag column but the sentence has none")
-            return sent.aux_tags[pos]
+            return sent.aux_tags[j]
+        if kind == "length":
+            return str(min(len(tok), LENGTH_CAP))
         raise AssertionError(kind)
 
-    # -- instantiation ------------------------------------------------------
-
     def instantiate(self, sent: Sentence, i: int) -> list[str]:
-        """Unlabeled feature strings at position ``i``, in table order, deduped."""
-        if not 0 <= i < len(sent):
-            raise IndexError(f"position {i} outside sentence of length {len(sent)}")
+        """Unlabeled context strings at position ``i``, in table order.
+
+        Each group has its own prefix, and an affix group's values differ in
+        length, so the strings are distinct by construction.
+        """
+        tokens = sent.tokens
+        n = len(tokens)
+        if not 0 <= i < n:
+            raise IndexError(f"position {i} outside sentence of length {n}")
         out: list[str] = []
-        seen = set()
-
-        def emit(row, offsets, value):
-            if value is None:
-                return
-            offs = ",".join(str(o) for o in offsets)
-            s = f"T{row}[{offs}]={value}"
-            if s not in seen:
-                seen.add(s)
-                out.append(s)
-
-        single = ("char", "word", "shape", "capital", "connect", "cluster", "postag")
-        ngram_base = {
-            "char_ngram": "char",
-            "word_ngram": "word",
-            "shape_ngram": "shape",
-            "cluster_ngram": "cluster",
-            "postag_ngram": "postag",
-            "char_type": "char_type",
-        }
-
-        for row, kind, args in self.rows:
-            if kind in single:
-                groups = tuple((off,) for off in args)
-                base = kind
-            elif kind in ngram_base:
-                groups = args
-                base = ngram_base[kind]
-            else:
-                groups = None
-            if groups is not None:
-                for offsets in groups:
-                    parts = [self._value(base, sent, i + off) for off in offsets]
-                    if any(p is None for p in parts):
-                        continue
-                    emit(row, offsets, "~".join(parts))
-            elif kind == "char_eq":
-                for a, b in args:
-                    ta = self._token(sent, i + a)
-                    tb = self._token(sent, i + b)
-                    if ta is None:
-                        value = self._sentinel(i + a)
-                    elif tb is None:
-                        value = self._sentinel(i + b)
-                    else:
-                        value = "T" if ta == tb else "F"
-                    emit(row, (a, b), value)
-            elif kind in ("prefix", "suffix"):
-                for off in args:
-                    tok = self._token(sent, i + off)
-                    if tok is None:
-                        emit(row, (off,), self._sentinel(i + off))
-                        continue
+        for how, prefix, arg in self.groups:
+            if how == "join":
+                values = [self._value(kind, sent, i + off) for kind, off in arg]
+                if None not in values:
+                    out.append(prefix + "~".join(values))
+            elif how == "char_eq":
+                j, k = i + arg[0], i + arg[1]
+                if not 0 <= j < n:
+                    out.append(prefix + self._value("char", sent, j))
+                elif not 0 <= k < n:
+                    out.append(prefix + self._value("char", sent, k))
+                else:
+                    out.append(prefix + ("T" if tokens[j] == tokens[k] else "F"))
+            elif how == "radical":
+                tok = tokens[i]
+                radical = self.radical_lexicon.get(tok[arg]) if arg < len(tok) else None
+                if radical is not None:
+                    out.append(prefix + radical)
+            else:  # prefix or suffix
+                j = i + arg
+                if 0 <= j < n:
+                    tok = tokens[j]
                     for length in range(1, min(self.affix_len, len(tok)) + 1):
-                        piece = tok[:length] if kind == "prefix" else tok[-length:]
-                        emit(row, (off,), piece)
-            elif kind == "capital_word":
-                for a, b in args:
-                    cap = self._value("capital", sent, i + a)
-                    word = self._value("word", sent, i + b)
-                    emit(row, (a, b), f"{cap}~{word}")
-            elif kind == "capital_connect":
-                for off in args:
-                    cap = self._value("capital", sent, i + off)
-                    conn = self._value("connect", sent, i)
-                    emit(row, (off, 0), f"{cap}~{conn}")
-            elif kind == "postag_word":
-                for a, b in args:
-                    tag = self._value("postag", sent, i + a)
-                    word = self._value("word", sent, i + b)
-                    emit(row, (a, b), f"{tag}~{word}")
-            elif kind == "radical":
-                tok = sent.tokens[i]
-                for k in range(min(RADICAL_POSITIONS, len(tok))):
-                    radical = self.radical_lexicon.get(tok[k])
-                    if radical is not None:
-                        emit(row, (0, k), radical)
-            elif kind == "length":
-                tok = sent.tokens[i]
-                emit(row, (0,), str(min(len(tok), LENGTH_CAP)))
-            else:
-                raise AssertionError(kind)
+                        out.append(prefix + (tok[:length] if how == "prefix" else tok[-length:]))
+                else:
+                    out.append(prefix + self._value("word", sent, j))
         return out

@@ -71,6 +71,8 @@ class HyperParams:
             raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if not (math.isfinite(self.l2) and self.l2 >= 0):
             raise ValueError(f"l2 must be finite and non-negative, got {self.l2}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.word_hidden % 2:
             raise ValueError("word_hidden must be even (split across two directions)")
 
@@ -89,29 +91,34 @@ class AdaGradState:
         return acc
 
 
-def _check_finite(name, values):
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"non-finite gradient for {name}")
+def _check_finite(name, updated):
+    # a non-finite gradient also leaves the updated values non-finite
+    if not np.all(np.isfinite(updated)):
+        raise FloatingPointError(f"AdaGrad step made {name} non-finite")
 
 
-def adagrad_step_dense(param, grad, accum, eta, l2):
-    _check_finite("dense update", grad)
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the check
+def adagrad_step_dense(param, grad, accum, eta, l2, name="the parameter"):
     g = grad + l2 * param
     accum += g * g
     param -= eta * g / (np.sqrt(accum) + ADAGRAD_EPS)
+    _check_finite(name, param)
 
 
-def adagrad_step_sparse(param, accum, ids, values, eta, l2):
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the check
+def adagrad_step_sparse(param, accum, ids, values, eta, l2, name="the parameter"):
     """Update only the listed ids on the first axis of ``param``; ids must be
     distinct.  ``apply_bundle`` passes flat views, so there an id is one cell
     of the flattened parameter, for discrete weights and embedding rows alike.
     """
     ids = np.asarray(ids, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
-    _check_finite("sparse update", values)
-    g = values + l2 * param[ids]
+    old = param[ids]
+    g = values + l2 * old
     accum[ids] += g * g
-    param[ids] -= eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
+    updated = old - eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
+    _check_finite(name, updated)
+    param[ids] = updated
 
 
 def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaGradState, eta, l2):
@@ -125,9 +132,9 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaG
             flat_param, flat_accum = param.reshape(-1), accum.reshape(-1)
             if not (np.shares_memory(flat_param, param) and np.shares_memory(flat_accum, accum)):
                 raise ValueError(f"{name}: cell updates need contiguous arrays")
-            adagrad_step_sparse(flat_param, flat_accum, *grad, eta, l2)
+            adagrad_step_sparse(flat_param, flat_accum, *grad, eta, l2, name)
         else:
-            adagrad_step_dense(param, grad, accum, eta, l2)
+            adagrad_step_dense(param, grad, accum, eta, l2, name)
 
 
 # ---------------------------------------------------------------------------

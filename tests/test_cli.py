@@ -62,6 +62,12 @@ class TestConfig:
         err = capsys.readouterr().err
         assert key in err and "invalid literal" not in err
 
+    def test_repeated_key_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task=NER\nepochs=2\ntask=POS\n", encoding="utf-8")
+        assert run_cli(["train", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: line 3: key 'task' is set twice" in capsys.readouterr().err
+
     def test_hypers_override(self):
         config = cli.RunConfig.load(None, ["eta=0.1", "dropout=0.5", "l2=0.0"])
         h = config.hypers()
@@ -159,18 +165,29 @@ class TestTrainCommand:
         assert f"error: {item.partition('=')[0]} must be finite" in capsys.readouterr().err
         assert not model_out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_diverging_run_reports_an_error(self, pos_setup, capsys):
-        # finite settings whose first updates overflow the weights
+        # finite settings whose first updates overflow the weights; the
+        # AdaGrad step names the array, with no numpy warning on the way
+        tmp_path, train, dev, _ = pos_setup
+        model_out = tmp_path / "m.bin"
+        for mode, array in (("neural", "tau"), ("discrete", "theta_out")):
+            status = run_cli(
+                ["train", *TRAIN_ARGS, "--set", f"mode={mode}", "--set", "eta=1e308",
+                 "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={model_out}"]
+            )
+            assert status == 2
+            assert f"error: AdaGrad step made {array} non-finite" in capsys.readouterr().err
+            assert not model_out.exists()
+
+    def test_negative_seed_exits_2(self, pos_setup, capsys):
         tmp_path, train, dev, _ = pos_setup
         model_out = tmp_path / "m.bin"
         status = run_cli(
-            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "eta=1e308",
+            ["train", *TRAIN_ARGS, "--set", "seed=-1",
              "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={model_out}"]
         )
         assert status == 2
-        assert "error: " in capsys.readouterr().err
+        assert "error: seed must be non-negative" in capsys.readouterr().err
         assert not model_out.exists()
 
     def test_same_seed_same_bytes(self, pos_setup):
@@ -362,6 +379,13 @@ class TestGradcheckCommand:
         assert run_cli(["gradcheck", "--set", "mode=neural", "--set", item]) == 2
         out = capsys.readouterr()
         assert f"error: {item.partition('=')[0]} must be finite" in out.err
+        assert out.out == ""
+
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert run_cli(["gradcheck", "--set", "mode=neural", "--set", "seed=-1"]) == 2
+        out = capsys.readouterr()
+        assert "error: seed must be non-negative" in out.err
         assert out.out == ""
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import logging
+import random
 import unicodedata
 
 import pytest
@@ -224,17 +226,84 @@ class TestExtraction:
         assert alpha.size == size
 
     def test_contexts_deduped(self):
-        # each context counts once per position in the emission and its gradient
+        # each context counts once per position in the emission and its gradient;
+        # the strings are distinct by construction, repeated tokens included
         for task, language, tokens in (
             ("SEG", "ZH", list("中中国中")),
             ("POS", "EN", ["aa", "aa", "a", "aa"]),
             ("POS", "ZH", ["中中", "中", "中中"]),
+            ("NER", "EN", ["of", "EU", "of", "EU", "-", "-"]),
+            ("NER", "ZH", ["江江", "江", "江江", "河江江江江江"]),
         ):
-            t = TemplateSet(task, language)
-            s = Sentence(tokens=tokens)
+            t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
+                            radical_lexicon=GOLDEN_RADICALS)
+            s = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens) if task == "NER" else None)
             for i in range(len(s)):
                 feats = t.instantiate(s, i)
                 assert len(feats) == len(set(feats))
+
+
+# A seeded corpus per table: sentences of one token (both ends at once) and
+# longer ones, cluster and radical hits and misses, connectives, hyphens,
+# capitals, digits, date characters and punctuation.
+GOLDEN_WORDS = ("EU", "rejects", "German", "call", "of", "And", "FOR", "for", "-", "re-elect",
+                "U.S.", "1999", "NEW", "x", "running", "江泽民", "主席", "访问", "美国",
+                "中国人民", "爱", "和平", "二〇〇八年", "江河明月日")
+GOLDEN_CHARS = "中国人民江河明年月日一二〇12３ａZx，。-"
+GOLDEN_TAGS = ("NNP", "VBZ", "JJ", "NN", "IN", "CC", ":", "CD", "NR", "VV")
+GOLDEN_CLUSTERS = {"EU": "0110", "German": "1011", "of": "11", "江泽民": "0101", "美国": "0100"}
+GOLDEN_RADICALS = {"江": "氵", "泽": "氵", "民": "氏", "河": "氵", "明": "日", "爱": "爫"}
+
+# sha256 over every position's contexts, fixed from the row-by-row interpreter
+# that preceded the compiled offset groups
+CORPUS_DIGESTS = {
+    ("SEG", "ZH"): "cb0842b5055c3ff7ae2bb00d698055a8b375e01927cf31c939263de0c1156555",
+    ("SEG", "EN"): "a3f52b0eb6887de74a5e2169b89b8a433174f782462c4a3be882861fdd450354",
+    ("POS", "EN"): "0f7c74e18c118ca8e388bdf5755b571497e12288f1c17aa9671866d95dba36b2",
+    ("POS", "ZH"): "4448f3c8f1e9f63afbef1fb9dbdddd78960a2fd29a50cdb9f49717a05608ee10",
+    ("NER", "EN"): "f100de3cd68df873a18c035f27941802a6d82404e6d0b493fadda8734000bb1c",
+    ("NER", "ZH"): "2cf7e4073803d52052d453eca762cea4c8fd9e3cc3e0a1ff537a635883b0cea8",
+}
+
+
+def golden_corpus(task, language):
+    rng = random.Random(f"{task}-{language}")
+    vocab = GOLDEN_CHARS if task == "SEG" else GOLDEN_WORDS
+    sents = []
+    for n in (1, 1, 2, 3, 4, 5, 6, 7, 9, 12):
+        tokens = [rng.choice(vocab) for _ in range(n)]
+        tags = [rng.choice(GOLDEN_TAGS) for _ in range(n)] if task == "NER" else None
+        sents.append(Sentence(tokens=tokens, aux_tags=tags))
+    return sents
+
+
+def corpus_contexts(task, language):
+    t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
+                    radical_lexicon=GOLDEN_RADICALS)
+    return [t.instantiate(s, i) for s in golden_corpus(task, language) for i in range(len(s))]
+
+
+class TestCorpusGoldens:
+    @pytest.mark.parametrize("task,language", sorted(CORPUS_DIGESTS))
+    def test_every_position_byte_exact(self, task, language):
+        h = hashlib.sha256()
+        for feats in corpus_contexts(task, language):
+            h.update("\n".join(feats).encode("utf-8") + b"\n\n")
+        assert h.hexdigest() == CORPUS_DIGESTS[(task, language)]
+
+    def test_corpus_covers_ends_misses_and_word_classes(self):
+        ner_en = [set(f) for f in corpus_contexts("NER", "EN")]
+        ner_zh = [set(f) for f in corpus_contexts("NER", "ZH")]
+        seen = set().union(*ner_en)
+        for expected in ("T1[-1]=<S>", "T1[1]=</S>", "T7[0]=OF", "T7[0]=AND", "T7[0]=FOR",
+                         "T7[0]=HYPHEN", "T5[0]=T", "T5[0]=F", "T9[0]=0110"):
+            assert expected in seen
+        assert any(not any(f.startswith("T9[0]=") for f in fs) for fs in ner_en)
+        assert any(not any(f.startswith("T11[0]=") for f in fs) for fs in ner_zh)
+        radicals = [sorted(f for f in fs if f.startswith("T10")) for fs in ner_zh]
+        assert ["T10[0,3]=氏"] in radicals and [] in radicals  # misses before a hit, all misses
+        seg = set().union(*map(set, corpus_contexts("SEG", "ZH")))
+        assert {"T5[0]=0", "T5[0]=1", "T5[0]=2", "T5[0]=3", "T5[0]=4"} <= seg
 
 
 class TestLexiconLoading:
