@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checkpoint, crf, evaluator, trainer
-from .corpus import Sentence, read_column_corpus, strip_line, write_column_corpus
-from .embeddings import load_text_embeddings
+from .corpus import READ_ENCODING, Sentence, read_column_corpus, strip_line, write_column_corpus
+from .embeddings import InputComposer, load_text_embeddings
 from .features import load_lexicon
 
 
@@ -140,7 +140,7 @@ class RunConfig:
 def parse_config_file(path) -> dict[str, str]:
     raw = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding=READ_ENCODING)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,7 +167,7 @@ def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
     if require_labels:
         return read_column_corpus(path, columns)
     ncols = None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         for line in fh:
             line = strip_line(line)
             if line:
@@ -183,21 +183,16 @@ def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
 
 
 def _load_tables(config: RunConfig, hypers: trainer.HyperParams):
-    """Pretrained tables named in the config; the rest are random-initialized."""
+    """Pretrained tables named by ``<key>_embeddings``; the rest are random-initialized."""
     overrides = {}
-    lowercase = bool(config.get("embeddings_lowercase", False))
-    specs = []
-    if config.task == "SEG":
-        specs = [("char_embeddings", "char", hypers.char_emb, hypers.fine_tune_chars, False),
-                 ("bigram_embeddings", "bigram", hypers.char_emb, hypers.fine_tune_chars, False)]
-    else:
-        specs = [("word_embeddings", "word", hypers.word_emb, hypers.fine_tune_words, lowercase),
-                 ("char_embeddings", "char", hypers.char_emb, hypers.fine_tune_chars, False)]
-    for key, table_key, dim, fine_tune, lower in specs:
-        p = config.path(key)
+    specs = trainer.table_specs(hypers)
+    for key in InputComposer.REQUIRED[config.task]:
+        p = config.path(f"{key}_embeddings")
         if p is not None:
-            overrides[table_key] = load_text_embeddings(
-                p, dim, name=table_key, fine_tune=fine_tune, lowercase=lower
+            dim, fine_tune = specs[key]
+            lowercase = key == "word" and bool(config.get("embeddings_lowercase", False))
+            overrides[key] = load_text_embeddings(
+                p, dim, name=key, fine_tune=fine_tune, lowercase=lowercase
             )
     return overrides
 

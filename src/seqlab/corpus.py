@@ -118,6 +118,9 @@ class SpanAnnotation:
 # column corpus IO
 # ---------------------------------------------------------------------------
 
+# Every text input is read with this codec, which skips a leading UTF-8
+# byte-order mark instead of reading it into the first token or key.
+READ_ENCODING = "utf-8-sig"
 _COLUMN_NAMES = frozenset(("token", "aux", "label"))
 # Only ASCII space, tab, CR and LF end a line without being content; any
 # other whitespace, such as the ideographic space U+3000, is a token.
@@ -145,11 +148,11 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
     """Read a column-format corpus file.
 
     ``columns`` names each tab-separated column; it must include ``token``
-    and may include ``aux`` and ``label``.  Trailing ASCII whitespace and
-    the presence of a final newline are ignored; other whitespace is
-    content.  A line with the wrong column count raises
-    :class:`CorpusFormatError` naming the line number.  An empty file
-    yields an empty list.
+    and may include ``aux`` and ``label``.  A leading byte-order mark,
+    trailing ASCII whitespace and the presence of a final newline are
+    ignored; other whitespace is content.  A line with the wrong column
+    count raises :class:`CorpusFormatError` naming the line number.  An
+    empty file yields an empty list.
     """
     columns = _check_columns(columns)
     sentences = []
@@ -169,7 +172,7 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
         )
         rows.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = strip_line(raw)
             if not line:

@@ -30,6 +30,12 @@ summation order (start transition, emission 0, then transition/emission per
 position); the brute-force oracles score sequences with the same order, so
 agreement checks can be exact rather than approximate.
 
+``sentence_ids`` is the one indexer: it maps a sentence to its template
+context ids and its embedding row ids (``SentenceIds``), and
+``build_forward`` reads the symbols only through them, making them itself
+when none are handed in.  ``trainer.train`` makes them once per run for
+every training and dev sentence.
+
 ``ModelParams.named_arrays`` is the one enumeration of the parameters:
 checkpoints, cloning, the parameter norm, the AdaGrad update and the
 gradient check all walk it, and ``GradientBundle`` keys its gradients by
@@ -240,7 +246,7 @@ class ModelParams:
     theta_dense: np.ndarray | None = None
     tau: np.ndarray | None = None
     tau_weight: np.ndarray | None = None
-    # The training sentences' ``context_ids`` pairs, keyed by sentence, that
+    # The training sentences' ``index_contexts`` pairs, keyed by sentence, that
     # ``trainer.build_model`` leaves for the next ``trainer.train`` to take.
     # Unannotated, so not a field: no constructor, comparison, checkpoint or
     # clone sees it.
@@ -351,27 +357,23 @@ class ModelParams:
             yield "tau_weight", self.tau_weight
 
 
-@dataclass
-class ForwardPass:
-    """Per-sentence artifacts needed to route gradients after decoding;
-    ``context_ids`` is the sentence's ``context_ids()`` pair and ``row_ids``
-    its ``composer.row_ids()`` when they were handed in."""
-
-    sentence: Sentence
-    lattice: ScoreLattice
-    context_ids: tuple[np.ndarray, np.ndarray] | None = None
-    row_ids: dict | None = None
-    composed: np.ndarray | None = None
-    encoder_output: object | None = None
-
-
 class SentenceIds(NamedTuple):
-    """A sentence's table indices, made once and handed to every ``build_forward``
-    over it: the ``context_ids()`` pair and the ``composer.row_ids()``, each None
-    without its scorer."""
+    """A sentence's table indices for every scorer of a model, each None
+    without its scorer: the ``index_contexts`` pair over the frozen alphabet
+    and the ``composer.row_ids()``."""
 
     contexts: tuple[np.ndarray, np.ndarray] | None
     rows: dict | None
+
+
+@dataclass
+class ForwardPass:
+    """Per-sentence artifacts needed to route gradients after decoding."""
+
+    sentence: Sentence
+    lattice: ScoreLattice
+    ids: SentenceIds
+    encoder_output: object | None = None
 
 
 def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
@@ -385,20 +387,13 @@ def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.nd
     return np.array(flat, dtype=np.int32), np.array(offsets, dtype=np.int32)
 
 
-def context_ids(params: ModelParams, sent: Sentence) -> tuple[np.ndarray, np.ndarray] | None:
-    """``index_contexts`` over the frozen alphabet, so unseen contexts are left
-    out; None without a discrete scorer.  The training sentences' pairs are
-    made by ``trainer.build_output_alphabet`` while it grows the alphabet."""
-    if not params.uses_discrete:
-        return None
-    return index_contexts(params.templates, params.out_alphabet.lookup, sent)
-
-
 def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
-    """``sent``'s ids for every scorer of ``params``; ``contexts``, when given,
-    is its ``context_ids()`` pair made elsewhere."""
-    if contexts is None:
-        contexts = context_ids(params, sent)
+    """``sent``'s ids for every scorer of ``params``, made once and handed to
+    every ``build_forward`` over it.  Contexts outside the frozen alphabet are
+    left out; ``contexts``, when given, is the pair made elsewhere (by
+    ``trainer.build_output_alphabet`` for the training sentences)."""
+    if contexts is None and params.uses_discrete:
+        contexts = index_contexts(params.templates, params.out_alphabet.lookup, sent)
     rows = params.composer.row_ids(sent) if params.uses_neural else None
     return SentenceIds(contexts, rows)
 
@@ -406,27 +401,28 @@ def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> Sentence
 def build_forward(
     params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
 ) -> ForwardPass:
-    """Score lattice plus gradient-routing caches; ``ids``: ``sentence_ids()`` or None."""
+    """Score lattice plus gradient-routing caches; ``ids``: ``sentence_ids()``, or None
+    to make them here."""
     n = len(sent)
     L = len(params.labels)
     emission = np.zeros((n, L))
     transition = np.zeros((L + 1, L))
-    contexts, rows = (None, None) if ids is None else ids
-    fp = ForwardPass(sentence=sent, lattice=None, row_ids=rows)  # type: ignore[arg-type]
+    if ids is None:
+        ids = sentence_ids(params, sent)
+    fp = ForwardPass(sentence=sent, lattice=None, ids=ids)  # type: ignore[arg-type]
 
     if params.uses_discrete:
-        flat, offsets = fp.context_ids = context_ids(params, sent) if contexts is None else contexts
+        flat, offsets = ids.contexts
         weights = params.theta_out[flat]
         for i in range(n):
             emission[i] += weights[offsets[i] : offsets[i + 1]].sum(axis=0)
         transition += params.theta_edge
 
     if params.uses_neural:
-        composed = params.composer.compose_all(sent, rows)
+        composed = params.composer.compose_all(ids.rows)
         enc = encode(
             params.lstm, composed, train=train, rng=rng, masks=masks, dropout_p=params.dropout_p
         )
-        fp.composed = composed
         fp.encoder_output = enc
         emission += enc.h @ params.theta_dense.T
         if params.mode == "neural":
@@ -486,7 +482,7 @@ def loss_gradients(
     L = len(params.labels)
 
     if params.uses_discrete:
-        flat, offsets = fp.context_ids
+        flat, offsets = fp.ids.contexts
         pos = np.repeat(np.arange(n), np.diff(offsets))  # the position of each context id
         wrong = predicted[pos] != gold[pos]
         rows, pos = flat[wrong].astype(np.int64) * L, pos[wrong]
@@ -520,7 +516,7 @@ def loss_gradients(
             bundle["tau_weight"] = np.array([d_tau_weight])
         lstm_grads, d_inputs = encoder_backward(params.lstm, enc, d_h)
         bundle.update((f"lstm.{name}", grad) for name, grad in lstm_grads.items())
-        cells = params.composer.backward(fp.sentence, d_inputs, fp.row_ids)
+        cells = params.composer.backward(d_inputs, fp.ids.rows)
         bundle.update((f"emb.{key}", pair) for key, pair in cells.items())
 
     return bundle

@@ -3,7 +3,9 @@
 Tables are plain float64 matrices with a symbol vocabulary and a reserved
 ``<UNK>`` row, so lookups never fail.  The text file format is one vector
 per line, ``symbol v1 ... vD`` separated by single spaces, with an optional
-``count dim`` header line; saving mirrors loading at full float precision.
+``count dim`` header line; a leading byte-order mark and trailing ASCII
+whitespace on a line are skipped, as in the corpus readers.  Saving mirrors
+loading at full float precision.
 
 Composition per task (concatenation order is fixed):
 
@@ -12,11 +14,14 @@ Composition per task (concatenation order is fixed):
 * POS: word embedding + mean of the word's character embeddings;
 * NER: word embedding + character mean + embedding of the auxiliary POS tag.
 
-``InputComposer.row_ids`` looks a sentence's symbols up once, into arrays
-of table row ids; ``compose_all`` is then a few gathers and ``backward``
-scatters through the same ids.  ``trainer.train`` computes every training
-and dev sentence's row ids once per run, next to its template context ids,
-and hands both to each ``crf.build_forward`` over the sentence.
+``table_symbols`` is the one rule for which symbols a sentence reads from
+each table: the vocabulary build of random-init tables
+(``trainer.collect_embedding_vocab``) and the lookup
+(``InputComposer.row_ids``) both read it, so a training symbol never maps
+to ``<UNK>``.  ``row_ids`` looks the symbols up once, into arrays of table
+row ids; ``compose_all`` is then a few gathers and ``backward`` scatters
+through the same ids.  The ids reach both as the ``rows`` of a
+``crf.sentence_ids``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import logging
 
 import numpy as np
 
-from .corpus import Sentence
+from .corpus import READ_ENCODING, Sentence, strip_line
 from .features import EOS
 
 log = logging.getLogger(__name__)
@@ -62,9 +67,6 @@ class EmbeddingTable:
             symbol = symbol.lower()
         return self.vocab.get(symbol, self.unk_index)
 
-    def vector(self, symbol: str) -> np.ndarray:
-        return self.matrix[self.index(symbol)]
-
 
 def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> EmbeddingTable:
     """Fresh table with entries uniform in [-0.01, 0.01]; deterministic in ``seed``."""
@@ -93,10 +95,10 @@ def load_text_embeddings(
     symbols: list[str] = []
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
+            line = strip_line(raw)
+            if not line:
                 continue
             parts = line.split(" ")
             if lineno == 1 and len(parts) == 2:
@@ -147,6 +149,24 @@ def save_text_embeddings(path, table: EmbeddingTable) -> None:
             fh.write(symbol + " " + " ".join(repr(v) for v in row.tolist()) + "\n")
 
 
+def table_symbols(task: str, sent: Sentence) -> dict:
+    """The symbols ``sent`` reads from each of ``task``'s tables, in position order.
+
+    SEG reads each char and the bigram of it and the next char, ``</S>``-padded
+    at the end; POS and NER read each word and every char of every word, in
+    order; NER also reads each auxiliary POS tag.
+    """
+    tokens = sent.tokens
+    if task == "SEG":
+        return {"char": tokens, "bigram": [a + b for a, b in zip(tokens, [*tokens[1:], EOS])]}
+    symbols = {"word": tokens, "char": "".join(tokens)}
+    if task == "NER":
+        if sent.aux_tags is None:
+            raise ValueError("NER composition needs aux POS tags on the sentence")
+        symbols["pos"] = sent.aux_tags
+    return symbols
+
+
 class InputComposer:
     """Builds the per-token dense input vector for one task.
 
@@ -181,34 +201,24 @@ class InputComposer:
         ``(n, m)`` matrix holding word i's char rows in its first ``counts[i]``
         columns and -1 after them, and the ``(n,)`` counts.
         """
-        tokens = sent.tokens
-        if self.task == "SEG":
-            bigrams = [a + b for a, b in zip(tokens, [*tokens[1:], EOS])]
-            return {"char": self._rows("char", tokens), "bigram": self._rows("bigram", bigrams)}
-        rows = {"word": self._rows("word", tokens)}
-        counts = np.array([len(word) for word in tokens], dtype=np.intp)
-        chars = np.full((len(tokens), counts.max()), -1, dtype=np.intp)
-        chars[np.arange(chars.shape[1]) < counts[:, None]] = self._rows("char", "".join(tokens))
-        rows["char"] = (chars, counts)
-        if self.task == "NER":
-            if sent.aux_tags is None:
-                raise ValueError("NER composition needs aux POS tags on the sentence")
-            rows["pos"] = self._rows("pos", sent.aux_tags)
+        rows = {}
+        for key, symbols in table_symbols(self.task, sent).items():
+            index = self.tables[key].index
+            rows[key] = np.array([index(symbol) for symbol in symbols], dtype=np.intp)
+        if self.task != "SEG":
+            counts = np.array([len(word) for word in sent.tokens], dtype=np.intp)
+            chars = np.full((len(counts), counts.max()), -1, dtype=np.intp)
+            chars[np.arange(chars.shape[1]) < counts[:, None]] = rows["char"]
+            rows["char"] = (chars, counts)
         return rows
 
-    def _rows(self, key, symbols) -> np.ndarray:
-        index = self.tables[key].index
-        return np.array([index(symbol) for symbol in symbols], dtype=np.intp)
-
-    def compose_all(self, sent: Sentence, rows=None) -> np.ndarray:
-        """The ``(n, dim)`` input vectors; ``rows``: ``row_ids(sent)``, or None.
+    def compose_all(self, rows: dict) -> np.ndarray:
+        """The ``(n, dim)`` input vectors of a sentence with ``row_ids`` ``rows``.
 
         A char mean sums the word's gathered rows in char order (the -1 slots
         read as -0.0, which adds exactly nothing) and divides by the count,
         bitwise what ``.mean(axis=0)`` over the word's rows gives.
         """
-        if rows is None:
-            rows = self.row_ids(sent)
         pieces = []
         for key in self.table_order():
             matrix, ids = self.tables[key].matrix, rows[key]
@@ -221,16 +231,14 @@ class InputComposer:
                 pieces.append(matrix[ids])
         return np.concatenate(pieces, axis=1)
 
-    def backward(self, sent: Sentence, grads: np.ndarray, rows=None) -> dict:
-        """Scatter d(composed input) back onto table rows; ``rows`` as in ``compose_all``.
+    def backward(self, grads: np.ndarray, rows: dict) -> dict:
+        """Scatter d(composed input) back onto the table rows ``rows`` of ``row_ids``.
 
         ``grads`` is (n, dim).  Returns per table key the ``(flat cell ids,
         values)`` of every cell ``row * dim + col`` of each row the sentence
         touches (sorted, distinct, zero sums included); repeated touches of a
         row sum in position order, a char mean's share going to each char.
         """
-        if rows is None:
-            rows = self.row_ids(sent)
         out = {}
         offset = 0
         for key in self.table_order():

@@ -145,7 +145,6 @@ class EncoderOutput:
     train: bool
     dropout_p: float
     masks: np.ndarray | None  # (n, input_dim) 0/1, train mode only
-    inputs: np.ndarray  # composed inputs as given (pre-dropout)
     dropped: np.ndarray  # inputs after the inverted-dropout scaling
     scan: _ScanCache
 
@@ -304,9 +303,7 @@ def encode(
     h = np.concatenate([scan.h[:, :, 0], scan.h[::-1, :, 1]], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")
-    return EncoderOutput(
-        h=h, train=train, dropout_p=p, masks=masks, inputs=inputs, dropped=dropped, scan=scan
-    )
+    return EncoderOutput(h=h, train=train, dropout_p=p, masks=masks, dropped=dropped, scan=scan)
 
 
 def backward(

@@ -18,7 +18,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass, field
 
-from .corpus import Sentence, strip_line
+from .corpus import READ_ENCODING, Sentence, strip_line
 
 log = logging.getLogger(__name__)
 
@@ -209,7 +209,7 @@ def load_lexicon(path, what: str) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding=READ_ENCODING)
     except FileNotFoundError:
         log.warning("%s lexicon %s not found; continuing with an empty lexicon", what, path)
         return {}

@@ -13,7 +13,9 @@ epoch: its template context ids and its embedding row ids.  The training
 sentences' context ids come from ``build_model``: the alphabet build makes
 them in its one pass over the corpus, and ``train`` takes them from the
 model.  Dev sentences, training sentences the build never saw, and every
-sentence's row ids are indexed at the start of ``train``.
+sentence's row ids are indexed at the start of ``train``.  The random-init
+tables' vocabularies are the symbols ``embeddings.table_symbols`` lists for
+the training sentences, the same symbols the row ids look up.
 
 All randomness descends from one run seed through fixed sub-streams
 (parameter init, shuffling, dropout), which makes a full training run a
@@ -27,13 +29,14 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import crf, evaluator
 from .corpus import LabelAlphabet, Sentence
-from .embeddings import EmbeddingTable, InputComposer, init_random_table
-from .features import EOS, FeatureAlphabet, TemplateSet
+from .embeddings import EmbeddingTable, InputComposer, init_random_table, table_symbols
+from .features import FeatureAlphabet, TemplateSet
 
 log = logging.getLogger(__name__)
 
@@ -143,74 +146,50 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaG
 
 
 def collect_embedding_vocab(task: str, sentences) -> dict[str, list[str]]:
-    """First-appearance symbol lists per table key for random-init tables."""
-    if task == "SEG":
-        chars: dict[str, None] = {}
-        bigrams: dict[str, None] = {}
-        for sent in sentences:
-            toks = sent.tokens
-            for i, tok in enumerate(toks):
-                chars.setdefault(tok)
-                nxt = toks[i + 1] if i + 1 < len(toks) else EOS
-                bigrams.setdefault(tok + nxt)
-        return {"char": list(chars), "bigram": list(bigrams)}
-    words: dict[str, None] = {}
-    chars = {}
-    tags: dict[str, None] = {}
-    for sent in sentences:
-        for tok in sent.tokens:
-            words.setdefault(tok)
-            for c in tok:
-                chars.setdefault(c)
-        if task == "NER" and sent.aux_tags is not None:
-            for tag in sent.aux_tags:
-                tags.setdefault(tag)
-    vocab = {"word": list(words), "char": list(chars)}
-    if task == "NER":
-        vocab["pos"] = list(tags)
-    return vocab
+    """First-appearance symbol lists per table key for random-init tables: the
+    ``embeddings.table_symbols`` that ``InputComposer.row_ids`` looks up."""
+    symbols = [table_symbols(task, sent) for sent in sentences]
+    return {
+        key: list(dict.fromkeys(chain.from_iterable(s[key] for s in symbols)))
+        for key in InputComposer.REQUIRED[task]
+    }
+
+
+def table_specs(hypers: HyperParams) -> dict[str, tuple[int, bool]]:
+    """Each table key's ``(dim, fine_tune)``, for random-init and pretrained tables alike."""
+    return {
+        "char": (hypers.char_emb, hypers.fine_tune_chars),
+        "bigram": (hypers.char_emb, hypers.fine_tune_chars),
+        "word": (hypers.word_emb, hypers.fine_tune_words),
+        "pos": (hypers.pos_emb, True),
+    }
 
 
 def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict[str, EmbeddingTable]:
     """Embedding tables for a task: supplied ones win, the rest random-init."""
     overrides = dict(overrides or {})
-    dims = {
-        "char": hypers.char_emb,
-        "bigram": hypers.char_emb,
-        "word": hypers.word_emb,
-        "pos": hypers.pos_emb,
-    }
-    fine = {
-        "char": hypers.fine_tune_chars,
-        "bigram": hypers.fine_tune_chars,
-        "word": hypers.fine_tune_words,
-        "pos": True,
-    }
+    specs = table_specs(hypers)
     vocab = collect_embedding_vocab(task, sentences)
     tables = {}
     for k, key in enumerate(InputComposer.REQUIRED[task]):
         if key in overrides:
             tables[key] = overrides[key]
         else:
-            tables[key] = init_random_table(
-                vocab[key],
-                dims[key],
-                seed=[hypers.seed, SEED_TABLE_BASE + k],
-                name=key,
-                fine_tune=fine[key],
-            )
+            dim, fine_tune = specs[key]
+            seed = [hypers.seed, SEED_TABLE_BASE + k]
+            tables[key] = init_random_table(vocab[key], dim, seed, name=key, fine_tune=fine_tune)
     return tables
 
 
 def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[FeatureAlphabet, dict]:
     """The frozen alphabet of template contexts seen in the training corpus,
-    and each sentence's ``crf.context_ids`` pair, keyed by sentence.
+    and each sentence's ``crf.index_contexts`` pair, keyed by sentence.
 
     Ids follow first appearance; each id is one row of ``theta_out``, which
     holds a weight for that context under every label.  The pairs are made
     in the same pass, so the templates run once per training position;
-    every context is in the alphabet, so they equal ``crf.context_ids`` on
-    the finished model.
+    every context is in the alphabet, so they equal the ``contexts`` of
+    ``crf.sentence_ids`` on the finished model.
     """
     alpha = FeatureAlphabet()
     ids = {sent: crf.index_contexts(templates, alpha.add, sent) for sent in sentences}
@@ -435,8 +414,8 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
         masks = None
         if model.uses_neural:
             mask_rng = np.random.default_rng([0, SEED_DROPOUT])
-            composed = model.composer.compose_all(sents[0])
-            masks = (mask_rng.random(composed.shape) >= model.dropout_p).astype(np.float64)
+            shape = (len(sents[0]), model.composer.dim)
+            masks = (mask_rng.random(shape) >= model.dropout_p).astype(np.float64)
         lattice = crf.build_lattice(model, sents[0], train=True, masks=masks)
         loss, _ = crf.margin_loss(lattice, gold)
         _, scores = crf.enumerate_sequence_scores(crf._augment(lattice, gold))
@@ -523,11 +502,12 @@ def gradient_check(
     masks = None
     if model.uses_neural:
         rng = np.random.default_rng([mask_seed, SEED_DROPOUT])
-        composed = model.composer.compose_all(sentence)
-        masks = (rng.random(composed.shape) >= model.dropout_p).astype(np.float64)
+        shape = (len(sentence), model.composer.dim)
+        masks = (rng.random(shape) >= model.dropout_p).astype(np.float64)
+    ids = crf.sentence_ids(model, sentence)
 
     def forward():
-        fp = crf.build_forward(model, sentence, train=True, masks=masks)
+        fp = crf.build_forward(model, sentence, train=True, masks=masks, ids=ids)
         loss, result = crf.margin_loss(fp.lattice, gold)
         return loss, fp, result
 

@@ -68,6 +68,14 @@ class TestConfig:
         assert run_cli(["train", "--config", str(cfg)]) == 2
         assert f"error: {cfg}: line 3: key 'task' is set twice" in capsys.readouterr().err
 
+    def test_config_file_with_leading_bom_reads_like_the_plain_file(self, tmp_path):
+        text = "task = POS\n# comment\nepochs=7\n"
+        plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert cli.parse_config_file(bom) == cli.parse_config_file(plain)
+        assert cli.RunConfig.load(bom).task == "POS"
+
     def test_hypers_override(self):
         config = cli.RunConfig.load(None, ["eta=0.1", "dropout=0.5", "l2=0.0"])
         h = config.hypers()
@@ -203,6 +211,18 @@ class TestTrainCommand:
             ) == 0
             blobs.append((model_out.read_bytes(), summary.read_bytes()))
         assert blobs[0] == blobs[1]
+
+
+class TestReadTaskCorpus:
+    @pytest.mark.parametrize("text", ["The\nCat\n\nA\n", "The\tX\nCat\tY\n", ""])
+    def test_leading_bom_reads_like_the_plain_file(self, tmp_path, text):
+        # the column count is peeked from the first line, where a BOM sits
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        got = cli.read_task_corpus(bom, "POS", require_labels=False)
+        assert got == cli.read_task_corpus(plain, "POS", require_labels=False)
+        assert [s.tokens[0] for s in got[:1]] == (["The"] if text else [])
 
 
 class TestPredictCommand:

@@ -93,6 +93,14 @@ class TestColumnCorpus:
             results.append(read_column_corpus(path))
         assert all(r == results[0] for r in results)
 
+    def test_leading_bom_reads_like_the_plain_file(self, tmp_path):
+        text = "The\tX\ncat\tY\n\nA\tX\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_column_corpus(bom) == read_column_corpus(plain)
+        assert read_column_corpus(bom)[0].tokens == ("The", "cat")
+
     def test_non_ascii_whitespace_is_a_token(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("中\n\u3000\n国\n", encoding="utf-8")

@@ -357,7 +357,7 @@ class TestContextIds:
     def test_flat_ids_and_offsets_follow_instantiation(self):
         model, sents = tiny_discrete_model()
         sent = sents[0]
-        flat, offsets = crf.context_ids(model, sent)
+        flat, offsets = crf.sentence_ids(model, sent).contexts
         assert flat.dtype == np.int32 and offsets.dtype == np.int32
         assert offsets.tolist()[0] == 0 and len(offsets) == len(sent) + 1
         for i in range(len(sent)):
@@ -367,7 +367,7 @@ class TestContextIds:
     def test_unseen_contexts_left_out(self):
         model, _ = tiny_discrete_model()
         sent = Sentence(tokens=list("国外"))
-        flat, offsets = crf.context_ids(model, sent)
+        flat, offsets = crf.sentence_ids(model, sent).contexts
         for i in range(len(sent)):
             found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
             known = [c for c in found if c is not None]
@@ -376,8 +376,8 @@ class TestContextIds:
 
     def test_neural_model_has_no_ids(self):
         model, sent = trainer.make_gradcheck_instance("neural", seed=1)
-        assert crf.context_ids(model, sent) is None
-        assert crf.build_forward(model, sent).context_ids is None
+        assert crf.sentence_ids(model, sent).contexts is None
+        assert crf.build_forward(model, sent).ids.contexts is None
 
     @pytest.mark.parametrize("mode", crf.MODES)
     @pytest.mark.parametrize("train", [False, True])
@@ -394,7 +394,6 @@ class TestContextIds:
             np.testing.assert_array_equal(cached.lattice.emission, fresh.lattice.emission)
             np.testing.assert_array_equal(cached.lattice.transition, fresh.lattice.transition)
             assert cached.lattice.emission.tobytes() == fresh.lattice.emission.tobytes()
-            assert cached.row_ids is ids.rows and fresh.row_ids is None
+            assert cached.ids is ids
             if ids.contexts is not None:
-                assert cached.context_ids is ids.contexts
-                np.testing.assert_array_equal(fresh.context_ids[0], ids.contexts[0])
+                np.testing.assert_array_equal(fresh.ids.contexts[0], ids.contexts[0])

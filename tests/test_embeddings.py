@@ -13,14 +13,23 @@ from seqlab.embeddings import (
 )
 
 
+def row(table, symbol):
+    """The vector ``symbol`` looks up, ``<UNK>``'s when it is not in the table."""
+    return table.matrix[table.index(symbol)]
+
+
+def compose(composer, sent):
+    return composer.compose_all(composer.row_ids(sent))
+
+
 class TestLoading:
     def test_direct_read_back(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 0.1 0.2\nb 0.3 0.4\n", encoding="utf-8")
         table = load_text_embeddings(path, 2)
         assert len(table) == 3  # two symbols plus UNK
-        assert table.vector("a").tolist() == [0.1, 0.2]
-        assert table.vector("b").tolist() == [0.3, 0.4]
+        assert row(table, "a").tolist() == [0.1, 0.2]
+        assert row(table, "b").tolist() == [0.3, 0.4]
 
     def test_header_skipped(self, tmp_path):
         plain = tmp_path / "plain.txt"
@@ -51,19 +60,48 @@ class TestLoading:
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 1.0\na 2.0 2.0\n", encoding="utf-8")
         table = load_text_embeddings(path, 2)
-        assert table.vector("a").tolist() == [2.0, 2.0]
+        assert row(table, "a").tolist() == [2.0, 2.0]
 
     def test_unknown_symbol_maps_to_unk(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 0.1 0.2\n", encoding="utf-8")
         table = load_text_embeddings(path, 2)
-        np.testing.assert_array_equal(table.vector("zzz"), table.matrix[table.unk_index])
+        np.testing.assert_array_equal(row(table, "zzz"), table.matrix[table.unk_index])
 
     def test_lowercase_lookup(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("france 0.5 0.5\n", encoding="utf-8")
         table = load_text_embeddings(path, 2, lowercase=True)
-        assert table.vector("France").tolist() == [0.5, 0.5]
+        assert row(table, "France").tolist() == [0.5, 0.5]
+
+    def test_trailing_whitespace_and_crlf_load_like_the_plain_file(self, tmp_path):
+        # the word2vec tool ends every vector line with a space
+        plain = "2 2\nthe 0.1 0.2\nb 0.3 0.4\n"
+        variants = [
+            plain,
+            "2 2 \nthe 0.1 0.2 \nb 0.3 0.4 \n",
+            plain.replace("\n", "\r\n"),
+            "2 2\t\r\nthe 0.1 0.2 \r\nb 0.3 0.4\t",
+        ]
+        tables = []
+        for k, text in enumerate(variants):
+            path = tmp_path / f"v{k}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            tables.append(load_text_embeddings(path, 2))
+        assert tables[0].symbols == ["the", "b", UNK]
+        for table in tables[1:]:
+            assert table.symbols == tables[0].symbols
+            np.testing.assert_array_equal(table.matrix, tables[0].matrix)
+
+    @pytest.mark.parametrize("header", ["", "2 2\n"])
+    def test_leading_bom_loads_like_the_plain_file(self, tmp_path, header):
+        text = header + "a 0.1 0.2\nb 0.3 0.4\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        t1, t2 = load_text_embeddings(plain, 2), load_text_embeddings(bom, 2)
+        assert t2.symbols == t1.symbols == ["a", "b", UNK]
+        np.testing.assert_array_equal(t2.matrix, t1.matrix)
 
     def test_save_load_full_precision(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -117,11 +155,11 @@ def reference_compose(composer, sent, i):
     tables, word = composer.tables, sent.tokens[i]
     if composer.task == "SEG":
         nxt = sent.tokens[i + 1] if i + 1 < len(sent) else EOS
-        return np.concatenate([tables["char"].vector(word), tables["bigram"].vector(word + nxt)])
+        return np.concatenate([row(tables["char"], word), row(tables["bigram"], word + nxt)])
     chars = tables["char"].matrix[[tables["char"].index(c) for c in word]]
-    pieces = [tables["word"].vector(word), chars.mean(axis=0)]
+    pieces = [row(tables["word"], word), chars.mean(axis=0)]
     if composer.task == "NER":
-        pieces.append(tables["pos"].vector(sent.aux_tags[i]))
+        pieces.append(row(tables["pos"], sent.aux_tags[i]))
     return np.concatenate(pieces)
 
 
@@ -164,36 +202,36 @@ class TestComposer:
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["中", "国"])
-        np.testing.assert_array_equal(composer.compose_all(s)[0], [5.0, 6.0, 9.0, 9.0])
-        np.testing.assert_array_equal(composer.compose_all(s)[1], [7.0, 8.0, 8.0, 8.0])
+        np.testing.assert_array_equal(compose(composer, s)[0], [5.0, 6.0, 9.0, 9.0])
+        np.testing.assert_array_equal(compose(composer, s)[1], [7.0, 8.0, 8.0, 8.0])
 
     def test_pos_mean_pooling(self):
         char, _, word, _ = toy_tables()
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["ab"])
         # word vector then mean of the two character vectors
-        np.testing.assert_array_equal(composer.compose_all(s)[0], [1.0, 1.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(compose(composer, s)[0], [1.0, 1.0, 1.0, 2.0, 3.0])
 
     def test_unknown_word_uses_unk_row(self):
         char, _, word, _ = toy_tables()
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["zq"])
-        vec = composer.compose_all(s)[0]
+        vec = compose(composer, s)[0]
         np.testing.assert_array_equal(vec[:3], [0.2, 0.2, 0.2])
         np.testing.assert_array_equal(vec[3:], [0.5, 0.5])  # both chars unknown
 
     def test_ner_needs_aux(self):
         char, _, word, pos = toy_tables()
         composer = InputComposer("NER", {"word": word, "char": char, "pos": pos})
-        with pytest.raises(ValueError):
-            composer.compose_all(Sentence(tokens=["ab"]))
+        with pytest.raises(ValueError, match="aux POS tags"):
+            composer.row_ids(Sentence(tokens=["ab"]))
 
     def test_dimension_constant(self):
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         assert composer.dim == 4
         s = Sentence(tokens=["中", "国", "a"])
-        assert composer.compose_all(s).shape == (3, 4)
+        assert compose(composer, s).shape == (3, 4)
 
     def test_missing_table_rejected(self):
         char, _, _, _ = toy_tables()
@@ -205,11 +243,9 @@ class TestComposer:
         composer = random_composer(task)
         sent = COMPOSE_SENTENCES[task]
         expected = np.stack([reference_compose(composer, sent, i) for i in range(len(sent))])
-        got = composer.compose_all(sent)
+        got = compose(composer, sent)
         np.testing.assert_array_equal(got, expected)
         assert got.tobytes() == expected.tobytes()
-        cached = composer.compose_all(sent, composer.row_ids(sent))
-        assert cached.tobytes() == expected.tobytes()
 
     def test_lowercase_table_and_unknowns_read_their_rows(self):
         composer = random_composer("POS")
@@ -255,7 +291,7 @@ class TestComposerBackward:
         composer = InputComposer("POS", {"word": word, "char": char})
         s = Sentence(tokens=["ab"])
         grads = np.array([[1.0, 1.0, 1.0, 4.0, 6.0]])
-        out = composer.backward(s, grads)
+        out = composer.backward(grads, composer.row_ids(s))
         assert_pair(out["word"], [0, 1, 2], [1.0, 1.0, 1.0])
         # half of the mean slice to each of rows 0 and 1
         assert_pair(out["char"], [0, 1, 2, 3], [2.0, 3.0, 2.0, 3.0])
@@ -264,7 +300,7 @@ class TestComposerBackward:
         char, bigram, _, _ = toy_tables()
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["中"])
-        out = composer.backward(s, np.ones((1, 4)))
+        out = composer.backward(np.ones((1, 4)), composer.row_ids(s))
         assert_pair(out["char"], [4, 5], [1.0, 1.0])  # row 2 only; row 0 ("a") untouched
 
     def test_repeated_rows_sum(self):
@@ -272,7 +308,7 @@ class TestComposerBackward:
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["a", "a"])
         grads = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
-        out = composer.backward(s, grads)
+        out = composer.backward(grads, composer.row_ids(s))
         assert_pair(out["char"], [0, 1], [3.0, 0.0])
 
     def test_touched_row_with_zero_gradient_listed(self):
@@ -280,7 +316,7 @@ class TestComposerBackward:
         composer = InputComposer("SEG", {"char": char, "bigram": bigram})
         s = Sentence(tokens=["a", "a"])
         grads = np.array([[1.0, -2.0, 0.0, 0.0], [-1.0, 2.0, 0.0, 0.0]])
-        out = composer.backward(s, grads)
+        out = composer.backward(grads, composer.row_ids(s))
         assert_pair(out["char"], [0, 1], [0.0, 0.0])
         assert_pair(out["bigram"], [4, 5], [0.0, 0.0])  # both positions read the UNK row
 
@@ -310,13 +346,12 @@ class TestComposerBackward:
                 for symbol in symbols:
                     row = table.index(symbol)
                     rows[row] = rows.get(row, np.zeros(table.dim)) + piece
-        for rows in (None, composer.row_ids(sent)):
-            out = composer.backward(sent, grads, rows)
-            assert list(out) == list(composer.table_order())
-            for key, by_row in expected.items():
-                dim = composer.tables[key].dim
-                order = sorted(by_row)
-                cells = (np.array(order)[:, None] * dim + np.arange(dim)).reshape(-1)
-                values = np.concatenate([by_row[r] for r in order])
-                assert_pair(out[key], cells, values)
-                assert out[key][1].tobytes() == values.tobytes()
+        out = composer.backward(grads, composer.row_ids(sent))
+        assert list(out) == list(composer.table_order())
+        for key, by_row in expected.items():
+            dim = composer.tables[key].dim
+            order = sorted(by_row)
+            cells = (np.array(order)[:, None] * dim + np.arange(dim)).reshape(-1)
+            values = np.concatenate([by_row[r] for r in order])
+            assert_pair(out[key], cells, values)
+            assert out[key][1].tobytes() == values.tobytes()

@@ -326,3 +326,10 @@ class TestLexiconLoading:
 
     def test_none_path_is_empty(self):
         assert load_lexicon(None, "cluster") == {}
+
+    def test_leading_bom_reads_like_the_plain_file(self, tmp_path):
+        text = "中\t氵\n国\t口\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_lexicon(bom, "radical") == load_lexicon(plain, "radical") == {"中": "氵", "国": "口"}

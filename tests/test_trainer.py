@@ -20,6 +20,23 @@ from seqlab.trainer import (
 SMALL = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
 
 
+TABLE_CORPORA = {
+    "SEG": [
+        Sentence(tokens=tuple("中国人民"), gold_labels=tuple("BEBE")),
+        Sentence(tokens=tuple("大中国"), gold_labels=tuple("SBE")),
+    ],
+    "POS": [
+        Sentence(tokens=("The", "cat", "sat"), gold_labels=("DT", "NN", "VB")),
+        Sentence(tokens=("Ünïcode", "the", "a"), gold_labels=("NN", "DT", "DT")),
+    ],
+    "NER": [
+        Sentence(tokens=("Paris", "is", "big"), gold_labels=("S-LOC", "O", "O"),
+                 aux_tags=("NNP", "VBZ", "JJ")),
+        Sentence(tokens=("in", "Ünïcode"), gold_labels=("O", "S-MISC"), aux_tags=("IN", "NNP")),
+    ],
+}
+
+
 def checkpoint_bytes(model, tmp_path) -> bytes:
     path = tmp_path / "model.bin"
     checkpoint.save_model(path, model, {"task": "POS"})
@@ -361,9 +378,9 @@ class TestGradientCheck:
         gold = np.array([model.labels.to_index(l) for l in sent.gold_labels])
         masks = None
         if model.uses_neural:
-            composed = model.composer.compose_all(sent)
             mask_rng = np.random.default_rng([0, trainer.SEED_DROPOUT])
-            masks = (mask_rng.random(composed.shape) >= model.dropout_p).astype(np.float64)
+            shape = (len(sent), model.composer.dim)
+            masks = (mask_rng.random(shape) >= model.dropout_p).astype(np.float64)
         fp = crf.build_forward(model, sent, train=True, masks=masks)
         loss, result = crf.margin_loss(fp.lattice, gold)
         assert loss > 0.0
@@ -390,7 +407,7 @@ class TestBuildModel:
         assert list(model._train_ids) == sents
         for sent in sents:
             ids = model._train_ids[sent]
-            for got, expected in zip(ids, crf.context_ids(model, sent)):
+            for got, expected in zip(ids, crf.sentence_ids(model, sent).contexts):
                 assert got.dtype == expected.dtype == np.int32
                 np.testing.assert_array_equal(got, expected)
 
@@ -407,6 +424,23 @@ class TestBuildModel:
             blobs |= {checkpoint_bytes(model, tmp_path), checkpoint_bytes(clone, tmp_path)}
         assert len(blobs) == 1
         assert (kept._train_ids is None) == (mode == "neural")
+
+    @pytest.mark.parametrize("task", ["SEG", "POS", "NER"])
+    def test_no_training_symbol_reads_unk(self, task):
+        # the vocabulary build and the lookup agree on every random-init table
+        sents = TABLE_CORPORA[task]
+        model = trainer.build_model("neural", task, "EN", sents, SMALL)
+        assert not any(table.lowercase for table in model.composer.tables.values())
+        for sent in sents:
+            for key, ids in model.composer.row_ids(sent).items():
+                if isinstance(ids, tuple):  # a char-mean table's (chars, counts)
+                    ids = ids[0][ids[0] >= 0]
+                assert model.composer.tables[key].unk_index not in ids, key
+
+    def test_ner_neural_without_aux_tags_is_refused(self):
+        sents = synthetic.separable_corpus(3, seed=1)
+        with pytest.raises(ValueError, match="NER composition needs aux POS tags"):
+            trainer.build_model("neural", "NER", "EN", sents, SMALL)
 
     def test_alphabet_frozen_after_build(self):
         sents = synthetic.separable_corpus(5, seed=1)
