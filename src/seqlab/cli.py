@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checkpoint, crf, evaluator, trainer
-from .corpus import READ_ENCODING, Sentence, read_column_corpus, strip_line, write_column_corpus
+from .corpus import Sentence, open_text, read_column_corpus, strip_line, write_column_corpus
 from .embeddings import InputComposer, load_text_embeddings
 from .features import load_lexicon
 
@@ -140,7 +140,8 @@ class RunConfig:
 def parse_config_file(path) -> dict[str, str]:
     raw = {}
     try:
-        text = Path(path).read_text(encoding=READ_ENCODING)
+        with open_text(path) as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -167,7 +168,7 @@ def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
     if require_labels:
         return read_column_corpus(path, columns)
     ncols = None
-    with open(path, encoding=READ_ENCODING) as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = strip_line(line)
             if line:

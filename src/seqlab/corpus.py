@@ -15,6 +15,7 @@ context starts a new segment; dangling segments close at the boundary).
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,25 @@ _COLUMN_NAMES = frozenset(("token", "aux", "label"))
 _LINE_END = " \t\r\n"
 
 
+@contextmanager
+def open_text(path):
+    """Open ``path`` to read as text with ``READ_ENCODING``, the one place every
+    text input is decoded.  Bytes that are not UTF-8 raise a ``ValueError``
+    naming the file and the first line that holds them, counted as the
+    readers count lines."""
+    with open(path, encoding=READ_ENCODING) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # the decoder reads ahead in blocks, so find the line in the bytes
+            for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+            raise
+
+
 def strip_line(raw: str) -> str:
     """One corpus line without its trailing ASCII space, tab, CR and LF."""
     return raw.rstrip(_LINE_END)
@@ -151,8 +171,9 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
     and may include ``aux`` and ``label``.  A leading byte-order mark,
     trailing ASCII whitespace and the presence of a final newline are
     ignored; other whitespace is content.  A line with the wrong column
-    count raises :class:`CorpusFormatError` naming the line number.  An
-    empty file yields an empty list.
+    count raises :class:`CorpusFormatError` naming the line number, and
+    bytes that are not UTF-8 a ``ValueError`` naming it.  An empty file
+    yields an empty list.
     """
     columns = _check_columns(columns)
     sentences = []
@@ -172,7 +193,7 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
         )
         rows.clear()
 
-    with open(path, encoding=READ_ENCODING) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = strip_line(raw)
             if not line:

@@ -31,10 +31,11 @@ position); the brute-force oracles score sequences with the same order, so
 agreement checks can be exact rather than approximate.
 
 ``sentence_ids`` is the one indexer: it maps a sentence to its template
-context ids and its embedding row ids (``SentenceIds``), and
-``build_forward`` reads the symbols only through them, making them itself
-when none are handed in.  ``trainer.train`` makes them once per run for
-every training and dev sentence.
+context ids and its embedding row ids (``SentenceIds``), all ``embeddings``
+bags, and ``build_forward`` reads the symbols only through them, making
+them itself when none are handed in; the discrete emission is their
+``bag_sum`` over ``theta_out``.  ``trainer.train`` makes them once per run
+for every training and dev sentence.
 
 ``ModelParams.named_arrays`` is the one enumeration of the parameters:
 checkpoints, cloning, the parameter norm, the AdaGrad update and the
@@ -50,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import LabelAlphabet, Sentence
-from .embeddings import InputComposer
+from .embeddings import InputComposer, bag_sum, members, pad
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
 from .features import FeatureAlphabet, TemplateSet
 
@@ -246,7 +247,7 @@ class ModelParams:
     theta_dense: np.ndarray | None = None
     tau: np.ndarray | None = None
     tau_weight: np.ndarray | None = None
-    # The training sentences' ``index_contexts`` pairs, keyed by sentence, that
+    # The training sentences' ``index_contexts`` bags, keyed by sentence, that
     # ``trainer.build_model`` leaves for the next ``trainer.train`` to take.
     # Unannotated, so not a field: no constructor, comparison, checkpoint or
     # clone sees it.
@@ -310,8 +311,6 @@ class ModelParams:
         """
         L = len(labels)
         params = cls(mode=mode, labels=labels, dropout_p=dropout_p)
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         if mode in ("discrete", "joint"):
             if templates is None or out_alphabet is None:
                 raise ValueError(f"{mode} mode needs templates and an output alphabet")
@@ -359,8 +358,8 @@ class ModelParams:
 
 class SentenceIds(NamedTuple):
     """A sentence's table indices for every scorer of a model, each None
-    without its scorer: the ``index_contexts`` pair over the frozen alphabet
-    and the ``composer.row_ids()``."""
+    without its scorer: the ``index_contexts`` bag over the frozen alphabet
+    and the ``composer.row_ids()`` bags."""
 
     contexts: tuple[np.ndarray, np.ndarray] | None
     rows: dict | None
@@ -370,27 +369,27 @@ class SentenceIds(NamedTuple):
 class ForwardPass:
     """Per-sentence artifacts needed to route gradients after decoding."""
 
-    sentence: Sentence
     lattice: ScoreLattice
     ids: SentenceIds
     encoder_output: object | None = None
 
 
 def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
-    """``(flat, offsets)``: position i's context ids, in instantiation order, are
-    ``flat[offsets[i]:offsets[i + 1]]`` (int32).  ``index`` maps a context string
-    to its id, or to None to leave it out."""
-    flat, offsets = [], [0]
+    """The bag of ``sent``'s context ids (int32), each position's in
+    instantiation order.  ``index`` maps a context string to its id, or to
+    None to leave it out."""
+    flat, counts = [], []
     for i in range(len(sent)):
-        flat += [c for c in map(index, templates.instantiate(sent, i)) if c is not None]
-        offsets.append(len(flat))
-    return np.array(flat, dtype=np.int32), np.array(offsets, dtype=np.int32)
+        known = [c for c in map(index, templates.instantiate(sent, i)) if c is not None]
+        flat += known
+        counts.append(len(known))
+    return pad(np.array(flat, dtype=np.int32), counts)
 
 
 def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
     """``sent``'s ids for every scorer of ``params``, made once and handed to
     every ``build_forward`` over it.  Contexts outside the frozen alphabet are
-    left out; ``contexts``, when given, is the pair made elsewhere (by
+    left out; ``contexts``, when given, is the bag made elsewhere (by
     ``trainer.build_output_alphabet`` for the training sentences)."""
     if contexts is None and params.uses_discrete:
         contexts = index_contexts(params.templates, params.out_alphabet.lookup, sent)
@@ -409,13 +408,10 @@ def build_forward(
     transition = np.zeros((L + 1, L))
     if ids is None:
         ids = sentence_ids(params, sent)
-    fp = ForwardPass(sentence=sent, lattice=None, ids=ids)  # type: ignore[arg-type]
+    enc = None
 
     if params.uses_discrete:
-        flat, offsets = ids.contexts
-        weights = params.theta_out[flat]
-        for i in range(n):
-            emission[i] += weights[offsets[i] : offsets[i + 1]].sum(axis=0)
+        emission += bag_sum(params.theta_out, ids.contexts)
         transition += params.theta_edge
 
     if params.uses_neural:
@@ -423,15 +419,10 @@ def build_forward(
         enc = encode(
             params.lstm, composed, train=train, rng=rng, masks=masks, dropout_p=params.dropout_p
         )
-        fp.encoder_output = enc
         emission += enc.h @ params.theta_dense.T
-        if params.mode == "neural":
-            transition += params.tau
-        else:
-            transition += params.tau_weight[0] * params.tau
+        transition += params.tau if params.mode == "neural" else params.tau_weight[0] * params.tau
 
-    fp.lattice = ScoreLattice(emission=emission, transition=transition)
-    return fp
+    return ForwardPass(ScoreLattice(emission=emission, transition=transition), ids, enc)
 
 
 def build_lattice(
@@ -478,42 +469,34 @@ def loss_gradients(
     bundle = GradientBundle()
     if np.array_equal(predicted, gold):
         return bundle
-    n = len(fp.sentence)
     L = len(params.labels)
+    # each sequence's transitions: the start row L, then its labels
+    prev_pred, prev_gold = (np.concatenate(([L], seq[:-1])) for seq in (predicted, gold))
 
     if params.uses_discrete:
-        flat, offsets = fp.ids.contexts
-        pos = np.repeat(np.arange(n), np.diff(offsets))  # the position of each context id
+        ids, pos = members(fp.ids.contexts)
         wrong = predicted[pos] != gold[pos]
-        rows, pos = flat[wrong].astype(np.int64) * L, pos[wrong]
+        rows, pos = ids[wrong].astype(np.int64) * L, pos[wrong]
         bundle["theta_out"] = _cell_counts(rows + predicted[pos], rows + gold[pos])
-        prev_pred, prev_gold = (np.concatenate(([L], seq[:-1])) for seq in (predicted, gold))
         bundle["theta_edge"] = _cell_counts(prev_pred * L + predicted, prev_gold * L + gold)
 
     if params.uses_neural:
         enc = fp.encoder_output
-        h = enc.h
+        h, wrong = enc.h, np.flatnonzero(predicted != gold)
+        # ufunc.at adds in index order: +h_i at predicted[i], -h_i at gold[i], i ascending
         d_dense = np.zeros_like(params.theta_dense)
-        d_h = np.zeros_like(h)
-        for i in range(n):
-            if predicted[i] == gold[i]:
-                continue
-            d_dense[predicted[i]] += h[i]
-            d_dense[gold[i]] -= h[i]
-            d_h[i] = params.theta_dense[predicted[i]] - params.theta_dense[gold[i]]
+        labels = np.stack([predicted[wrong], gold[wrong]], axis=1).reshape(-1)
+        np.add.at(d_dense, labels, np.stack([h[wrong], -h[wrong]], axis=1).reshape(-1, h.shape[1]))
+        d_h = params.theta_dense[predicted] - params.theta_dense[gold]  # +0.0 where they agree
+        # every transition of predicted (+1), then of gold (-1), in position order
+        prev, to = np.concatenate([prev_pred, prev_gold]), np.concatenate([predicted, gold])
+        sign = np.repeat([1.0, -1.0], len(predicted))
         d_tau = np.zeros_like(params.tau)
-        tau_scale = params.tau_weight[0] if params.mode == "joint" else 1.0
-        d_tau_weight = 0.0
-        for seq, delta in ((predicted, +1.0), (gold, -1.0)):
-            prev = L  # start row
-            for i in range(n):
-                d_tau[prev, seq[i]] += delta * tau_scale
-                d_tau_weight += delta * params.tau[prev, seq[i]]
-                prev = seq[i]
+        np.add.at(d_tau, (prev, to), sign * (params.tau_weight[0] if params.mode == "joint" else 1.0))
         bundle["theta_dense"] = d_dense
         bundle["tau"] = d_tau
-        if params.mode == "joint":
-            bundle["tau_weight"] = np.array([d_tau_weight])
+        if params.mode == "joint":  # the running sum from 0.0, in the same order
+            bundle["tau_weight"] = np.cumsum(np.concatenate(([0.0], sign * params.tau[prev, to])))[-1:]
         lstm_grads, d_inputs = encoder_backward(params.lstm, enc, d_h)
         bundle.update((f"lstm.{name}", grad) for name, grad in lstm_grads.items())
         cells = params.composer.backward(d_inputs, fp.ids.rows)

@@ -18,10 +18,15 @@ Composition per task (concatenation order is fixed):
 each table: the vocabulary build of random-init tables
 (``trainer.collect_embedding_vocab``) and the lookup
 (``InputComposer.row_ids``) both read it, so a training symbol never maps
-to ``<UNK>``.  ``row_ids`` looks the symbols up once, into arrays of table
-row ids; ``compose_all`` is then a few gathers and ``backward`` scatters
-through the same ids.  The ids reach both as the ``rows`` of a
-``crf.sentence_ids``.
+to ``<UNK>``.  ``row_ids`` looks the symbols up once, into bags.
+
+A bag ``(ids, counts)`` is the one id form of table reads, here and for
+``crf``'s template contexts: an ``(n, m)`` matrix holding position i's rows
+in its first ``counts[i]`` columns and -1 after them; a table read once per
+position is a bag of one.  ``bag_sum`` sums a matrix's rows over each bag
+(the discrete emission, and ``compose_all`` as ``bag_sum / counts``), and
+``members`` lists each id with its position (the discrete gradient, and
+``backward``'s scatter).
 """
 
 from __future__ import annotations
@@ -30,13 +35,39 @@ import logging
 
 import numpy as np
 
-from .corpus import READ_ENCODING, Sentence, strip_line
+from .corpus import Sentence, open_text, strip_line
 from .features import EOS
 
 log = logging.getLogger(__name__)
 
 UNK = "<UNK>"
 INIT_SCALE = 0.01
+
+
+def pad(flat, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The bag of ``flat``, which holds position 0's ``counts[0]`` ids, then
+    position 1's ``counts[1]``, and so on; ``ids`` keeps ``flat``'s dtype."""
+    counts = np.asarray(counts)
+    ids = np.full((len(counts), counts.max(initial=0)), -1, dtype=flat.dtype)
+    ids[np.arange(ids.shape[1]) < counts[:, None]] = flat
+    return ids, counts
+
+
+def bag_sum(matrix, bag) -> np.ndarray:
+    """Row i sums ``matrix``'s rows over bag i in column order, from -0.0 and with
+    the -1 slots read as -0.0: an empty bag is -0.0, a bag of one bitwise its
+    row, and any other bitwise ``.sum(axis=0)`` over its rows unless every
+    term is -0.0 (which that sum, starting at +0.0, makes +0.0)."""
+    ids = bag[0]
+    gathered = matrix[ids]
+    gathered[ids < 0] = -0.0
+    return gathered.sum(axis=1, initial=-0.0)
+
+
+def members(bag) -> tuple[np.ndarray, np.ndarray]:
+    """Every id of ``bag`` and its position, in position then column order."""
+    ids, counts = bag
+    return ids[ids >= 0], np.repeat(np.arange(len(counts)), counts)
 
 
 class EmbeddingTable:
@@ -89,13 +120,14 @@ def load_text_embeddings(
     ``count dim`` header and skipped.  A vector of the wrong width raises
     with the offending line number, and so does a value that is not a finite
     number (``nan``, ``inf`` or text); a repeated symbol keeps the last
-    vector and logs the replacement.  ``<UNK>`` is appended, drawn from
-    seed 0, unless the file provides one.
+    vector and logs the replacement, after ``lowercase`` has lowercased every
+    symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
+    the file provides one.
     """
     symbols: list[str] = []
     rows: list[np.ndarray] = []
     index: dict[str, int] = {}
-    with open(path, encoding=READ_ENCODING) as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = strip_line(raw)
             if not line:
@@ -113,6 +145,8 @@ def load_text_embeddings(
                         )
                     continue
             symbol, values = parts[0], parts[1:]
+            if lowercase and symbol != UNK:
+                symbol = symbol.lower()
             if len(values) != dim_expected:
                 raise ValueError(
                     f"{path}: line {lineno}: {len(values)} values for {symbol!r}, "
@@ -150,20 +184,23 @@ def save_text_embeddings(path, table: EmbeddingTable) -> None:
 
 
 def table_symbols(task: str, sent: Sentence) -> dict:
-    """The symbols ``sent`` reads from each of ``task``'s tables, in position order.
+    """The symbols ``sent`` reads from each of ``task``'s tables, as ``(symbols,
+    counts)``: position i reads the next ``counts[i]`` symbols, in order.
 
     SEG reads each char and the bigram of it and the next char, ``</S>``-padded
-    at the end; POS and NER read each word and every char of every word, in
-    order; NER also reads each auxiliary POS tag.
+    at the end; POS and NER read each word and every char of every word; NER
+    also reads each auxiliary POS tag.
     """
     tokens = sent.tokens
+    once = [1] * len(tokens)
     if task == "SEG":
-        return {"char": tokens, "bigram": [a + b for a, b in zip(tokens, [*tokens[1:], EOS])]}
-    symbols = {"word": tokens, "char": "".join(tokens)}
+        bigrams = [a + b for a, b in zip(tokens, [*tokens[1:], EOS])]
+        return {"char": (tokens, once), "bigram": (bigrams, once)}
+    symbols = {"word": (tokens, once), "char": ("".join(tokens), [len(w) for w in tokens])}
     if task == "NER":
         if sent.aux_tags is None:
             raise ValueError("NER composition needs aux POS tags on the sentence")
-        symbols["pos"] = sent.aux_tags
+        symbols["pos"] = (sent.aux_tags, once)
     return symbols
 
 
@@ -194,41 +231,22 @@ class InputComposer:
         return self.REQUIRED[self.task]
 
     def row_ids(self, sent: Sentence) -> dict:
-        """The table rows ``sent`` reads, keyed like ``tables``.
-
-        A table read once per token maps to its ``(n,)`` row ids.  The char
-        table of POS and NER, whose mean each word reads, maps to a pair: an
-        ``(n, m)`` matrix holding word i's char rows in its first ``counts[i]``
-        columns and -1 after them, and the ``(n,)`` counts.
-        """
+        """The table rows ``sent`` reads, keyed like ``tables``: one bag per
+        table, a bag of one except for the char mean of POS and NER."""
         rows = {}
-        for key, symbols in table_symbols(self.task, sent).items():
+        for key, (symbols, counts) in table_symbols(self.task, sent).items():
             index = self.tables[key].index
-            rows[key] = np.array([index(symbol) for symbol in symbols], dtype=np.intp)
-        if self.task != "SEG":
-            counts = np.array([len(word) for word in sent.tokens], dtype=np.intp)
-            chars = np.full((len(counts), counts.max()), -1, dtype=np.intp)
-            chars[np.arange(chars.shape[1]) < counts[:, None]] = rows["char"]
-            rows["char"] = (chars, counts)
+            rows[key] = pad(np.array([index(symbol) for symbol in symbols], dtype=np.intp), counts)
         return rows
 
     def compose_all(self, rows: dict) -> np.ndarray:
-        """The ``(n, dim)`` input vectors of a sentence with ``row_ids`` ``rows``.
-
-        A char mean sums the word's gathered rows in char order (the -1 slots
-        read as -0.0, which adds exactly nothing) and divides by the count,
-        bitwise what ``.mean(axis=0)`` over the word's rows gives.
-        """
+        """The ``(n, dim)`` input vectors of a sentence with ``row_ids`` ``rows``:
+        each table's ``bag_sum / counts``, so a char mean is bitwise
+        ``.mean(axis=0)`` over the word's rows unless every term is -0.0."""
         pieces = []
         for key in self.table_order():
-            matrix, ids = self.tables[key].matrix, rows[key]
-            if isinstance(ids, tuple):
-                chars, counts = ids
-                gathered = matrix[chars]
-                gathered[chars < 0] = -0.0
-                pieces.append(gathered.sum(axis=1) / counts[:, None])
-            else:
-                pieces.append(matrix[ids])
+            bag = rows[key]
+            pieces.append(bag_sum(self.tables[key].matrix, bag) / bag[1][:, None])
         return np.concatenate(pieces, axis=1)
 
     def backward(self, grads: np.ndarray, rows: dict) -> dict:
@@ -242,13 +260,10 @@ class InputComposer:
         out = {}
         offset = 0
         for key in self.table_order():
-            dim, ids = self.tables[key].dim, rows[key]
-            piece = grads[:, offset : offset + dim]
+            dim, bag = self.tables[key].dim, rows[key]
+            ids, pos = members(bag)
+            piece = (grads[:, offset : offset + dim] / bag[1][:, None])[pos]
             offset += dim
-            if isinstance(ids, tuple):
-                chars, counts = ids
-                ids = chars[chars >= 0]
-                piece = np.repeat(piece / counts[:, None], counts, axis=0)
             distinct, inverse = np.unique(ids, return_inverse=True)
             cols = np.arange(dim)
             # bincount adds each cell's values in input order, i.e. position order

@@ -32,13 +32,14 @@ runs both directions back, the direction again the last axis.  Every factor
 that does not depend on the recurrence (``c_prev``, ``1 - tanh(c)^2``,
 ``1 - gate``, ``1 - g^2``) is computed for all positions before the loop,
 so a step is a few elementwise calls on the stacked ``(4, H, 2)`` gate
-gradients and one batched matmul on the stacked ``U.T``.  The loop collects
-the gate pre-activation gradients ``D_pre``; each direction's are then made
-contiguous once, and the weight gradients are whole-sentence products
-(``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and ``D_pre @ W`` is summed
-back through the same five slices, which accumulates the window sharing
-(one input feeds up to five windows).  Every gradient is bitwise that of a
-plain per-direction loop.  All math is float64.
+gradients and one batched matmul on the transpose of the scan's stacked
+``U``.  The loop collects the gate pre-activation gradients ``D_pre``; each
+direction's are then made contiguous once, and the weight gradients are
+whole-sentence products (``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and
+``D_pre @ W`` is summed back through the same five slices, which
+accumulates the window sharing (one input feeds up to five windows).
+Every gradient is bitwise that of a plain per-direction loop.  All math is
+float64.
 """
 
 from __future__ import annotations
@@ -126,13 +127,15 @@ class BiLSTMParams:
 
 
 class _ScanCache(NamedTuple):
-    """``_scan``'s stacked arrays, in scan order, the direction on the last axis.
+    """``_scan``'s stacked arrays, in scan order, the direction on the last axis
+    (on the first for ``u``, which ``_backprop`` reads back).
 
     Step ``j`` of direction 0 is sentence position ``j``; step ``j`` of
     direction 1 is position ``n - 1 - j``.
     """
 
     windows: tuple[np.ndarray, np.ndarray]  # each direction's (n, 5d) windows, in scan order
+    u: np.ndarray  # (2, 4H, H): u_fwd, u_bwd
     gates: np.ndarray  # (n, 4, H, 2) post-activation i, f, o, g
     c: np.ndarray  # (n, H, 2)
     tanh_c: np.ndarray  # (n, H, 2)
@@ -145,7 +148,6 @@ class EncoderOutput:
     train: bool
     dropout_p: float
     masks: np.ndarray | None  # (n, input_dim) 0/1, train mode only
-    dropped: np.ndarray  # inputs after the inverted-dropout scaling
     scan: _ScanCache
 
 
@@ -205,7 +207,7 @@ def _scan(params: BiLSTMParams, x) -> _ScanCache:
         np.add(c_prev, ig_gg, c_prev)
         np.multiply(og, np.tanh(c_prev, tanh_c[i]), h[i])
         h_prev = h_cols[i]
-    return _ScanCache(windows, gates, c, tanh_c, h)
+    return _ScanCache(windows, u, gates, c, tanh_c, h)
 
 
 def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
@@ -232,7 +234,7 @@ def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
     p3[:, 3] = 1.0
     dtanh_c = 1.0 - tanh_c * tanh_c
     fg, og = gates[:, 1], gates[:, 2]
-    u_t = np.stack([params.u_fwd, params.u_bwd]).transpose(0, 2, 1)
+    u_t = scan.u.transpose(0, 2, 1)
     d_pre = np.empty((n, 4, H, 2))
     lead = np.empty((4, H, 2))
     dc, dh = lead[0], lead[2]
@@ -303,7 +305,7 @@ def encode(
     h = np.concatenate([scan.h[:, :, 0], scan.h[::-1, :, 1]], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")
-    return EncoderOutput(h=h, train=train, dropout_p=p, masks=masks, dropped=dropped, scan=scan)
+    return EncoderOutput(h=h, train=train, dropout_p=p, masks=masks, scan=scan)
 
 
 def backward(

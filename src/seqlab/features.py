@@ -18,7 +18,7 @@ import logging
 import unicodedata
 from dataclasses import dataclass, field
 
-from .corpus import READ_ENCODING, Sentence, strip_line
+from .corpus import Sentence, open_text, strip_line
 
 log = logging.getLogger(__name__)
 
@@ -208,21 +208,20 @@ def load_lexicon(path, what: str) -> dict[str, str]:
     """Read a ``key<TAB>value`` lexicon; a missing file is an empty lexicon."""
     if path is None:
         return {}
+    lex = {}
     try:
-        fh = open(path, encoding=READ_ENCODING)
+        with open_text(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = strip_line(raw)
+                if not line:
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>value'")
+                lex[parts[0]] = parts[1]
     except FileNotFoundError:
         log.warning("%s lexicon %s not found; continuing with an empty lexicon", what, path)
         return {}
-    lex = {}
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = strip_line(raw)
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>value'")
-            lex[parts[0]] = parts[1]
     return lex
 
 

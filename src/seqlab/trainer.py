@@ -150,7 +150,7 @@ def collect_embedding_vocab(task: str, sentences) -> dict[str, list[str]]:
     ``embeddings.table_symbols`` that ``InputComposer.row_ids`` looks up."""
     symbols = [table_symbols(task, sent) for sent in sentences]
     return {
-        key: list(dict.fromkeys(chain.from_iterable(s[key] for s in symbols)))
+        key: list(dict.fromkeys(chain.from_iterable(s[key][0] for s in symbols)))
         for key in InputComposer.REQUIRED[task]
     }
 
@@ -183,10 +183,10 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
 
 def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[FeatureAlphabet, dict]:
     """The frozen alphabet of template contexts seen in the training corpus,
-    and each sentence's ``crf.index_contexts`` pair, keyed by sentence.
+    and each sentence's ``crf.index_contexts`` bag, keyed by sentence.
 
     Ids follow first appearance; each id is one row of ``theta_out``, which
-    holds a weight for that context under every label.  The pairs are made
+    holds a weight for that context under every label.  The bags are made
     in the same pass, so the templates run once per training position;
     every context is in the alphabet, so they equal the ``contexts`` of
     ``crf.sentence_ids`` on the finished model.
@@ -411,16 +411,10 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
                 arr[:] = rng.uniform(-0.5, 0.5, arr.shape)
         gold = np.array([model.labels.to_index(l) for l in sents[0].gold_labels])
         # evaluate under the same fixed dropout masks the gradient check uses
-        masks = None
-        if model.uses_neural:
-            mask_rng = np.random.default_rng([0, SEED_DROPOUT])
-            shape = (len(sents[0]), model.composer.dim)
-            masks = (mask_rng.random(shape) >= model.dropout_p).astype(np.float64)
+        masks = _gradcheck_masks(model, sents[0])
         lattice = crf.build_lattice(model, sents[0], train=True, masks=masks)
         loss, _ = crf.margin_loss(lattice, gold)
-        _, scores = crf.enumerate_sequence_scores(crf._augment(lattice, gold))
-        top2 = np.sort(scores)[-2:]
-        if loss > 0.05 and top2[1] - top2[0] > 1e-3:
+        if loss > 0.05 and _score_gap(lattice, gold) > 1e-3:
             return model, sents[0]
     raise RuntimeError("could not construct a non-degenerate gradcheck instance")
 
@@ -428,6 +422,26 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
 # ---------------------------------------------------------------------------
 # gradient checking
 # ---------------------------------------------------------------------------
+
+
+GRADCHECK_MASK_SEED = 0
+TIE_GAP = 1e-6
+
+
+def _gradcheck_masks(model: crf.ModelParams, sentence: Sentence):
+    """The fixed dropout masks of every gradient check, None without an encoder."""
+    if not model.uses_neural:
+        return None
+    rng = np.random.default_rng([GRADCHECK_MASK_SEED, SEED_DROPOUT])
+    shape = (len(sentence), model.composer.dim)
+    return (rng.random(shape) >= model.dropout_p).astype(np.float64)
+
+
+def _score_gap(lattice: crf.ScoreLattice, gold) -> float:
+    """The best minus the second-best cost-augmented sequence score (inf with one sequence)."""
+    _, scores = crf.enumerate_sequence_scores(crf._augment(lattice, gold))
+    top2 = np.sort(scores)[-2:]
+    return float(top2[1] - top2[0]) if len(scores) > 1 else float("inf")
 
 
 @dataclass
@@ -482,14 +496,12 @@ def gradient_check(
     *,
     tolerance: float = 1e-4,
     eps: float = 1e-4,
-    tie_gap: float = 1e-6,
-    mask_seed: int = 0,
 ) -> GradientCheckReport:
     """Compare analytic subgradients with central finite differences.
 
     Runs with a fixed dropout mask so the loss is a deterministic function
     of the parameters.  Points where the cost-augmented argmax is not unique
-    (best-vs-second score gap below ``tie_gap``) are reported as skipped:
+    (best-vs-second score gap below ``TIE_GAP``) are reported as skipped:
     the loss is non-differentiable there.
     """
     model.validate()
@@ -499,11 +511,7 @@ def gradient_check(
         raise ValueError("gradient check instances must have n <= 5")
     gold = np.array([model.labels.to_index(l) for l in sentence.gold_labels])
 
-    masks = None
-    if model.uses_neural:
-        rng = np.random.default_rng([mask_seed, SEED_DROPOUT])
-        shape = (len(sentence), model.composer.dim)
-        masks = (rng.random(shape) >= model.dropout_p).astype(np.float64)
+    masks = _gradcheck_masks(model, sentence)
     ids = crf.sentence_ids(model, sentence)
 
     def forward():
@@ -514,10 +522,8 @@ def gradient_check(
     loss0, fp0, result0 = forward()
     report = GradientCheckReport(tolerance=tolerance)
 
-    _, scores = crf.enumerate_sequence_scores(crf._augment(fp0.lattice, gold))
-    top2 = np.sort(scores)[-2:]
-    report.score_gap = float(top2[1] - top2[0]) if len(scores) > 1 else float("inf")
-    if report.score_gap < tie_gap:
+    report.score_gap = _score_gap(fp0.lattice, gold)
+    if report.score_gap < TIE_GAP:
         report.skipped = True
         return report
 

@@ -94,6 +94,12 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
             cli.RunConfig.load(None, ["char_hidden=60"])
 
+    def test_config_file_with_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"task=POS\nlanguage=\xffEN\n")
+        with pytest.raises(ValueError, match=r"run\.cfg: line 2: not valid UTF-8"):
+            cli.parse_config_file(path)
+
     def test_diagnostics_is_an_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
             cli.RunConfig.load(None, ["diagnostics=1"])
@@ -117,6 +123,17 @@ class TestConfig:
 
 
 class TestTrainCommand:
+    def test_invalid_utf8_corpus_exits_2_naming_file_and_line(self, pos_setup, capsys):
+        tmp_path, train, dev, _ = pos_setup
+        lines = train.read_bytes().split(b"\n")
+        train.write_bytes(b"\n".join([lines[0], b"\xff" + lines[1], *lines[2:]]))
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", f"train={train}", "--set", f"dev={dev}",
+             "--set", f"model_out={tmp_path / 'm.bin'}"]
+        )
+        assert status == 2
+        assert f"error: {train}: line 2: not valid UTF-8" in capsys.readouterr().err
+
     def test_smoke_writes_checkpoint_and_report(self, pos_setup, capsys):
         tmp_path, train, dev, _ = pos_setup
         model_out = tmp_path / "m.bin"
@@ -214,6 +231,13 @@ class TestTrainCommand:
 
 
 class TestReadTaskCorpus:
+    def test_invalid_utf8_in_the_peek_names_the_file_and_line(self, tmp_path):
+        # the column peek's decoder reads the whole short file at once
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"The\n\xffcat\n")
+        with pytest.raises(ValueError, match=r"in\.txt: line 2: not valid UTF-8"):
+            cli.read_task_corpus(path, "POS", require_labels=False)
+
     @pytest.mark.parametrize("text", ["The\nCat\n\nA\n", "The\tX\nCat\tY\n", ""])
     def test_leading_bom_reads_like_the_plain_file(self, tmp_path, text):
         # the column count is peeked from the first line, where a BOM sits

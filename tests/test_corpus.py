@@ -47,6 +47,23 @@ class TestLabelAlphabet:
 
 
 class TestColumnCorpus:
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"The\tDT\n\xffcat\tNN\n", 2),
+            (b"\xef\xbb\xbfThe\tDT\r\n\r\ncat\tNN\rsat\tVB\xc3\n", 4),
+            (b"The\tDT\n" * 5000 + b"\ncat\xed\xa0\x80\tNN\n", 5002),
+        ],
+        ids=["lf", "bom-cr-crlf", "past-the-first-block"],
+    )
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path, data, line):
+        # lines count as the reader counts them, CR, LF and CRLF ending one;
+        # the third case lies past the decoder's first block
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"bad\.txt: line {line}: not valid UTF-8"):
+            read_column_corpus(path)
+
     def test_single_token_file(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("猫\tS\n", encoding="utf-8")

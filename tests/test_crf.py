@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import synthetic
 from seqlab import crf, trainer
 from seqlab.corpus import LabelAlphabet, Sentence
 from seqlab.embeddings import EmbeddingTable, InputComposer, UNK
-from seqlab.features import TemplateSet
+from seqlab.encoder import backward as encoder_backward
+from seqlab.features import FeatureAlphabet, TemplateSet
 
 
 def random_lattice(rng, n=None, L=None):
@@ -334,6 +336,44 @@ class TestLossGradients:
         assert bundle["theta_out"][0].size > 0
         assert all(-n <= v <= n for v in cell_dict(model, bundle["theta_out"]).values())
 
+    @pytest.mark.parametrize("mode", ["neural", "joint"])
+    def test_neural_terms_are_bitwise_the_per_position_loops(self, mode):
+        model, _ = trainer.make_gradcheck_instance(mode, seed=1)
+        rng = np.random.default_rng(8)
+        model.tau[:] = rng.normal(size=model.tau.shape)
+        if mode == "joint":
+            model.tau_weight[:] = 0.1  # repeated additions of 0.1 round
+        sent = Sentence(tokens=("beta", "unseen", "alpha", "gamma", "beta", "alpha", "delta"))
+        fp = crf.build_forward(model, sent, train=True, rng=rng)
+        L, h = len(model.labels), fp.encoder_output.h
+        for _ in range(20):
+            gold, pred = rng.integers(0, L, (2, len(sent)))
+            bundle = crf.loss_gradients(model, fp, pred, gold)
+            d_dense, d_h = np.zeros_like(model.theta_dense), np.zeros_like(h)
+            d_tau, d_tau_weight = np.zeros_like(model.tau), 0.0
+            scale = model.tau_weight[0] if mode == "joint" else 1.0
+            for i in range(len(sent)):
+                if pred[i] != gold[i]:
+                    d_dense[pred[i]] += h[i]
+                    d_dense[gold[i]] -= h[i]
+                    d_h[i] = model.theta_dense[pred[i]] - model.theta_dense[gold[i]]
+            for seq, delta in ((pred, 1.0), (gold, -1.0)):
+                prev = L
+                for y in seq:
+                    d_tau[prev, y] += delta * scale
+                    d_tau_weight += delta * model.tau[prev, y]
+                    prev = y
+            if np.array_equal(pred, gold):
+                assert bundle == {}
+                continue
+            assert bundle["theta_dense"].tobytes() == d_dense.tobytes()
+            assert bundle["tau"].tobytes() == d_tau.tobytes()
+            if mode == "joint":
+                assert bundle["tau_weight"].tobytes() == np.array([d_tau_weight]).tobytes()
+            lstm_grads, _ = encoder_backward(model.lstm, fp.encoder_output, d_h)
+            for name, grad in lstm_grads.items():
+                assert bundle[f"lstm.{name}"].tobytes() == grad.tobytes()
+
     def test_cells_are_distinct_sorted_and_nonzero(self):
         model, sents = tiny_discrete_model()
         fp = crf.build_forward(model, sents[1])
@@ -354,25 +394,27 @@ def cell_dict(model, pair):
 
 
 class TestContextIds:
-    def test_flat_ids_and_offsets_follow_instantiation(self):
+    def test_bag_rows_follow_instantiation(self):
         model, sents = tiny_discrete_model()
         sent = sents[0]
-        flat, offsets = crf.sentence_ids(model, sent).contexts
-        assert flat.dtype == np.int32 and offsets.dtype == np.int32
-        assert offsets.tolist()[0] == 0 and len(offsets) == len(sent) + 1
+        ids, counts = crf.sentence_ids(model, sent).contexts
+        assert ids.dtype == np.int32
+        assert ids.shape == (len(sent), counts.max())
         for i in range(len(sent)):
             expected = [model.out_alphabet.lookup(s) for s in model.templates.instantiate(sent, i)]
-            assert flat[offsets[i] : offsets[i + 1]].tolist() == expected
+            assert counts[i] == len(expected)
+            assert ids[i].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
 
     def test_unseen_contexts_left_out(self):
         model, _ = tiny_discrete_model()
         sent = Sentence(tokens=list("国外"))
-        flat, offsets = crf.sentence_ids(model, sent).contexts
+        ids, counts = crf.sentence_ids(model, sent).contexts
         for i in range(len(sent)):
             found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
             known = [c for c in found if c is not None]
             assert 0 < len(known) < len(model.templates.instantiate(sent, i))
-            assert flat[offsets[i] : offsets[i + 1]].tolist() == known
+            assert ids[i, : counts[i]].tolist() == known
+            assert np.all(ids[i, counts[i] :] == -1)
 
     def test_neural_model_has_no_ids(self):
         model, sent = trainer.make_gradcheck_instance("neural", seed=1)
@@ -397,3 +439,64 @@ class TestContextIds:
             assert cached.ids is ids
             if ids.contexts is not None:
                 np.testing.assert_array_equal(fresh.ids.contexts[0], ids.contexts[0])
+
+
+UNSEEN_POS_EN = Sentence(tokens=("qqqq", "zzzz", "xxxx", "wwww", "vvvv"))
+EMISSION_CORPORA = {
+    # (training sentences, probes the model has not seen)
+    ("SEG", "ZH"): (
+        [Sentence(tokens=list("中国人民很大"), gold_labels=list("BEBESS")),
+         Sentence(tokens=list("人民"), gold_labels=list("BE"))],
+        [Sentence(tokens=list("中国好大人")), Sentence(tokens=["外"])],
+    ),
+    ("POS", "EN"): (synthetic.separable_corpus(6, seed=1), [UNSEEN_POS_EN]),
+    ("NER", "EN"): (
+        [Sentence(tokens=("EU", "rejects", "German", "call"), aux_tags=("NNP", "VBZ", "JJ", "NN"),
+                  gold_labels=("S-ORG", "O", "S-MISC", "O")),
+         Sentence(tokens=("Peter", "Blackburn"), aux_tags=("NNP", "NNP"),
+                  gold_labels=("B-PER", "E-PER"))],
+        [Sentence(tokens=("Paris", "rejects", "x-ray"), aux_tags=("NNP", "VBZ", "NN"))],
+    ),
+}
+
+
+def loop_emission(model, sent):
+    """The discrete emission by a per-position loop over the known contexts."""
+    emission = np.zeros((len(sent), len(model.labels)))
+    for i in range(len(sent)):
+        found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
+        emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
+    return emission
+
+
+class TestDiscreteEmission:
+    @pytest.mark.parametrize("task,language", sorted(EMISSION_CORPORA))
+    def test_bitwise_the_per_position_loop(self, task, language):
+        train, probes = EMISSION_CORPORA[(task, language)]
+        model = trainer.build_model("discrete", task, language, train, trainer.HyperParams())
+        model.theta_out[:] = np.random.default_rng(5).normal(size=model.theta_out.shape)
+        for sent in train + probes:
+            emission = crf.build_lattice(model, sent).emission
+            assert emission.tobytes() == loop_emission(model, sent).tobytes()
+
+    def test_position_without_known_context_is_exactly_zero(self):
+        train, _ = EMISSION_CORPORA[("POS", "EN")]
+        model = trainer.build_model("discrete", "POS", "EN", train, trainer.HyperParams())
+        model.theta_out[:] = np.random.default_rng(6).normal(size=model.theta_out.shape)
+        _, counts = crf.sentence_ids(model, UNSEEN_POS_EN).contexts
+        assert counts.tolist() == [2, 1, 0, 2, 2]
+        emission = crf.build_lattice(model, UNSEEN_POS_EN).emission
+        assert emission[2].tobytes() == np.zeros(len(model.labels)).tobytes()
+        assert np.all(emission[[0, 1, 3, 4]] != 0.0)
+
+    def test_alphabet_that_knows_no_context(self):
+        model, sents = tiny_discrete_model()
+        alpha = FeatureAlphabet.from_strings(["T0[0]=never"])
+        model = crf.ModelParams.create(
+            "discrete", model.labels, templates=model.templates, out_alphabet=alpha
+        )
+        model.theta_out[:] = 1.0
+        ids, counts = crf.sentence_ids(model, sents[0]).contexts
+        assert ids.shape == (len(sents[0]), 0) and not np.any(counts)
+        emission = crf.build_lattice(model, sents[0]).emission
+        assert emission.tobytes() == np.zeros(emission.shape).tobytes()

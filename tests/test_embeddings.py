@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,25 @@ class TestLoading:
         path.write_text("france 0.5 0.5\n", encoding="utf-8")
         table = load_text_embeddings(path, 2, lowercase=True)
         assert row(table, "France").tolist() == [0.5, 0.5]
+
+    def test_lowercase_folds_symbols_and_the_later_vector_wins(self, tmp_path, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text(
+            "France 0.5 0.5\nfrance 0.1 0.1\nParis 0.3 0.3\n<UNK> 0.7 0.7\n", encoding="utf-8"
+        )
+        with caplog.at_level(logging.INFO, logger="seqlab.embeddings"):
+            table = load_text_embeddings(path, 2, lowercase=True)
+        assert table.symbols == ["france", "paris", UNK]
+        assert row(table, "Paris").tolist() == row(table, "paris").tolist() == [0.3, 0.3]
+        assert row(table, "France").tolist() == [0.1, 0.1]
+        assert row(table, "unseen").tolist() == [0.7, 0.7]
+        assert any("duplicate symbol 'france' at line 2" in r.getMessage() for r in caplog.records)
+
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 0.1 0.2\n\xffb 0.3 0.4\n")
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: not valid UTF-8"):
+            load_text_embeddings(path, 2)
 
     def test_trailing_whitespace_and_crlf_load_like_the_plain_file(self, tmp_path):
         # the word2vec tool ends every vector line with a space
@@ -253,13 +274,41 @@ class TestComposer:
         word, char = composer.tables["word"], composer.tables["char"]
         # "The" and "CAT" hit their lowercase rows; "zq", "I", "Ünïcode" and
         # "internationalization" read <UNK>
-        assert rows["word"].tolist() == [0, 1, 2] + [word.unk_index] * 4 + [1]
+        words, once = rows["word"]
+        assert words.shape == (8, 1) and once.tolist() == [1] * 8
+        assert words[:, 0].tolist() == [0, 1, 2] + [word.unk_index] * 4 + [1]
         chars, counts = rows["char"]
         assert counts.tolist() == [3, 3, 1, 2, 1, 7, 20, 3]
         assert chars.shape == (8, 20)
         assert chars[2].tolist() == [char.index("a")] + [-1] * 19
-        assert chars[3, :2].tolist() == [char.unk_index] * 2
+        assert chars[3, :2].tolist() == [char.index("z")] * 2 == [char.unk_index] * 2
         assert chars[7, :3].tolist() == [char.index(c) for c in "CAT"]
+
+    @pytest.mark.parametrize("task", sorted(COMPOSE_SENTENCES))
+    def test_bag_of_one_is_bitwise_its_row(self, task):
+        composer = random_composer(task)
+        sent = COMPOSE_SENTENCES[task]
+        rows, got = composer.row_ids(sent), compose(composer, sent)
+        offset = 0
+        for key in composer.table_order():
+            table = composer.tables[key]
+            ids, counts = rows[key]
+            if key != "char" or task == "SEG":
+                assert ids.shape == (len(sent), 1) and counts.tolist() == [1] * len(sent)
+                expected = table.matrix[ids[:, 0]]
+                assert got[:, offset : offset + table.dim].tobytes() == expected.tobytes()
+            offset += table.dim
+
+    def test_negative_zero_rows_compose_to_negative_zero(self):
+        # a word row holding -0.0 keeps it; so does a char mean whose every
+        # char reads -0.0 in a coordinate
+        char, _, word, _ = toy_tables()
+        word.matrix[0] = [-0.0, 1.0, -0.0]
+        char.matrix[:2, 0] = -0.0
+        composer = InputComposer("POS", {"word": word, "char": char})
+        vec = compose(composer, Sentence(tokens=["ab"]))[0]
+        assert vec.tolist() == [0.0, 1.0, 0.0, 0.0, 3.0]
+        assert np.signbit(vec).tolist() == [True, False, True, True, False]
 
 
 class TestCharMeanIdentity:

@@ -85,7 +85,7 @@ def per_direction_backward(params, out, d_h):
     The gradients are ``(dW, dU, db)`` per direction and d(loss)/d(inputs);
     every operation is in the order of the stacked loop it is checked against.
     """
-    n, d = out.dropped.shape
+    n, d = out.h.shape[0], params.input_dim
     H = params.hidden
     grads, d_x = [], []
     directions = (
@@ -187,6 +187,7 @@ class TestForward:
         for n in range(1, 31):
             inputs = rng.normal(size=(n, d))
             out = encode(params, inputs, train=train, rng=rng)
+            dropped = inputs * out.masks / (1.0 - out.dropout_p) if train else inputs
             directions = (
                 (params.w_fwd, params.u_fwd, params.b_fwd, range(n), (-2, -1, 0, 1, 2)),
                 (params.w_bwd, params.u_bwd, params.b_bwd, range(n - 1, -1, -1),
@@ -196,7 +197,7 @@ class TestForward:
             for k, (w, u, b, positions, offsets) in enumerate(directions):
                 h = c = np.zeros(H)
                 for step, i in enumerate(positions):
-                    window = fd_window(out.dropped, i, offsets)
+                    window = fd_window(dropped, i, offsets)
                     gates = reference_gates(w, u, b, window, h)
                     h, c = reference_lstm_step(w, u, b, window, h, c)
                     np.testing.assert_allclose(scan.gates[step, ..., k], gates, rtol=0, atol=0)
@@ -443,13 +444,14 @@ class TestBackward:
         params = BiLSTMParams.init(d, H, rng)
         inputs = rng.normal(size=(n, d))
         out = encode(params, inputs, train=True, masks=np.ones((n, d)))
+        dropped = inputs * np.ones((n, d)) / (1.0 - out.dropout_p)
         middle = 3
         fwd_slots = []
         for i in range(n):
             for slot, off in enumerate((-2, -1, 0, 1, 2)):
                 block = out.scan.windows[0][i, slot * d : (slot + 1) * d]
                 if i + off == middle:
-                    np.testing.assert_array_equal(block, out.dropped[middle])
+                    np.testing.assert_array_equal(block, dropped[middle])
                     fwd_slots.append((i, slot))
         assert len(fwd_slots) == WINDOW
         bwd_slots = []
@@ -457,7 +459,7 @@ class TestBackward:
             for slot, off in enumerate((2, 1, 0, -1, -2)):
                 block = out.scan.windows[1][n - 1 - i, slot * d : (slot + 1) * d]
                 if i + off == middle:
-                    np.testing.assert_array_equal(block, out.dropped[middle])
+                    np.testing.assert_array_equal(block, dropped[middle])
                     bwd_slots.append((i, slot))
         assert len(bwd_slots) == WINDOW
 

@@ -327,6 +327,12 @@ class TestLexiconLoading:
     def test_none_path_is_empty(self):
         assert load_lexicon(None, "cluster") == {}
 
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes("中\t氵\n".encode("utf-8") + b"\xff\t1\n")
+        with pytest.raises(ValueError, match=r"lex\.txt: line 2: not valid UTF-8"):
+            load_lexicon(path, "radical")
+
     def test_leading_bom_reads_like_the_plain_file(self, tmp_path):
         text = "中\t氵\n国\t口\n"
         plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"

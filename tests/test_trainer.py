@@ -406,10 +406,10 @@ class TestBuildModel:
             return
         assert list(model._train_ids) == sents
         for sent in sents:
-            ids = model._train_ids[sent]
-            for got, expected in zip(ids, crf.sentence_ids(model, sent).contexts):
-                assert got.dtype == expected.dtype == np.int32
-                np.testing.assert_array_equal(got, expected)
+            got, expected = model._train_ids[sent], crf.sentence_ids(model, sent).contexts
+            assert got[0].dtype == expected[0].dtype == np.int32
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
 
     @pytest.mark.parametrize("mode", crf.MODES)
     def test_build_ids_reach_no_checkpoint_or_clone(self, mode, tmp_path):
@@ -432,9 +432,7 @@ class TestBuildModel:
         model = trainer.build_model("neural", task, "EN", sents, SMALL)
         assert not any(table.lowercase for table in model.composer.tables.values())
         for sent in sents:
-            for key, ids in model.composer.row_ids(sent).items():
-                if isinstance(ids, tuple):  # a char-mean table's (chars, counts)
-                    ids = ids[0][ids[0] >= 0]
+            for key, (ids, _) in model.composer.row_ids(sent).items():
                 assert model.composer.tables[key].unk_index not in ids, key
 
     def test_ner_neural_without_aux_tags_is_refused(self):
