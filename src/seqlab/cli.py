@@ -138,23 +138,23 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict[str, str]:
+    """``key=value`` lines; CR, LF and CRLF end a line, as in every reader."""
     raw = {}
     try:
         with open_text(path) as fh:
-            text = fh.read()
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ConfigError(f"{path}: line {lineno}: expected key=value")
+                key = key.strip()
+                if key in raw:
+                    raise ConfigError(f"{path}: line {lineno}: key {key!r} is set twice")
+                raw[key] = value.strip()
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        key = key.strip()
-        if key in raw:
-            raise ConfigError(f"{path}: line {lineno}: key {key!r} is set twice")
-        raw[key] = value.strip()
     return raw
 
 
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
         ConfigError, checkpoint.CheckpointError, ValueError, OSError, FloatingPointError
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message holds the size and shape asked for
+        print(f"error: memory could not be allocated: {exc}", file=sys.stderr)
         return 2
 
 

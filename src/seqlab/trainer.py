@@ -2,10 +2,12 @@
 
 One update per sentence, in shuffled order, with the L2 term folded into
 the gradient: ``g' = g + l2 * w``, ``G += g'^2``,
-``w -= eta * g' / (sqrt(G) + 1e-8)``.  Sparse parameters (indicator feature
-weights, embedding rows) update only the cells of their flat ``(cell ids,
-values)`` gradient, which lists every cell of each embedding row the
-sentence touches, so regularization reaches them lazily; dense parameters
+``w -= eta * g' / (sqrt(G) + 1e-8)``, written once in ``adagrad_step``.
+AdaGrad updates each cell on its own, so sparse parameters (indicator
+feature weights, embedding rows) gather the cells their flat ``(cell ids,
+values)`` gradient lists, run that rule on the gathered copies and scatter
+them back.  The list holds every cell of each embedding row the sentence
+touches, so regularization reaches them lazily; dense parameters
 regularize on every update step.  Sentences whose margin loss is zero
 change nothing, not even the AdaGrad accumulators.  Every training and dev
 sentence's ``crf.sentence_ids`` are computed once per run, before the first
@@ -66,7 +68,7 @@ class HyperParams:
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must lie in [0, 1)")
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout_p}")
         for name in ("word_hidden", "char_emb", "word_emb", "pos_emb", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -80,64 +82,42 @@ class HyperParams:
             raise ValueError("word_hidden must be even (split across two directions)")
 
 
-class AdaGradState:
-    """Accumulated squared gradients, one array per named parameter."""
-
-    def __init__(self):
-        self._accum: dict[str, np.ndarray] = {}
-
-    def for_param(self, name: str, param: np.ndarray) -> np.ndarray:
-        acc = self._accum.get(name)
-        if acc is None:
-            acc = np.zeros_like(param)
-            self._accum[name] = acc
-        return acc
-
-
-def _check_finite(name, updated):
-    # a non-finite gradient also leaves the updated values non-finite
-    if not np.all(np.isfinite(updated)):
-        raise FloatingPointError(f"AdaGrad step made {name} non-finite")
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the check
-def adagrad_step_dense(param, grad, accum, eta, l2, name="the parameter"):
+def adagrad_step(param, grad, accum, eta, l2, name="the parameter"):
+    """The AdaGrad rule, in place on ``param`` and ``accum``; raises
+    ``FloatingPointError`` naming the array when the result is not finite
+    (a non-finite gradient leaves it non-finite too)."""
     g = grad + l2 * param
     accum += g * g
     param -= eta * g / (np.sqrt(accum) + ADAGRAD_EPS)
-    _check_finite(name, param)
+    if not np.all(np.isfinite(param)):
+        raise FloatingPointError(f"AdaGrad step made {name} non-finite")
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by the check
-def adagrad_step_sparse(param, accum, ids, values, eta, l2, name="the parameter"):
-    """Update only the listed ids on the first axis of ``param``; ids must be
-    distinct.  ``apply_bundle`` passes flat views, so there an id is one cell
-    of the flattened parameter, for discrete weights and embedding rows alike.
+def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: dict, eta, l2):
+    """One AdaGrad step for every trainable array that has a gradient.
+
+    ``state`` maps a ``named_arrays`` name to its accumulator, made on first
+    use.  A ``(cell ids, values)`` gradient steps the gathered cells and
+    scatters them back, so a failed step writes nothing.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    old = param[ids]
-    g = values + l2 * old
-    accum[ids] += g * g
-    updated = old - eta * g / (np.sqrt(accum[ids]) + ADAGRAD_EPS)
-    _check_finite(name, updated)
-    param[ids] = updated
-
-
-def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: AdaGradState, eta, l2):
-    """One AdaGrad step for every trainable array that has a gradient."""
     for name, param in model.named_arrays(trainable_only=True):
         grad = bundle.get(name)
         if grad is None:
             continue
-        accum = state.for_param(name, param)
-        if isinstance(grad, tuple):  # (flat cell ids, values)
+        accum = state.get(name)
+        if accum is None:
+            accum = state[name] = np.zeros_like(param)
+        if isinstance(grad, tuple):
+            ids, values = grad
             flat_param, flat_accum = param.reshape(-1), accum.reshape(-1)
             if not (np.shares_memory(flat_param, param) and np.shares_memory(flat_accum, accum)):
                 raise ValueError(f"{name}: cell updates need contiguous arrays")
-            adagrad_step_sparse(flat_param, flat_accum, *grad, eta, l2, name)
+            cells, cell_accum = flat_param[ids], flat_accum[ids]
+            adagrad_step(cells, values, cell_accum, eta, l2, name)
+            flat_param[ids], flat_accum[ids] = cells, cell_accum
         else:
-            adagrad_step_dense(param, grad, accum, eta, l2, name)
+            adagrad_step(param, grad, accum, eta, l2, name)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +327,7 @@ def train(
 
     shuffle_rng = np.random.default_rng([hypers.seed, SEED_SHUFFLE])
     dropout_rng = np.random.default_rng([hypers.seed, SEED_DROPOUT])
-    state = AdaGradState()
+    state = {}
     report = TrainReport()
     best_model = clone_model(model)
     best_metric = -np.inf

@@ -315,8 +315,8 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_adagrad_unit_math():
     param = np.zeros(1)
     accum = np.zeros(1)
-    trainer.adagrad_step_dense(param, np.ones(1), accum, eta=0.01, l2=0.0)
-    trainer.adagrad_step_dense(param, np.ones(1), accum, eta=0.01, l2=0.0)
+    trainer.adagrad_step(param, np.ones(1), accum, eta=0.01, l2=0.0)
+    trainer.adagrad_step(param, np.ones(1), accum, eta=0.01, l2=0.0)
     expected = -0.01 / (1.0 + ADAGRAD_EPS) - 0.01 / (np.sqrt(2.0) + ADAGRAD_EPS)
     assert abs(param[0] - expected) < 1e-9
     assert abs(param[0] - (-0.0170710678)) < 1e-9

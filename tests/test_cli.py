@@ -68,6 +68,13 @@ class TestConfig:
         assert run_cli(["train", "--config", str(cfg)]) == 2
         assert f"error: {cfg}: line 3: key 'task' is set twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
+    def test_only_cr_and_lf_end_a_config_line(self, tmp_path, separator):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"task=POS{separator}seed=1\nbadline\n", encoding="utf-8")
+        with pytest.raises(cli.ConfigError, match=r"run\.cfg: line 2: expected key=value"):
+            cli.parse_config_file(cfg)
+
     def test_config_file_with_leading_bom_reads_like_the_plain_file(self, tmp_path):
         text = "task = POS\n# comment\nepochs=7\n"
         plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
@@ -188,6 +195,29 @@ class TestTrainCommand:
         )
         assert status == 2
         assert f"error: {item.partition('=')[0]} must be finite" in capsys.readouterr().err
+        assert not model_out.exists()
+
+    def test_dropout_out_of_range_names_the_key(self, pos_setup, capsys):
+        tmp_path, train, dev, _ = pos_setup
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "dropout=1.5",
+             "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={tmp_path/'m.bin'}"]
+        )
+        assert status == 2
+        assert "error: dropout must lie in [0, 1), got 1.5" in capsys.readouterr().err
+
+    def test_impossible_allocation_exits_2(self, pos_setup, capsys):
+        # petabytes: beyond the address space, so the allocation fails at once
+        tmp_path, train, dev, _ = pos_setup
+        model_out = tmp_path / "m.bin"
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "word_emb=100000000000000",
+             "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={model_out}"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: memory could not be allocated: ")
+        assert "PiB" in err and ", 100000000000000)" in err
         assert not model_out.exists()
 
     def test_diverging_run_reports_an_error(self, pos_setup, capsys):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,8 @@ import pytest
 import synthetic
 from seqlab import checkpoint, crf, trainer
 from seqlab.corpus import Sentence
-from seqlab.embeddings import EmbeddingTable, UNK
 from seqlab.features import TemplateSet
-from seqlab.trainer import (
-    ADAGRAD_EPS,
-    AdaGradState,
-    HyperParams,
-    adagrad_step_dense,
-    adagrad_step_sparse,
-)
+from seqlab.trainer import ADAGRAD_EPS, HyperParams, adagrad_step
 
 
 SMALL = HyperParams(word_hidden=8, char_emb=3, word_emb=4)
@@ -47,15 +41,15 @@ class TestAdagradStep:
     def test_one_step_hand_computation(self):
         param = np.zeros(1)
         accum = np.zeros(1)
-        adagrad_step_dense(param, np.ones(1), accum, eta=0.01, l2=0.0)
+        adagrad_step(param, np.ones(1), accum, eta=0.01, l2=0.0)
         assert accum[0] == 1.0
         assert param[0] == pytest.approx(-0.01 / (1.0 + ADAGRAD_EPS), abs=1e-15)
 
     def test_two_step_hand_computation(self):
         param = np.zeros(1)
         accum = np.zeros(1)
-        adagrad_step_dense(param, np.ones(1), accum, eta=0.01, l2=0.0)
-        adagrad_step_dense(param, np.ones(1), accum, eta=0.01, l2=0.0)
+        adagrad_step(param, np.ones(1), accum, eta=0.01, l2=0.0)
+        adagrad_step(param, np.ones(1), accum, eta=0.01, l2=0.0)
         expected = -0.01 / (1.0 + ADAGRAD_EPS) - 0.01 / (np.sqrt(2.0) + ADAGRAD_EPS)
         assert param[0] == pytest.approx(expected, abs=1e-15)
         assert param[0] == pytest.approx(-0.017071, abs=1e-6)
@@ -63,18 +57,21 @@ class TestAdagradStep:
     def test_zero_grad_zero_l2_is_noop(self):
         param = np.array([0.5, -0.25])
         accum = np.array([2.0, 3.0])
-        adagrad_step_dense(param, np.zeros(2), accum, eta=0.01, l2=0.0)
+        adagrad_step(param, np.zeros(2), accum, eta=0.01, l2=0.0)
         np.testing.assert_array_equal(param, [0.5, -0.25])
         np.testing.assert_array_equal(accum, [2.0, 3.0])
 
     def test_nonfinite_grad_fails_fast(self):
         with pytest.raises(FloatingPointError):
-            adagrad_step_dense(np.zeros(1), np.array([np.inf]), np.zeros(1), 0.01, 0.0)
+            adagrad_step(np.zeros(1), np.array([np.inf]), np.zeros(1), 0.01, 0.0)
 
     def test_sparse_updates_touch_only_listed_ids(self):
-        param = np.zeros(5)
-        accum = np.zeros(5)
-        adagrad_step_sparse(param, accum, [1, 3], [1.0, -2.0], eta=0.1, l2=0.0)
+        model = discrete_model()
+        state = {}
+        bundle = crf.GradientBundle(theta_out=(np.array([1, 3]), np.array([1.0, -2.0])))
+        trainer.apply_bundle(model, bundle, state, eta=0.1, l2=0.0)
+        param, accum = model.theta_out.reshape(-1), state["theta_out"].reshape(-1)
+        assert not np.any(np.delete(param, [1, 3])) and not np.any(np.delete(accum, [1, 3]))
         assert param[0] == param[2] == param[4] == 0.0
         assert accum[0] == accum[2] == accum[4] == 0.0
         assert param[1] < 0 < param[3]
@@ -86,7 +83,7 @@ class TestAdagradStep:
         last = np.inf
         for _ in range(50):
             g = float(rng.uniform(0.1, 2.0))
-            adagrad_step_dense(param, np.array([g]), accum, eta=0.01, l2=0.0)
+            adagrad_step(param, np.array([g]), accum, eta=0.01, l2=0.0)
             step = 0.01 / (np.sqrt(accum[0]) + ADAGRAD_EPS)
             assert step <= last
             last = step
@@ -97,26 +94,35 @@ class TestAdagradStep:
         accum = np.zeros(3)
         norms = [np.linalg.norm(param)]
         for _ in range(50):
-            adagrad_step_dense(param, np.zeros(3), accum, eta=0.01, l2=0.01)
+            adagrad_step(param, np.zeros(3), accum, eta=0.01, l2=0.01)
             norms.append(np.linalg.norm(param))
         assert all(b < a for a, b in zip(norms, norms[1:]))
         assert norms[-1] < norms[0]
 
 
+def discrete_model():
+    return trainer.build_model("discrete", "POS", "EN", synthetic.separable_corpus(5, seed=1),
+                               HyperParams())
+
+
+def row_cells(matrix, row):
+    """The flat cell ids of one row of a C-contiguous matrix."""
+    return row * matrix.shape[1] + np.arange(matrix.shape[1])
+
+
 class TestEmbeddingUpdates:
-    def table(self):
-        return EmbeddingTable(
-            "char", 2, ["a", "b", UNK], np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
-        )
+    def model(self):
+        model = trainer.build_model("neural", "POS", "EN", synthetic.separable_corpus(5, seed=1),
+                                    SMALL)
+        return model, model.composer.tables["word"].matrix
 
     def test_untouched_rows_bitwise_unchanged(self):
-        table = self.table()
-        before = table.matrix.copy()
-        accum = np.zeros_like(table.matrix)
-        adagrad_step_sparse(table.matrix, accum, [0], [np.array([1.0, -1.0])], 0.1, 0.0)
-        np.testing.assert_array_equal(table.matrix[1], before[1])
-        np.testing.assert_array_equal(table.matrix[2], before[2])
-        assert np.any(table.matrix[0] != before[0])
+        model, words = self.model()
+        before = words.copy()
+        bundle = crf.GradientBundle({"emb.word": (row_cells(words, 0), np.linspace(1.0, -1.0, 4))})
+        trainer.apply_bundle(model, bundle, {}, 0.1, 0.0)
+        np.testing.assert_array_equal(words[1:], before[1:])
+        assert np.all(words[0] != before[0])
 
     def test_fine_tune_false_rejected(self):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -126,26 +132,45 @@ class TestEmbeddingUpdates:
         before = words.copy()
         dim = words.shape[1]
         bundle = crf.GradientBundle({"emb.word": (np.arange(dim), np.ones(dim))})
-        state = AdaGradState()
+        state = {}
         trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
         np.testing.assert_array_equal(words, before)
-        assert "emb.word" not in state._accum
+        assert "emb.word" not in state
 
     def test_accumulated_row_matches_dense_oracle(self):
         # two touches of one row summed before the step == dense update with
-        # the summed gradient matrix
-        table = self.table()
-        accum = np.zeros_like(table.matrix)
-        g1 = np.array([0.5, -0.5])
-        g2 = np.array([0.25, 1.0])
-        adagrad_step_sparse(table.matrix, accum, [1], [g1 + g2], 0.05, 0.0)
+        # the summed gradient matrix, on the row's cells; with l2 > 0 the
+        # dense step also decays the other rows, which the cell step leaves
+        g1 = np.array([0.5, -0.5, 0.0, 2.0])
+        g2 = np.array([0.25, 1.0, -0.75, 0.0])
+        for l2 in (0.0, 0.5):
+            model, words = self.model()
+            before = words.copy()
+            accum0 = np.random.default_rng(0).uniform(0.0, 2.0, words.shape)
+            state = {"emb.word": accum0.copy()}
+            bundle = crf.GradientBundle({"emb.word": (row_cells(words, 1), g1 + g2)})
+            trainer.apply_bundle(model, bundle, state, 0.05, l2)
 
-        dense = self.table().matrix
-        dense_accum = np.zeros_like(dense)
-        grad = np.zeros_like(dense)
-        grad[1] = g1 + g2
-        adagrad_step_dense(dense, grad, dense_accum, 0.05, 0.0)
-        np.testing.assert_array_equal(table.matrix, dense)
+            dense, dense_accum = before.copy(), accum0.copy()
+            grad = np.zeros_like(dense)
+            grad[1] = g1 + g2
+            adagrad_step(dense, grad, dense_accum, 0.05, l2)
+            np.testing.assert_array_equal(words[1], dense[1])
+            np.testing.assert_array_equal(state["emb.word"][1], dense_accum[1])
+            if l2 == 0.0:
+                np.testing.assert_array_equal(words, dense)
+
+            # the rule one cell at a time, in Python floats
+            for col, g_cell in enumerate(g1 + g2):
+                w, acc = float(before[1, col]), float(accum0[1, col])
+                g = float(g_cell) + l2 * w
+                acc += g * g
+                w -= 0.05 * g / (math.sqrt(acc) + ADAGRAD_EPS)
+                assert (words[1, col], state["emb.word"][1, col]) == (w, acc)
+            rest = np.delete(np.arange(words.size), row_cells(words, 1))
+            np.testing.assert_array_equal(words.reshape(-1)[rest], before.reshape(-1)[rest])
+            np.testing.assert_array_equal(state["emb.word"].reshape(-1)[rest],
+                                          accum0.reshape(-1)[rest])
 
 
 class TestCellUpdates:
@@ -153,7 +178,7 @@ class TestCellUpdates:
         sents = synthetic.separable_corpus(5, seed=1)
         model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
         L = len(model.labels)
-        state = AdaGradState()
+        state = {}
         bundle = crf.GradientBundle(
             theta_out=(np.array([1 * L + 2, 4 * L]), np.array([1.0, -2.0])),
             theta_edge=(np.array([L * L + 1]), np.array([1.0])),
@@ -164,7 +189,7 @@ class TestCellUpdates:
             assert np.sign(model.theta_out[row, col]) == sign
         assert np.count_nonzero(model.theta_out) == 2
         assert np.count_nonzero(model.theta_edge) == 1 and model.theta_edge[L, 1] < 0
-        assert np.count_nonzero(state._accum["theta_out"]) == 2
+        assert np.count_nonzero(state["theta_out"]) == 2
 
     def test_embedding_cells_update_only_their_cells(self):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -172,7 +197,7 @@ class TestCellUpdates:
         before = {name: arr.copy() for name, arr in model.named_arrays()}
         dim = model.composer.tables["word"].dim
         cells = 2 * dim + np.arange(dim)  # all of row 2
-        state = AdaGradState()
+        state = {}
         bundle = crf.GradientBundle({"emb.word": (cells, np.linspace(-1.0, 1.0, dim))})
         trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
         for name, arr in model.named_arrays():
@@ -182,7 +207,7 @@ class TestCellUpdates:
         rest = np.delete(np.arange(words.size), cells)
         np.testing.assert_array_equal(words.reshape(-1)[rest], before["emb.word"].reshape(-1)[rest])
         assert np.all(words[2] != before["emb.word"][2])
-        assert set(np.flatnonzero(state._accum["emb.word"])) <= set(cells)
+        assert set(np.flatnonzero(state["emb.word"])) <= set(cells)
 
     def test_zero_gradient_row_decays_lazily(self):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -191,10 +216,22 @@ class TestCellUpdates:
         before = words.copy()
         dim = words.shape[1]
         bundle = crf.GradientBundle({"emb.word": (dim + np.arange(dim), np.zeros(dim))})
-        trainer.apply_bundle(model, bundle, AdaGradState(), 0.1, 0.5)
+        trainer.apply_bundle(model, bundle, {}, 0.1, 0.5)
         # the L2 term alone moves every cell of row 1 toward zero
         np.testing.assert_array_equal(np.sign(words[1] - before[1]), -np.sign(before[1]))
         np.testing.assert_array_equal(np.delete(words, 1, axis=0), np.delete(before, 1, axis=0))
+
+    def test_non_finite_cell_step_writes_nothing(self):
+        model = discrete_model()
+        model.theta_out[:] = 0.5
+        before = model.theta_out.copy()
+        accum = np.full_like(before, 2.0)
+        state = {"theta_out": accum}
+        bundle = crf.GradientBundle(theta_out=(np.array([1, 3]), np.array([1.0, np.inf])))
+        with pytest.raises(FloatingPointError, match="theta_out"):
+            trainer.apply_bundle(model, bundle, state, 0.1, 0.0)
+        np.testing.assert_array_equal(model.theta_out, before)
+        assert state["theta_out"] is accum and np.all(accum == 2.0)
 
     def test_non_contiguous_parameter_refused(self):
         sents = synthetic.separable_corpus(5, seed=1)
@@ -202,7 +239,7 @@ class TestCellUpdates:
         model.theta_out = np.asfortranarray(model.theta_out + 1.0)
         bundle = crf.GradientBundle(theta_out=(np.array([1]), np.array([1.0])))
         with pytest.raises(ValueError):
-            trainer.apply_bundle(model, bundle, AdaGradState(), 0.1, 0.0)
+            trainer.apply_bundle(model, bundle, {}, 0.1, 0.0)
 
 
 class TestHyperParams:
