@@ -148,6 +148,7 @@ def _model_from_header(path, header) -> ModelParams:
         raise CheckpointError(f"{path}: header lacks {missing}")
     if not isinstance(header["meta"], dict):
         raise CheckpointError(f"{path}: meta is not a JSON object")
+    _check_value_types(path, header, discrete, neural)
     try:
         templates = out_alphabet = composer = None
         if discrete:
@@ -184,3 +185,46 @@ def _model_from_header(path, header) -> ModelParams:
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc!r}") from exc
     return model
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _is_lexicon(value) -> bool:
+    return isinstance(value, dict) and all(isinstance(v, str) for v in value.values())
+
+
+def _check_value_types(path, header, discrete, neural) -> None:
+    """Raise a ``CheckpointError`` naming the first header value whose JSON
+    type the model would misread instead of rejecting."""
+
+    def need(ok, key, what):
+        if not ok:
+            raise CheckpointError(f"{path}: header {key} must be {what}")
+
+    p = header["dropout_p"]
+    need(
+        isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p < 1,
+        "dropout_p",
+        "a number in [0, 1)",
+    )
+    need(_is_strings(header["labels"]), "labels", "a list of strings")
+    if discrete:
+        need(_is_strings(header["contexts"]), "contexts", "a list of strings")
+        templates = header["templates"]
+        need(isinstance(templates, dict), "templates", "an object")
+        for key in ("cluster_lexicon", "radical_lexicon"):
+            need(
+                _is_lexicon(templates.get(key)),
+                f"templates.{key}",
+                "an object mapping strings to strings",
+            )
+    if neural:
+        tables = header["tables"]
+        need(isinstance(tables, list), "tables", "a list")
+        for k, spec in enumerate(tables):
+            need(isinstance(spec, dict), f"tables[{k}]", "an object")
+            need(_is_strings(spec.get("symbols")), f"tables[{k}].symbols", "a list of strings")
+            for key in ("fine_tune", "lowercase"):
+                need(isinstance(spec.get(key), bool), f"tables[{k}].{key}", "a boolean")

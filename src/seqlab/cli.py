@@ -284,7 +284,7 @@ def cmd_eval(config: RunConfig) -> int:
     record = evaluator.metric_record(
         config.task, config.scheme, gold, [p.gold_labels for p in pred]
     )
-    print(evaluator.format_record(record))
+    print(json.dumps(record, sort_keys=True))
     return 0
 
 

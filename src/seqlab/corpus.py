@@ -267,46 +267,23 @@ def segmentation_to_bies(words) -> tuple[list[str], list[str]]:
     return tokens, labels
 
 
-def _bies_word_bounds(labels) -> list[tuple[int, int]]:
-    # Repair walk: B/S start a word (closing any open one), an orphan I opens,
-    # an orphan E closes as a single character, open words close at the end.
-    bounds: list[tuple[int, int]] = []
-    start = None
-    for t, lab in enumerate(labels):
-        if lab == "B":
-            if start is not None:
-                bounds.append((start, t))
-            start = t
-        elif lab == "S":
-            if start is not None:
-                bounds.append((start, t))
-            bounds.append((t, t + 1))
-            start = None
-        elif lab == "I":
-            if start is None:
-                start = t
-        elif lab == "E":
-            if start is None:
-                start = t
-            bounds.append((start, t + 1))
-            start = None
-        else:
+def bies_word_spans(labels) -> list[SpanAnnotation]:
+    """Word boundaries of a BIES tag sequence as WORD spans.
+
+    BIES is BIOES with one kind and no O, so the words are the spans of the
+    same tags suffixed ``-WORD``, repaired by :func:`position_tags_to_spans`.
+    """
+    for lab in labels:
+        if lab not in BIES_TAGS:
             raise ValueError(f"not a BIES tag: {lab!r}")
-    if start is not None:
-        bounds.append((start, len(labels)))
-    return bounds
+    return position_tags_to_spans([t + "-WORD" for t in labels], "BIOES")
 
 
 def bies_to_segmentation(tokens, labels) -> list[str]:
     """Inverse of :func:`segmentation_to_bies`, total via deterministic repair."""
     if len(tokens) != len(labels):
         raise ValueError(f"{len(tokens)} tokens vs {len(labels)} labels")
-    return ["".join(tokens[a:b]) for a, b in _bies_word_bounds(labels)]
-
-
-def bies_word_spans(labels) -> list[SpanAnnotation]:
-    """Word boundaries of a BIES tag sequence as WORD spans (repaired)."""
-    return [SpanAnnotation(a, b, "WORD") for a, b in _bies_word_bounds(labels)]
+    return ["".join(tokens[s.start : s.end]) for s in bies_word_spans(labels)]
 
 
 # ---------------------------------------------------------------------------

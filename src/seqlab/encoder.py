@@ -145,7 +145,6 @@ class _ScanCache(NamedTuple):
 @dataclass
 class EncoderOutput:
     h: np.ndarray  # (n, 2H), forward block then backward block
-    train: bool
     dropout_p: float
     masks: np.ndarray | None  # (n, input_dim) 0/1, train mode only
     scan: _ScanCache
@@ -305,7 +304,7 @@ def encode(
     h = np.concatenate([scan.h[:, :, 0], scan.h[::-1, :, 1]], axis=1)
     if not np.all(np.isfinite(h)):
         raise FloatingPointError("encoder produced non-finite outputs")
-    return EncoderOutput(h=h, train=train, dropout_p=p, masks=masks, scan=scan)
+    return EncoderOutput(h=h, dropout_p=p, masks=masks, scan=scan)
 
 
 def backward(
@@ -317,7 +316,7 @@ def backward(
     and d(loss)/d(inputs), where the input gradient already includes the
     window sharing and the dropout masks.
     """
-    if not output.train:
+    if output.masks is None:
         raise ValueError("backward requires an encode pass run in train mode")
     d_h = np.asarray(d_h, dtype=np.float64)
     if d_h.shape != output.h.shape:
@@ -327,8 +326,4 @@ def backward(
         params, output.scan, np.stack([d_h[:, :H], d_h[::-1, H:]], axis=-1)
     )
     d_dropped = d_fwd + d_bwd[::-1]
-    if output.masks is not None:
-        d_inputs = d_dropped * output.masks / (1.0 - output.dropout_p)
-    else:
-        d_inputs = d_dropped
-    return grads, d_inputs
+    return grads, d_dropped * output.masks / (1.0 - output.dropout_p)

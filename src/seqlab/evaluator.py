@@ -1,21 +1,24 @@
 """Task metrics and the per-sentence model comparison export.
 
-Span scores are micro-averaged: a true positive is an exact (start, end,
-kind) match between a gold and a predicted span.  Zero-denominator cases
-are total by convention (precision 0 with no predictions, recall 0 with no
-gold) and flagged in the JSON record.  For the per-sentence comparison, a
-sentence with neither gold nor predicted spans counts as F=1.0 (perfect
-agreement); those sentences dominate entity-task scatters.
+Every metric reads one count rule, :func:`sentence_counts`: a sentence's
+``(hits, predicted, gold)`` under the :func:`count_scheme` of its task.
+Corpus scores sum those counts (micro-averaging).  A span hit is an exact
+(start, end, kind) match between a gold and a predicted span.
+Zero-denominator cases are total by convention (precision 0 with no
+predictions, recall 0 with no gold) and flagged in the JSON record.  For
+the per-sentence comparison, a sentence with neither gold nor predicted
+spans counts as F=1.0 (perfect agreement); those sentences dominate
+entity-task scatters.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .corpus import bies_word_spans, position_tags_to_spans
 
-METRIC_SCHEMES = ("BIO", "BIOES", "BIES")
+# what a metric can count: tokens, or the spans of one tag scheme
+METRIC_SCHEMES = ("accuracy", "BIO", "BIOES", "BIES")
 
 
 @dataclass(frozen=True)
@@ -35,16 +38,49 @@ def prf_from_counts(tp: int, pred_count: int, gold_count: int) -> PRF:
     return PRF(precision, recall, f1, tp, pred_count, gold_count)
 
 
+def count_scheme(task: str, scheme: str) -> str:
+    """What a task's metric counts: ``"accuracy"`` (tokens) for POS, BIES word
+    spans for SEG, and spans in the entity ``scheme`` for NER."""
+    try:
+        return {"POS": "accuracy", "SEG": "BIES", "NER": scheme}[task]
+    except KeyError:
+        raise ValueError(f"unknown task {task!r}") from None
+
+
 def _spans(labels, scheme):
-    if scheme == "BIES":
-        return {(s.start, s.end, s.kind) for s in bies_word_spans(labels)}
-    return {(s.start, s.end, s.kind) for s in position_tags_to_spans(labels, scheme)}
+    spans = bies_word_spans(labels) if scheme == "BIES" else position_tags_to_spans(labels, scheme)
+    return {(s.start, s.end, s.kind) for s in spans}
 
 
-def _span_counts(gold_labels, pred_labels, scheme):
-    gold = _spans(gold_labels, scheme)
-    pred = _spans(pred_labels, scheme)
+def sentence_counts(gold_labels, pred_labels, scheme: str) -> tuple[int, int, int]:
+    """One sentence's ``(hits, predicted, gold)`` under a :func:`count_scheme`.
+
+    For ``"accuracy"`` a hit is a correctly labeled token and both other
+    counts are the sentence length; otherwise a hit is a predicted span
+    matching a gold one exactly in (start, end, kind).
+    """
+    if len(gold_labels) != len(pred_labels):
+        raise ValueError("gold and predicted sentence lengths differ")
+    if scheme == "accuracy":
+        hits = sum(g == p for g, p in zip(gold_labels, pred_labels))
+        return hits, len(pred_labels), len(gold_labels)
+    gold, pred = _spans(gold_labels, scheme), _spans(pred_labels, scheme)
     return len(gold & pred), len(pred), len(gold)
+
+
+def corpus_counts(gold_label_seqs, pred_label_seqs, scheme: str) -> tuple[int, int, int]:
+    """:func:`sentence_counts` summed over a corpus."""
+    if scheme not in METRIC_SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if len(gold_label_seqs) != len(pred_label_seqs):
+        raise ValueError("gold and predicted corpora have different sizes")
+    hits = predicted = gold = 0
+    for gold_labels, pred_labels in zip(gold_label_seqs, pred_label_seqs):
+        h, p, g = sentence_counts(gold_labels, pred_labels, scheme)
+        hits += h
+        predicted += p
+        gold += g
+    return hits, predicted, gold
 
 
 def eval_spans(gold_label_seqs, pred_label_seqs, scheme: str) -> PRF:
@@ -53,80 +89,47 @@ def eval_spans(gold_label_seqs, pred_label_seqs, scheme: str) -> PRF:
     ``scheme`` is BIO or BIOES for entity tags, or BIES for segmentation
     (where the spans are the word boundaries).
     """
-    if scheme not in METRIC_SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if len(gold_label_seqs) != len(pred_label_seqs):
-        raise ValueError("gold and predicted corpora have different sizes")
-    tp = pred_count = gold_count = 0
-    for gold, pred in zip(gold_label_seqs, pred_label_seqs):
-        if len(gold) != len(pred):
-            raise ValueError("gold and predicted sentence lengths differ")
-        t, p, g = _span_counts(gold, pred, scheme)
-        tp += t
-        pred_count += p
-        gold_count += g
-    return prf_from_counts(tp, pred_count, gold_count)
-
-
-def _accuracy_counts(gold_label_seqs, pred_label_seqs) -> tuple[int, int]:
-    if len(gold_label_seqs) != len(pred_label_seqs):
-        raise ValueError("gold and predicted corpora have different sizes")
-    correct = total = 0
-    for gold, pred in zip(gold_label_seqs, pred_label_seqs):
-        if len(gold) != len(pred):
-            raise ValueError("gold and predicted sentence lengths differ")
-        correct += sum(g == p for g, p in zip(gold, pred))
-        total += len(gold)
-    return correct, total
+    return prf_from_counts(*corpus_counts(gold_label_seqs, pred_label_seqs, scheme))
 
 
 def eval_accuracy(gold_label_seqs, pred_label_seqs) -> float:
     """Fraction of positions labeled correctly, micro-averaged."""
-    correct, total = _accuracy_counts(gold_label_seqs, pred_label_seqs)
+    correct, _, total = corpus_counts(gold_label_seqs, pred_label_seqs, "accuracy")
     return correct / total if total else 0.0
 
 
-def sentence_f1(gold_labels, pred_labels, scheme: str) -> float:
-    """Sentence-local span F; 1.0 when both span sets are empty."""
-    tp, pred_count, gold_count = _span_counts(gold_labels, pred_labels, scheme)
-    if pred_count == 0 and gold_count == 0:
+def sentence_score(gold_labels, pred_labels, scheme: str) -> float:
+    """One sentence's metric under a :func:`count_scheme`: its accuracy, or its
+    span F, which is 1.0 when both span sets are empty."""
+    hits, predicted, gold = sentence_counts(gold_labels, pred_labels, scheme)
+    if scheme == "accuracy":
+        return hits / gold
+    if predicted == 0 and gold == 0:
         return 1.0
-    return prf_from_counts(tp, pred_count, gold_count).f1
-
-
-def sentence_accuracy(gold_labels, pred_labels) -> float:
-    return sum(g == p for g, p in zip(gold_labels, pred_labels)) / len(gold_labels)
-
-
-def span_scheme(task: str, scheme: str) -> str:
-    """The span scheme a task is scored in: BIES word spans for SEG, else ``scheme``."""
-    return "BIES" if task == "SEG" else scheme
+    return prf_from_counts(hits, predicted, gold).f1
 
 
 def corpus_metric(task: str, scheme: str, gold_sentences, pred_label_seqs) -> float:
     """The model-selection metric: word/entity F for SEG/NER, accuracy for POS."""
-    gold_seqs = [s.gold_labels for s in gold_sentences]
-    if task == "POS":
-        return eval_accuracy(gold_seqs, pred_label_seqs)
-    if task in ("SEG", "NER"):
-        return eval_spans(gold_seqs, pred_label_seqs, span_scheme(task, scheme)).f1
-    raise ValueError(f"unknown task {task!r}")
+    record = metric_record(task, scheme, gold_sentences, pred_label_seqs)
+    return record["f1"] if "f1" in record else record["accuracy"]
 
 
 def metric_record(task: str, scheme: str, gold_sentences, pred_label_seqs) -> dict:
     """Corpus metrics as the JSON record printed by the CLI."""
-    gold_seqs = [s.gold_labels for s in gold_sentences]
-    if task == "POS":
-        correct, total = _accuracy_counts(gold_seqs, pred_label_seqs)
+    scheme = count_scheme(task, scheme)
+    hits, predicted, gold = corpus_counts(
+        [s.gold_labels for s in gold_sentences], pred_label_seqs, scheme
+    )
+    if scheme == "accuracy":
         return {
             "task": task,
             "metric": "accuracy",
-            "accuracy": correct / total if total else 0.0,
-            "correct": correct,
-            "total": total,
+            "accuracy": hits / gold if gold else 0.0,
+            "correct": hits,
+            "total": gold,
         }
-    scheme = span_scheme(task, scheme)
-    prf = eval_spans(gold_seqs, pred_label_seqs, scheme)
+    prf = prf_from_counts(hits, predicted, gold)
     record = {
         "task": task,
         "metric": "span_f1",
@@ -148,30 +151,19 @@ def metric_record(task: str, scheme: str, gold_sentences, pred_label_seqs) -> di
     return record
 
 
-def format_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
-
-
 def export_comparison(
     path, gold_sentences, preds_a, preds_b, task: str, scheme: str = "BIO"
 ) -> None:
     """Write the per-sentence paired metric TSV for scatter plotting.
 
-    Rows are ``sentence_id<TAB>metric_a<TAB>metric_b`` with the per-sentence
-    span F (SEG/NER) or accuracy (POS).
+    Rows are ``sentence_id<TAB>metric_a<TAB>metric_b`` with each sentence's
+    :func:`sentence_score`: span F (SEG/NER) or accuracy (POS).
     """
     if not (len(gold_sentences) == len(preds_a) == len(preds_b)):
         raise ValueError("both prediction sets must cover the same corpus")
-    scheme = span_scheme(task, scheme)
+    scheme = count_scheme(task, scheme)
     with open(path, "w", encoding="utf-8") as fh:
         for idx, sent in enumerate(gold_sentences):
-            gold = sent.gold_labels
-            if gold is None or len(preds_a[idx]) != len(gold) or len(preds_b[idx]) != len(gold):
-                raise ValueError(f"sentence {idx}: prediction/gold length mismatch")
-            if task == "POS":
-                a = sentence_accuracy(gold, preds_a[idx])
-                b = sentence_accuracy(gold, preds_b[idx])
-            else:
-                a = sentence_f1(gold, preds_a[idx], scheme)
-                b = sentence_f1(gold, preds_b[idx], scheme)
+            a = sentence_score(sent.gold_labels, preds_a[idx], scheme)
+            b = sentence_score(sent.gold_labels, preds_b[idx], scheme)
             fh.write(f"{idx}\t{a!r}\t{b!r}\n")

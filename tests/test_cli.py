@@ -678,3 +678,92 @@ class TestCheckpointFuzz:
         model.validate()
         for labels, sent in zip(trainer.predict_labels(model, NER_PROBES), NER_PROBES):
             assert len(labels) == len(sent) and all(l in model.labels for l in labels)
+
+
+def header_paths(value, path=()):
+    """Paths into a JSON value, through the first and the last entry of each list."""
+    if isinstance(value, dict):
+        keys = list(value)
+    elif isinstance(value, list):
+        keys = sorted({0, len(value) - 1}) if value else []
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from header_paths(value[key], path + (key,))
+
+
+def with_header(blob, header):
+    """``blob`` with its JSON header replaced by ``header``."""
+    raw = json.dumps(header).encode("utf-8")
+    return blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[header_end(blob) :]
+
+
+def json_kind(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.floats(), st.text(max_size=3)
+)
+JSON_VALUES = st.one_of(
+    JSON_SCALARS,
+    st.lists(JSON_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), JSON_SCALARS, max_size=3),
+)
+
+
+class TestCheckpointHeaderTypes:
+    @given(mode=st.sampled_from(crf.MODES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_value_of_another_type_rejected_or_usable(self, tmp_path_factory, mode, data):
+        base = tmp_path_factory.getbasetemp()
+        blob = ner_checkpoint(mode, base)
+        header = json.loads(blob[16 : header_end(blob)])
+        path = data.draw(st.sampled_from(list(header_paths(header))), label="path")
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        kind = json_kind(node[path[-1]])
+        node[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != kind), label="value")
+        fuzzed = base / "fuzzed.bin"
+        fuzzed.write_bytes(with_header(blob, header))
+        try:
+            model, _ = checkpoint.load_model(fuzzed)
+        except checkpoint.CheckpointError:
+            return
+        predictions = trainer.predict_labels(model, NER_PROBES)
+        assert all(l in model.labels for labels in predictions for l in labels)
+        labeled = [
+            Sentence(tokens=s.tokens, gold_labels=labels, aux_tags=s.aux_tags)
+            for s, labels in zip(NER_PROBES, predictions)
+        ]
+        write_column_corpus(base / "fuzzed.col", labeled, ("token", "aux", "label"))
+
+    @pytest.mark.parametrize(
+        "key,edit",
+        [
+            ("labels", lambda h: h.update(labels=[1, 2] + h["labels"][2:])),
+            ("templates.cluster_lexicon", lambda h: h["templates"].update(cluster_lexicon=["Ann"])),
+            ("contexts", lambda h: h.update(contexts=list(range(len(h["contexts"]))))),
+            ("tables[0].lowercase", lambda h: h["tables"][0].update(lowercase="no")),
+            ("dropout_p", lambda h: h.update(dropout_p=1.0)),
+        ],
+    )
+    def test_predict_names_the_key(self, tmp_path, capsys, key, edit):
+        blob = ner_checkpoint("joint", tmp_path)
+        header = json.loads(blob[16 : header_end(blob)])
+        edit(header)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, header))
+        write_column_corpus(tmp_path / "in.col", NER_SENTS, ("token", "aux", "label"))
+        status = run_cli(
+            ["predict", "--set", "task=NER", "--set", f"model_in={bad}",
+             "--set", f"input={tmp_path/'in.col'}", "--set", f"output={tmp_path/'p.col'}"]
+        )
+        assert status == 2
+        assert f"header {key} must be" in capsys.readouterr().err

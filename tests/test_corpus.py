@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -199,6 +200,11 @@ class TestColumnCorpus:
         write_column_corpus(path, sents, ("token", "aux", "label"))
         assert read_column_corpus(path, ("token", "aux", "label")) == sents
 
+# Every BIES sequence of length 1-8 with its repaired word bounds, hashed as
+# in TestBies.test_repair_digest_every_sequence_up_to_length_8.  Fixed with
+# the dedicated BIES repair walk that BIES-as-one-kind-BIOES decoding replaced.
+BIES_REPAIR_DIGEST = "0d0fd7de4a6dfb13d86d9adfc9497ab5d97c73a4ffe8c13c72bb796e36751d55"
+
 
 class TestBies:
     def test_single_char_word(self):
@@ -222,6 +228,34 @@ class TestBies:
 
     def test_repair_orphan_i(self):
         assert bies_to_segmentation(["A"], ["I"]) == ["A"]
+
+    def test_repair_orphan_e(self):
+        # an E with no open word closes as a one-character word
+        assert bies_to_segmentation(["A", "B"], ["S", "E"]) == ["A", "B"]
+        assert bies_to_segmentation(["A", "B"], ["E", "E"]) == ["A", "B"]
+
+    def test_repair_i_after_s(self):
+        # an I after a closed word opens the next one, closed by E or the end
+        assert bies_to_segmentation(["A", "B", "C"], ["S", "I", "E"]) == ["A", "BC"]
+        assert bies_to_segmentation(["A", "B", "C"], ["S", "I", "I"]) == ["A", "BC"]
+
+    def test_non_bies_tag_rejected(self):
+        with pytest.raises(ValueError, match="not a BIES tag"):
+            bies_word_spans(["B", "O"])
+        with pytest.raises(ValueError, match="not a BIES tag"):
+            bies_word_spans(["B-WORD"])
+
+    def test_repair_digest_every_sequence_up_to_length_8(self):
+        # the word bounds of all 87,380 BIES sequences of length 1-8, pinned
+        h = hashlib.sha256()
+        count = 0
+        for length in range(1, 9):
+            for labels in itertools.product("BIES", repeat=length):
+                bounds = " ".join(f"{s.start},{s.end}" for s in bies_word_spans(labels))
+                h.update(f"{''.join(labels)}:{bounds}\n".encode())
+                count += 1
+        assert count == 87380
+        assert h.hexdigest() == BIES_REPAIR_DIGEST
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from seqlab.corpus import Sentence, segmentation_to_bies
 from seqlab.evaluator import (
+    corpus_metric,
     eval_accuracy,
     eval_spans,
     export_comparison,
-    format_record,
     metric_record,
     prf_from_counts,
-    sentence_f1,
+    sentence_score,
 )
 
 
@@ -156,10 +158,18 @@ class TestAccuracy:
 
 class TestSentenceMetrics:
     def test_both_empty_is_perfect(self):
-        assert sentence_f1(["O", "O"], ["O", "O"], "BIO") == 1.0
+        assert sentence_score(["O", "O"], ["O", "O"], "BIO") == 1.0
 
     def test_hand_value(self):
-        assert sentence_f1(seg_labels(["AB", "C"]), seg_labels(["A", "B", "C"]), "BIES") == pytest.approx(0.4)
+        assert sentence_score(seg_labels(["AB", "C"]), seg_labels(["A", "B", "C"]), "BIES") == pytest.approx(0.4)
+
+    def test_accuracy(self):
+        assert sentence_score(["A", "B", "C", "D"], ["A", "B", "C", "X"], "accuracy") == 0.75
+
+    @pytest.mark.parametrize("scheme", ["accuracy", "BIO", "BIES"])
+    def test_length_mismatch(self, scheme):
+        with pytest.raises(ValueError):
+            sentence_score(["B"], ["B", "E"], scheme)
 
 
 class TestExportComparison:
@@ -221,8 +231,50 @@ class TestMetricRecord:
         assert "no_predictions" in record["flags"]
 
     def test_json_round_trip(self):
-        import json
-
         sents = [Sentence(tokens=["a"], gold_labels=["B-PER"])]
         record = metric_record("NER", "BIO", sents, [["B-PER"]])
-        assert json.loads(format_record(record)) == record
+        assert json.loads(json.dumps(record, sort_keys=True)) == record
+
+
+def random_labeled_corpus(rng, task, scheme):
+    """Gold sentences and independent predictions, both drawn per position."""
+    tags = {
+        "SEG": ["B", "I", "E", "S"],
+        "POS": ["NN", "VB", "DT"],
+        "NER": ["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]
+        + (["E-PER", "S-PER", "E-LOC", "S-LOC"] if scheme == "BIOES" else []),
+    }[task]
+    sents, preds = [], []
+    for _ in range(int(rng.integers(1, 12))):
+        n = int(rng.integers(1, 9))
+        sents.append(Sentence(tokens=["t"] * n, gold_labels=list(rng.choice(tags, size=n))))
+        preds.append(list(rng.choice(tags, size=n)))
+    return sents, preds
+
+
+class TestOneCountRule:
+    @pytest.mark.parametrize(
+        "task,scheme,key",
+        [("SEG", "BIO", "f1"), ("POS", "BIO", "accuracy"), ("NER", "BIO", "f1"), ("NER", "BIOES", "f1")],
+    )
+    def test_metric_record_and_comparison_agree(self, tmp_path, task, scheme, key):
+        rng = np.random.default_rng(7)
+        out = tmp_path / "cmp.tsv"
+        counted = "accuracy" if task == "POS" else "BIES" if task == "SEG" else scheme
+        for _ in range(40):
+            sents, preds = random_labeled_corpus(rng, task, scheme)
+            shuffled = [list(rng.permutation(p)) for p in preds]
+            record = metric_record(task, scheme, sents, preds)
+            assert corpus_metric(task, scheme, sents, preds) == record[key]
+            export_comparison(out, sents, preds, shuffled, task, scheme)
+            rows = [line.split("\t") for line in out.read_text().splitlines()]
+            assert len(rows) == len(sents)
+            for k, (sid, a, b) in enumerate(rows):
+                assert sid == str(k)
+                assert a == repr(sentence_score(sents[k].gold_labels, preds[k], counted))
+                assert b == repr(sentence_score(sents[k].gold_labels, shuffled[k], counted))
+
+    def test_unknown_task(self):
+        sents = [Sentence(tokens=["a"], gold_labels=["X"])]
+        with pytest.raises(ValueError, match="unknown task"):
+            corpus_metric("CHUNK", "BIO", sents, [["X"]])
