@@ -277,10 +277,16 @@ def cmd_predict(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig) -> int:
     config.require_paths("gold", "predictions")
-    gold = read_task_corpus(config.path("gold"), config.task, require_labels=True)
-    pred = read_task_corpus(config.path("predictions"), config.task, require_labels=True)
-    if len(gold) != len(pred) or any(g.tokens != p.tokens for g, p in zip(gold, pred)):
-        raise ConfigError("gold and prediction corpora do not align")
+    gold_path, pred_path = config.path("gold"), config.path("predictions")
+    gold = read_task_corpus(gold_path, config.task, require_labels=True)
+    pred = read_task_corpus(pred_path, config.task, require_labels=True)
+    if len(gold) != len(pred):
+        why = f"{len(gold)} sentences against {len(pred)}"
+    else:
+        differ = (k for k, (g, p) in enumerate(zip(gold, pred)) if g.tokens != p.tokens)
+        why = next((f"the tokens of sentence {k} differ" for k in differ), None)
+    if why:
+        raise ConfigError(f"gold {gold_path} and predictions {pred_path} do not align: {why}")
     record = evaluator.metric_record(
         config.task, config.scheme, gold, [p.gold_labels for p in pred]
     )

@@ -78,14 +78,6 @@ class ScoreLattice:
         if not (np.all(np.isfinite(self.emission)) and np.all(np.isfinite(self.transition))):
             raise ValueError("lattice scores must be finite")
 
-    @property
-    def n(self):
-        return self.emission.shape[0]
-
-    @property
-    def num_labels(self):
-        return self.emission.shape[1]
-
 
 @dataclass
 class DecodeResult:

@@ -10,14 +10,18 @@ parameter blocks reverses and block-swaps the output sequence.  Each
 direction's zero-padded ``(n, 5d)`` window matrix is built once, from five
 shifted slices.
 
+The weights are stored the way the scan reads them: ``W``, ``U`` and ``b``
+each hold both directions, forward then backward on the first axis.
+
 One step loop runs both directions.  Before it, each direction's input
 terms ``W @ window`` for every position come from one batched matmul, which
 numpy runs as one GEMV per position, the same GEMV as ``W @ windows[i]``;
 a GEMM ``windows @ W.T`` would round differently.  The loop carries only
 the recurrence: the direction is the last axis of the stacked state, so a
-step is one batched matmul on the stacked ``U`` and one numpy call per
-elementwise operation for both directions, each on contiguous memory.
-Every output is bitwise that of a plain per-step, per-direction loop.
+step is one batched matmul on the stored ``U`` and one numpy call per
+elementwise operation for both directions, each on contiguous state (the
+bias is read through a transposed view of ``b``).  Every output is bitwise
+that of a plain per-step, per-direction loop.
 
 The cell is the standard LSTM: sigmoid input/forget/output gates, tanh
 candidate, no peepholes, state clipping disabled.  Gate pre-activations are
@@ -32,11 +36,11 @@ runs both directions back, the direction again the last axis.  Every factor
 that does not depend on the recurrence (``c_prev``, ``1 - tanh(c)^2``,
 ``1 - gate``, ``1 - g^2``) is computed for all positions before the loop,
 so a step is a few elementwise calls on the stacked ``(4, H, 2)`` gate
-gradients and one batched matmul on the transpose of the scan's stacked
-``U``.  The loop collects the gate pre-activation gradients ``D_pre``; each
-direction's are then made contiguous once, and the weight gradients are
-whole-sentence products (``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and
-``D_pre @ W`` is summed back through the same five slices, which
+gradients and one batched matmul on the transpose of ``U``.  The loop
+collects the gate pre-activation gradients ``D_pre``; each direction's are
+then made contiguous once, and the weight gradients are whole-sentence
+products (``D_pre.T @ windows``, ``D_pre.T @ H_prev``), and ``D_pre @ W``
+is summed back through the same five slices, which
 accumulates the window sharing (one input feeds up to five windows).
 Every gradient is bitwise that of a plain per-direction loop.  All math is
 float64.
@@ -55,87 +59,61 @@ _HALF = WINDOW // 2
 
 @dataclass
 class BiLSTMParams:
-    """One weight/bias set per direction; ``w_*`` act on the 5-block window."""
+    """Both directions' weights, forward then backward on the first axis:
+    ``w`` (2, 4H, 5d) acts on the 5-block window, ``u`` (2, 4H, H) on the
+    previous output, and ``b`` is (2, 4H)."""
 
     input_dim: int
     hidden: int
-    w_fwd: np.ndarray
-    u_fwd: np.ndarray
-    b_fwd: np.ndarray
-    w_bwd: np.ndarray
-    u_bwd: np.ndarray
-    b_bwd: np.ndarray
-
-    @classmethod
-    def init(cls, input_dim: int, hidden: int, rng) -> "BiLSTMParams":
-        """Uniform [-r, r] with r = sqrt(6 / (fan_in + fan_out)); forget bias 1."""
-        win = WINDOW * input_dim
-
-        def mat(rows, cols):
-            r = np.sqrt(6.0 / (rows + cols))
-            return rng.uniform(-r, r, size=(rows, cols))
-
-        def bias():
-            b = np.zeros(4 * hidden)
-            b[hidden : 2 * hidden] = 1.0
-            return b
-
-        return cls(
-            input_dim=input_dim,
-            hidden=hidden,
-            w_fwd=mat(4 * hidden, win),
-            u_fwd=mat(4 * hidden, hidden),
-            b_fwd=bias(),
-            w_bwd=mat(4 * hidden, win),
-            u_bwd=mat(4 * hidden, hidden),
-            b_bwd=bias(),
-        )
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "w_fwd": self.w_fwd,
-            "u_fwd": self.u_fwd,
-            "b_fwd": self.b_fwd,
-            "w_bwd": self.w_bwd,
-            "u_bwd": self.u_bwd,
-            "b_bwd": self.b_bwd,
-        }
+    w: np.ndarray
+    u: np.ndarray
+    b: np.ndarray
 
     @staticmethod
-    def shapes(input_dim: int, hidden: int) -> dict[str, tuple[int, ...]]:
-        """The shape of each array in ``arrays()``, in the same order."""
-        h, win = hidden, WINDOW * input_dim
-        return {
-            "w_fwd": (4 * h, win),
-            "u_fwd": (4 * h, h),
-            "b_fwd": (4 * h,),
-            "w_bwd": (4 * h, win),
-            "u_bwd": (4 * h, h),
-            "b_bwd": (4 * h,),
-        }
+    def _shapes(input_dim: int, hidden: int):
+        return (2, 4 * hidden, WINDOW * input_dim), (2, 4 * hidden, hidden), (2, 4 * hidden)
 
     @classmethod
     def zeros(cls, input_dim: int, hidden: int) -> "BiLSTMParams":
-        arrays = {k: np.zeros(shape) for k, shape in cls.shapes(input_dim, hidden).items()}
-        return cls(input_dim=input_dim, hidden=hidden, **arrays)
+        return cls(input_dim, hidden, *(np.zeros(s) for s in cls._shapes(input_dim, hidden)))
+
+    @classmethod
+    def init(cls, input_dim: int, hidden: int, rng) -> "BiLSTMParams":
+        """Uniform [-r, r] with r = sqrt(6 / (fan_in + fan_out)); forget bias 1.
+
+        Drawn per direction, ``w`` then ``u``, forward first.
+        """
+        params = cls.zeros(input_dim, hidden)
+        for k in range(2):
+            for m in (params.w[k], params.u[k]):
+                r = np.sqrt(6.0 / sum(m.shape))
+                m[...] = rng.uniform(-r, r, size=m.shape)
+        params.b[:, hidden : 2 * hidden] = 1.0
+        return params
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Each direction's ``w``, ``u`` and ``b`` as views into the stored arrays."""
+        return {
+            f"{name}_{side}": arr[k]
+            for k, side in enumerate(("fwd", "bwd"))
+            for name, arr in (("w", self.w), ("u", self.u), ("b", self.b))
+        }
 
     def check(self):
-        expect = self.shapes(self.input_dim, self.hidden)
-        for name, arr in self.arrays().items():
-            if arr.shape != expect[name]:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {expect[name]}")
+        for name, expect in zip("wub", self._shapes(self.input_dim, self.hidden)):
+            shape = getattr(self, name).shape
+            if shape != expect:
+                raise ValueError(f"{name} has shape {shape}, expected {expect}")
 
 
 class _ScanCache(NamedTuple):
-    """``_scan``'s stacked arrays, in scan order, the direction on the last axis
-    (on the first for ``u``, which ``_backprop`` reads back).
+    """``_scan``'s stacked arrays, in scan order, the direction on the last axis.
 
     Step ``j`` of direction 0 is sentence position ``j``; step ``j`` of
     direction 1 is position ``n - 1 - j``.
     """
 
     windows: tuple[np.ndarray, np.ndarray]  # each direction's (n, 5d) windows, in scan order
-    u: np.ndarray  # (2, 4H, H): u_fwd, u_bwd
     gates: np.ndarray  # (n, 4, H, 2) post-activation i, f, o, g
     c: np.ndarray  # (n, H, 2)
     tanh_c: np.ndarray  # (n, H, 2)
@@ -176,10 +154,9 @@ def _scan(params: BiLSTMParams, x) -> _ScanCache:
     H = params.hidden
     windows = (_windows(x), _windows(x[::-1]))
     xw = np.empty((n, 4, H, 2))
-    for k, w in enumerate((params.w_fwd, params.w_bwd)):
-        np.matmul(w, windows[k][:, :, None], xw.reshape(n, 4 * H, 2)[:, :, k, None])
-    u = np.stack([params.u_fwd, params.u_bwd])
-    b = np.stack([params.b_fwd, params.b_bwd], axis=-1).reshape(4, H, 2)
+    for k in range(2):
+        np.matmul(params.w[k], windows[k][:, :, None], xw.reshape(n, 4 * H, 2)[:, :, k, None])
+    b = params.b.T.reshape(4, H, 2)
     gates = np.empty((n, 4, H, 2))
     c = np.empty((n, H, 2))
     tanh_c = np.empty((n, H, 2))
@@ -192,7 +169,7 @@ def _scan(params: BiLSTMParams, x) -> _ScanCache:
     pre_cols = pre.reshape(4 * H, 2).T[:, :, None]
     h_prev, c_prev = np.zeros((2, H, 1)), np.zeros((H, 2))
     for i in range(n):
-        np.matmul(u, h_prev, pre_cols)
+        np.matmul(params.u, h_prev, pre_cols)
         np.add(xw[i], pre, pre)
         np.add(pre, b, pre)
         ig, fg, og, gg = step = gates[i]
@@ -206,7 +183,7 @@ def _scan(params: BiLSTMParams, x) -> _ScanCache:
         np.add(c_prev, ig_gg, c_prev)
         np.multiply(og, np.tanh(c_prev, tanh_c[i]), h[i])
         h_prev = h_cols[i]
-    return _ScanCache(windows, u, gates, c, tanh_c, h)
+    return _ScanCache(windows, gates, c, tanh_c, h)
 
 
 def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
@@ -233,7 +210,7 @@ def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
     p3[:, 3] = 1.0
     dtanh_c = 1.0 - tanh_c * tanh_c
     fg, og = gates[:, 1], gates[:, 2]
-    u_t = scan.u.transpose(0, 2, 1)
+    u_t = params.u.transpose(0, 2, 1)
     d_pre = np.empty((n, 4, H, 2))
     lead = np.empty((4, H, 2))
     dc, dh = lead[0], lead[2]
@@ -261,7 +238,7 @@ def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
         grads[f"w_{side}"] = d_pre_k.T @ scan.windows[k]
         grads[f"u_{side}"] = d_pre_k[1:].T @ h_k[:-1]  # h_prev is zero at the first step
         grads[f"b_{side}"] = d_pre_k.sum(axis=0)
-        d_x.append(_unwindow(d_pre_k @ getattr(params, f"w_{side}"), params.input_dim))
+        d_x.append(_unwindow(d_pre_k @ params.w[k], params.input_dim))
     return grads, d_x
 
 

@@ -83,21 +83,6 @@ def corpus_counts(gold_label_seqs, pred_label_seqs, scheme: str) -> tuple[int, i
     return hits, predicted, gold
 
 
-def eval_spans(gold_label_seqs, pred_label_seqs, scheme: str) -> PRF:
-    """Micro-averaged span precision/recall/F over a corpus.
-
-    ``scheme`` is BIO or BIOES for entity tags, or BIES for segmentation
-    (where the spans are the word boundaries).
-    """
-    return prf_from_counts(*corpus_counts(gold_label_seqs, pred_label_seqs, scheme))
-
-
-def eval_accuracy(gold_label_seqs, pred_label_seqs) -> float:
-    """Fraction of positions labeled correctly, micro-averaged."""
-    correct, _, total = corpus_counts(gold_label_seqs, pred_label_seqs, "accuracy")
-    return correct / total if total else 0.0
-
-
 def sentence_score(gold_labels, pred_labels, scheme: str) -> float:
     """One sentence's metric under a :func:`count_scheme`: its accuracy, or its
     span F, which is 1.0 when both span sets are empty."""

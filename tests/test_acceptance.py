@@ -30,7 +30,8 @@ def test_criterion_1_decoder_exactness():
     started = time.perf_counter()
     for _ in range(1000):
         lattice = _random_lattice(rng)
-        gold = rng.integers(0, lattice.num_labels, lattice.n)
+        n, L = lattice.emission.shape
+        gold = rng.integers(0, L, n)
 
         vit = crf.viterbi(lattice)
         brute = crf.brute_force_best(lattice)
@@ -38,7 +39,7 @@ def test_criterion_1_decoder_exactness():
         assert vit.score == brute.score
 
         aug = crf.ScoreLattice(
-            lattice.emission + (1.0 - np.eye(lattice.num_labels)[gold]),
+            lattice.emission + (1.0 - np.eye(L)[gold]),
             lattice.transition,
         )
         cav = crf.cost_augmented_viterbi(lattice, gold)
@@ -85,13 +86,12 @@ def test_criterion_4_margin_loss_properties():
     zero_cases = 0
     for trial in range(1000):
         lattice = _random_lattice(rng)
-        gold = rng.integers(0, lattice.num_labels, lattice.n)
+        n, L = lattice.emission.shape
+        gold = rng.integers(0, L, n)
         if trial % 20 == 0:
             # inflate gold so the margin is satisfied and loss must be zero
             emission = lattice.emission.copy()
-            emission[np.arange(lattice.n), gold] += lattice.n + 1.0 + 4.0 * np.abs(
-                lattice.emission
-            ).max()
+            emission[np.arange(n), gold] += n + 1.0 + 4.0 * np.abs(lattice.emission).max()
             lattice = crf.ScoreLattice(emission, lattice.transition)
         loss, _ = crf.margin_loss(lattice, gold)
         _, scores = crf.enumerate_sequence_scores(crf._augment(lattice, gold))
@@ -114,7 +114,8 @@ def test_criterion_5_learnability():
         hypers = HyperParams(epochs=epochs, seed=5)
         model = trainer.build_model(mode, "POS", "EN", sents, hypers)
         best, _ = trainer.train(model, sents, sents, hypers, "POS")
-        return evaluator.eval_accuracy(gold, trainer.predict_labels(best, sents))
+        preds = trainer.predict_labels(best, sents)
+        return evaluator.prf_from_counts(*evaluator.corpus_counts(gold, preds, "accuracy")).recall
 
     discrete = train_accuracy("discrete", 10)
     neural = train_accuracy("neural", 30)
@@ -275,10 +276,12 @@ def test_criterion_8_metric_identities():
             g = random_segmentation(rng)
             gold_words.append(g)
             pred_words.append(random_segmentation(rng, chars="".join(g)))
-        via_spans = evaluator.eval_spans(
-            [seg_labels(g) for g in gold_words],
-            [seg_labels(p) for p in pred_words],
-            "BIES",
+        via_spans = evaluator.prf_from_counts(
+            *evaluator.corpus_counts(
+                [seg_labels(g) for g in gold_words],
+                [seg_labels(p) for p in pred_words],
+                "BIES",
+            )
         ).f1
         independent = boundary_matching_f1(gold_words, pred_words)
         assert abs(via_spans - independent) < 1e-15

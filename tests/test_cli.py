@@ -362,7 +362,7 @@ class TestEvalCommand:
         record = json.loads(capsys.readouterr().out)
         assert record["accuracy"] == 1.0
 
-    def test_misaligned_rejected(self, pos_setup, tmp_path):
+    def test_misaligned_rejected(self, pos_setup, tmp_path, capsys):
         _, train, _, sents = pos_setup
         other = tmp_path / "other.col"
         write_pos_corpus(other, sents[:3])
@@ -370,6 +370,23 @@ class TestEvalCommand:
             ["eval", "--set", "task=POS",
              "--set", f"gold={train}", "--set", f"predictions={other}"]
         ) == 2
+        err = capsys.readouterr().err
+        assert f"gold {train} and predictions {other} do not align" in err
+        assert "15 sentences against 3" in err
+
+    def test_different_tokens_name_the_sentence(self, tmp_path, capsys):
+        gold = [Sentence(["a", "b"], ["X", "Y"]), Sentence(["c"], ["X"]), Sentence(["d"], ["Y"])]
+        pred = [gold[0], Sentence(["e"], ["X"]), Sentence(["f"], ["Y"])]
+        gold_path, pred_path = tmp_path / "gold.col", tmp_path / "pred.col"
+        write_pos_corpus(gold_path, gold)
+        write_pos_corpus(pred_path, pred)
+        assert run_cli(
+            ["eval", "--set", "task=POS",
+             "--set", f"gold={gold_path}", "--set", f"predictions={pred_path}"]
+        ) == 2
+        err = capsys.readouterr().err
+        assert f"gold {gold_path} and predictions {pred_path} do not align" in err
+        assert "the tokens of sentence 1 differ" in err
 
 
 class TestCompareCommand:

@@ -114,10 +114,9 @@ class TestCostAugmented:
         rng = np.random.default_rng(4)
         for _ in range(200):
             lat = random_lattice(rng)
-            gold = rng.integers(0, lat.num_labels, lat.n)
-            aug = crf.ScoreLattice(
-                lat.emission + (1.0 - np.eye(lat.num_labels)[gold]), lat.transition
-            )
+            n, L = lat.emission.shape
+            gold = rng.integers(0, L, n)
+            aug = crf.ScoreLattice(lat.emission + (1.0 - np.eye(L)[gold]), lat.transition)
             res = crf.cost_augmented_viterbi(lat, gold)
             brute = crf.brute_force_best(aug)
             assert np.array_equal(res.labels, brute.labels)
@@ -128,7 +127,7 @@ class TestCostAugmented:
         lat = random_lattice(rng, n=4, L=3)
         gold = rng.integers(0, 3, 4)
         inflated = lat.emission.copy()
-        inflated[np.arange(4), gold] += lat.n + 1.0 + np.abs(lat.emission).max() * 4
+        inflated[np.arange(4), gold] += len(lat.emission) + 1.0 + np.abs(lat.emission).max() * 4
         boosted = crf.ScoreLattice(inflated, lat.transition)
         res = crf.cost_augmented_viterbi(boosted, gold)
         assert np.array_equal(res.labels, gold)
@@ -140,7 +139,7 @@ class TestMarginLoss:
         lat = random_lattice(rng, n=4, L=3)
         gold = rng.integers(0, 3, 4)
         inflated = lat.emission.copy()
-        inflated[np.arange(4), gold] += lat.n + 1.0 + np.abs(lat.emission).max() * 4
+        inflated[np.arange(4), gold] += len(lat.emission) + 1.0 + np.abs(lat.emission).max() * 4
         boosted = crf.ScoreLattice(inflated, lat.transition)
         loss, res = crf.margin_loss(boosted, gold)
         assert loss == 0.0
@@ -155,7 +154,8 @@ class TestMarginLoss:
         rng = np.random.default_rng(7)
         for _ in range(200):
             lat = random_lattice(rng)
-            gold = rng.integers(0, lat.num_labels, lat.n)
+            n, L = lat.emission.shape
+            gold = rng.integers(0, L, n)
             loss, _ = crf.margin_loss(lat, gold)
             _, scores = crf.enumerate_sequence_scores(crf._augment(lat, gold))
             assert loss == float(scores.max()) - crf.sequence_score(lat, gold)

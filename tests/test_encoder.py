@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,8 +91,8 @@ def per_direction_backward(params, out, d_h):
     H = params.hidden
     grads, d_x = [], []
     directions = (
-        (params.w_fwd, params.u_fwd, d_h[:, :H]),
-        (params.w_bwd, params.u_bwd, d_h[::-1, H:]),
+        (params.w[0], params.u[0], d_h[:, :H]),
+        (params.w[1], params.u[1], d_h[::-1, H:]),
     )
     scan = out.scan
     for k, (w, u, d_h_k) in enumerate(directions):
@@ -123,6 +125,25 @@ def per_direction_backward(params, out, d_h):
     return dict(zip(names, grads)), d_inputs
 
 
+class TestInit:
+    @pytest.mark.parametrize(
+        "d, H, seed, digest",
+        [
+            (3, 4, 0, "52a4c4a421e8521f6be1e4f3b0a346b659db35f3a6ad81bc3ee71086021f3ffd"),
+            (7, 13, 1, "40699efffa466aefac687e2b41a54b804e272a8402384e2c338ac701d80787fc"),
+            (80, 50, 2, "c1d1a22651f73ec4a6b94d6c813b688f3ad16e57b7993ac75ec1207221da339a"),
+        ],
+    )
+    def test_initial_weights_pinned(self, d, H, seed, digest):
+        # sha256 over the names and little-endian bytes of arrays(), in manifest order
+        params = BiLSTMParams.init(d, H, np.random.default_rng(seed))
+        sha = hashlib.sha256()
+        for name, arr in params.arrays().items():
+            sha.update(name.encode())
+            sha.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert sha.hexdigest() == digest
+
+
 class TestForward:
     def test_single_token_output_shape(self):
         rng = np.random.default_rng(0)
@@ -134,12 +155,9 @@ class TestForward:
         params = BiLSTMParams(
             input_dim=2,
             hidden=3,
-            w_fwd=np.zeros((12, 10)),
-            u_fwd=np.zeros((12, 3)),
-            b_fwd=np.zeros(12),
-            w_bwd=np.zeros((12, 10)),
-            u_bwd=np.zeros((12, 3)),
-            b_bwd=np.zeros(12),
+            w=np.zeros((2, 12, 10)),
+            u=np.zeros((2, 12, 3)),
+            b=np.zeros((2, 12)),
         )
         out = encode(params, np.ones((4, 2)), train=False)
         np.testing.assert_array_equal(out.h, np.zeros((4, 6)))
@@ -155,7 +173,7 @@ class TestForward:
         offsets = (-2, -1, 0, 1, 2)
         for i in range(2):
             h, c = reference_lstm_step(
-                params.w_fwd, params.u_fwd, params.b_fwd, fd_window(inputs, i, offsets), h, c
+                params.w[0], params.u[0], params.b[0], fd_window(inputs, i, offsets), h, c
             )
         np.testing.assert_allclose(out.h[1, :H], h, rtol=0, atol=0)
 
@@ -170,7 +188,7 @@ class TestForward:
         offsets = (2, 1, 0, -1, -2)  # the backward direction reads its window in scan order
         for i in (2, 1, 0):
             h, c = reference_lstm_step(
-                params.w_bwd, params.u_bwd, params.b_bwd, fd_window(inputs, i, offsets), h, c
+                params.w[1], params.u[1], params.b[1], fd_window(inputs, i, offsets), h, c
             )
         np.testing.assert_allclose(out.h[0, H:], h, rtol=0, atol=0)
 
@@ -182,15 +200,15 @@ class TestForward:
         H = 50
         rng = np.random.default_rng(d)
         params = BiLSTMParams.init(d, H, rng)
-        params.b_fwd[:] = rng.normal(size=4 * H)
-        params.b_bwd[:] = rng.normal(size=4 * H)
+        params.b[0] = rng.normal(size=4 * H)
+        params.b[1] = rng.normal(size=4 * H)
         for n in range(1, 31):
             inputs = rng.normal(size=(n, d))
             out = encode(params, inputs, train=train, rng=rng)
             dropped = inputs * out.masks / (1.0 - out.dropout_p) if train else inputs
             directions = (
-                (params.w_fwd, params.u_fwd, params.b_fwd, range(n), (-2, -1, 0, 1, 2)),
-                (params.w_bwd, params.u_bwd, params.b_bwd, range(n - 1, -1, -1),
+                (params.w[0], params.u[0], params.b[0], range(n), (-2, -1, 0, 1, 2)),
+                (params.w[1], params.u[1], params.b[1], range(n - 1, -1, -1),
                  (2, 1, 0, -1, -2)),
             )
             scan = out.scan  # stacked in scan order, the direction on the last axis
@@ -279,12 +297,9 @@ class TestSymmetry:
         swapped = BiLSTMParams(
             input_dim=d,
             hidden=H,
-            w_fwd=params.w_bwd,
-            u_fwd=params.u_bwd,
-            b_fwd=params.b_bwd,
-            w_bwd=params.w_fwd,
-            u_bwd=params.u_fwd,
-            b_bwd=params.b_fwd,
+            w=params.w[::-1],
+            u=params.u[::-1],
+            b=params.b[::-1],
         )
         direct = encode(params, inputs, train=False).h
         mirrored = encode(swapped, inputs[::-1], train=False).h[::-1]
@@ -375,8 +390,8 @@ class TestBackward:
         rng = np.random.default_rng(100 + n)
         d, H, p = 3, 4, 0.25
         params = BiLSTMParams.init(d, H, rng)
-        params.b_fwd[:] = rng.normal(size=4 * H)
-        params.b_bwd[:] = rng.normal(size=4 * H)
+        params.b[0] = rng.normal(size=4 * H)
+        params.b[1] = rng.normal(size=4 * H)
         inputs = rng.normal(size=(n, d))
         masks = (rng.random((n, d)) >= p).astype(np.float64)
         upstream = rng.normal(size=(n, 2 * H))
@@ -385,11 +400,11 @@ class TestBackward:
 
         dropped = inputs * masks / (1.0 - p)
         fwd = reference_bptt(
-            params.w_fwd, params.u_fwd, params.b_fwd, dropped,
+            params.w[0], params.u[0], params.b[0], dropped,
             range(n), (-2, -1, 0, 1, 2), upstream[:, :H],
         )
         bwd = reference_bptt(
-            params.w_bwd, params.u_bwd, params.b_bwd, dropped,
+            params.w[1], params.u[1], params.b[1], dropped,
             range(n - 1, -1, -1), (2, 1, 0, -1, -2), upstream[:, H:],
         )
         expect = dict(zip(("w_fwd", "u_fwd", "b_fwd"), fwd[:3]))
@@ -407,8 +422,8 @@ class TestBackward:
         H = 50
         rng = np.random.default_rng(d + 1)
         params = BiLSTMParams.init(d, H, rng)
-        params.b_fwd[:] = rng.normal(size=4 * H)
-        params.b_bwd[:] = rng.normal(size=4 * H)
+        params.b[0] = rng.normal(size=4 * H)
+        params.b[1] = rng.normal(size=4 * H)
         for n in range(1, 31):
             inputs = rng.normal(size=(n, d))
             out = encode(params, inputs, train=True, rng=rng)

@@ -5,9 +5,8 @@ import pytest
 
 from seqlab.corpus import Sentence, segmentation_to_bies
 from seqlab.evaluator import (
+    corpus_counts,
     corpus_metric,
-    eval_accuracy,
-    eval_spans,
     export_comparison,
     metric_record,
     prf_from_counts,
@@ -22,19 +21,19 @@ def seg_labels(words):
 class TestEvalSpans:
     def test_identity_is_perfect(self):
         gold = [seg_labels(["中国", "人"])]
-        prf = eval_spans(gold, gold, "BIES")
+        prf = prf_from_counts(*corpus_counts(gold, gold, "BIES"))
         assert prf.precision == prf.recall == prf.f1 == 1.0
 
     def test_no_boundary_agreement(self):
         gold = [seg_labels(["AB", "C"])]
         pred = [seg_labels(["A", "BC"])]
-        prf = eval_spans(gold, pred, "BIES")
+        prf = prf_from_counts(*corpus_counts(gold, pred, "BIES"))
         assert prf.tp == 0 and prf.f1 == 0.0
 
     def test_hand_counted_example(self):
         gold = [seg_labels(["AB", "C"])]
         pred = [seg_labels(["A", "B", "C"])]
-        prf = eval_spans(gold, pred, "BIES")
+        prf = prf_from_counts(*corpus_counts(gold, pred, "BIES"))
         assert (prf.tp, prf.pred_count, prf.gold_count) == (1, 3, 2)
         assert prf.precision == pytest.approx(1 / 3)
         assert prf.recall == pytest.approx(1 / 2)
@@ -43,16 +42,16 @@ class TestEvalSpans:
     def test_ner_bio(self):
         gold = [["B-PER", "I-PER", "O"]]
         pred = [["B-PER", "I-PER", "O"]]
-        assert eval_spans(gold, pred, "BIO").f1 == 1.0
+        assert prf_from_counts(*corpus_counts(gold, pred, "BIO")).f1 == 1.0
         pred = [["B-PER", "O", "O"]]
-        prf = eval_spans(gold, pred, "BIO")
+        prf = prf_from_counts(*corpus_counts(gold, pred, "BIO"))
         assert prf.tp == 0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            eval_spans([["B"]], [["B", "E"]], "BIES")
+            prf_from_counts(*corpus_counts([["B"]], [["B", "E"]], "BIES"))
         with pytest.raises(ValueError):
-            eval_spans([["B"]], [], "BIES")
+            prf_from_counts(*corpus_counts([["B"]], [], "BIES"))
 
     def test_micro_average_consistency(self):
         rng = np.random.default_rng(0)
@@ -63,9 +62,9 @@ class TestEvalSpans:
             pred_words = random_segmentation(rng, chars="".join(gold_words))
             gold_corpus.append(seg_labels(gold_words))
             pred_corpus.append(seg_labels(pred_words))
-            one = eval_spans([gold_corpus[-1]], [pred_corpus[-1]], "BIES")
+            one = prf_from_counts(*corpus_counts([gold_corpus[-1]], [pred_corpus[-1]], "BIES"))
             total += (one.tp, one.pred_count, one.gold_count)
-        corpus = eval_spans(gold_corpus, pred_corpus, "BIES")
+        corpus = prf_from_counts(*corpus_counts(gold_corpus, pred_corpus, "BIES"))
         assert (corpus.tp, corpus.pred_count, corpus.gold_count) == tuple(total)
 
     def test_zero_denominator_conventions(self):
@@ -120,10 +119,12 @@ class TestSchemeInvariance:
                 g = random_segmentation(rng)
                 gold_words.append(g)
                 pred_words.append(random_segmentation(rng, chars="".join(g)))
-            via_spans = eval_spans(
-                [seg_labels(g) for g in gold_words],
-                [seg_labels(p) for p in pred_words],
-                "BIES",
+            via_spans = prf_from_counts(
+                *corpus_counts(
+                    [seg_labels(g) for g in gold_words],
+                    [seg_labels(p) for p in pred_words],
+                    "BIES",
+                )
             ).f1
             assert via_spans == pytest.approx(boundary_matching_f1(gold_words, pred_words), abs=1e-15)
 
@@ -142,18 +143,22 @@ class TestHarmonicIdentity:
 
 
 class TestAccuracy:
+    # under the accuracy count, recall is hits over gold tokens
     def test_all_equal(self):
-        assert eval_accuracy([["A", "B"]], [["A", "B"]]) == 1.0
+        counts = corpus_counts([["A", "B"]], [["A", "B"]], "accuracy")
+        assert prf_from_counts(*counts).recall == 1.0
 
     def test_all_different(self):
-        assert eval_accuracy([["A", "B"]], [["B", "A"]]) == 0.0
+        counts = corpus_counts([["A", "B"]], [["B", "A"]], "accuracy")
+        assert prf_from_counts(*counts).recall == 0.0
 
     def test_three_of_four(self):
-        assert eval_accuracy([["A", "B", "C", "D"]], [["A", "B", "C", "X"]]) == 0.75
+        counts = corpus_counts([["A", "B", "C", "D"]], [["A", "B", "C", "X"]], "accuracy")
+        assert prf_from_counts(*counts).recall == 0.75
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            eval_accuracy([["A"]], [["A", "B"]])
+            corpus_counts([["A"]], [["A", "B"]], "accuracy")
 
 
 class TestSentenceMetrics:

@@ -279,9 +279,10 @@ class TestTrainLoop:
         best, report = trainer.train(model, sents, sents, h, "POS")
         assert max(r.dev_metric for r in report.records) == 1.0
         preds = trainer.predict_labels(best, sents)
-        from seqlab.evaluator import eval_accuracy
+        from seqlab.evaluator import corpus_counts, prf_from_counts
 
-        assert eval_accuracy([s.gold_labels for s in sents], preds) == 1.0
+        counts = corpus_counts([s.gold_labels for s in sents], preds, "accuracy")
+        assert prf_from_counts(*counts).recall == 1.0
 
     def test_toy_loss_non_increasing_after_epoch_three(self):
         sents = synthetic.separable_corpus(50, seed=42)
@@ -500,5 +501,8 @@ class TestBuildModel:
             assert list(before) == [name for name, _ in model.named_arrays()]
             for _, arr in model.named_arrays():
                 arr += 7.0
+            # the step went into the model's stored arrays, not into copies
+            for name, arr in model.named_arrays():
+                np.testing.assert_array_equal(arr, before[name] + 7.0, err_msg=f"{mode} {name}")
             for name, arr in clone.named_arrays():
                 np.testing.assert_array_equal(arr, before[name], err_msg=f"{mode} {name}")
