@@ -22,10 +22,10 @@ import struct
 
 import numpy as np
 
-from .corpus import LabelAlphabet
+from .corpus import Alphabet
 from .crf import MODES, ModelParams
 from .embeddings import EmbeddingTable, InputComposer
-from .features import FeatureAlphabet, TemplateSet
+from .features import TemplateSet
 
 MAGIC = b"SQLB"
 FORMAT_VERSION = 2
@@ -55,7 +55,7 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
         "meta": meta,
         "mode": model.mode,
         "dropout_p": model.dropout_p,
-        "labels": list(model.labels.labels),
+        "labels": model.labels.strings(),
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     if model.uses_discrete:
@@ -76,7 +76,7 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
                 "dim": t.dim,
                 "fine_tune": t.fine_tune,
                 "lowercase": t.lowercase,
-                "symbols": t.symbols,
+                "symbols": t.symbols.strings(),
             }
             for key, t in ((k, model.composer.tables[k]) for k in model.composer.table_order())
         ]
@@ -159,7 +159,7 @@ def _model_from_header(path, header) -> ModelParams:
                 cluster_lexicon=t["cluster_lexicon"],
                 radical_lexicon=t["radical_lexicon"],
             )
-            out_alphabet = FeatureAlphabet.from_strings(header["contexts"])
+            out_alphabet = Alphabet(header["contexts"])
         if neural:
             tables = {
                 spec["key"]: EmbeddingTable(
@@ -175,7 +175,7 @@ def _model_from_header(path, header) -> ModelParams:
             composer = InputComposer(header["composer_task"], tables)
         model = ModelParams.create(
             mode,
-            LabelAlphabet(header["labels"]),
+            Alphabet(header["labels"]),
             templates=templates,
             out_alphabet=out_alphabet,
             composer=composer,

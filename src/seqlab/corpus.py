@@ -1,15 +1,17 @@
-"""Data model and file IO for labeled token sequences.
+"""Data model and file IO for labeled token sequences, and ``Alphabet``,
+the one string-to-id map.
 
 The on-disk corpus format is the same for every task: UTF-8 text with one
 token per line as ``token<TAB>[aux<TAB>]label``, a blank line closing each
 sentence.  "Character" throughout the package means one Unicode scalar
 value, so Chinese text is never split inside a code point.
 
-Also provides the tagging-scheme conversions: word segmentation to and from
-per-character B/I/E/S tags, and entity spans to and from BIO / BIOES
-position tags.  The decoding directions are total: an ill-formed tag
-sequence is repaired deterministically (a tag inconsistent with its left
-context starts a new segment; dangling segments close at the boundary).
+Also provides the tagging-scheme conversions: word segmentation to
+per-character B/I/E/S tags and those tags to word spans, and entity spans
+to and from BIO / BIOES position tags.  The decoding directions are total:
+an ill-formed tag sequence is repaired deterministically (a tag inconsistent
+with its left context starts a new segment; dangling segments close at the
+boundary).
 """
 
 from __future__ import annotations
@@ -58,48 +60,54 @@ class Sentence:
         return len(self.tokens)
 
 
-class LabelAlphabet:
-    """Immutable bijection between label strings and integers in [0, L)."""
+class Alphabet:
+    """Strings to dense ids in [0, size), in first-appearance order: the one
+    map for labels, template contexts and embedding symbols."""
 
-    def __init__(self, labels):
-        seen = {}
-        for lab in labels:
-            if lab not in seen:
-                seen[lab] = len(seen)
-        self._labels = tuple(seen)
-        self._index = seen
-
-    @classmethod
-    def from_sentences(cls, sentences) -> "LabelAlphabet":
-        def iter_labels():
-            for s in sentences:
-                if s.gold_labels is None:
-                    raise ValueError("cannot build a label alphabet from unlabeled sentences")
-                yield from s.gold_labels
-
-        return cls(iter_labels())
+    def __init__(self, strings=()):
+        # a dict keeps its keys in first-insertion order; built in one
+        # comprehension, not by calling ``add`` per string, which takes
+        # about three times as long on a corpus's embedding symbols
+        self._strings: list[str] = list({s: None for s in strings})
+        self._index: dict[str, int] = {s: i for i, s in enumerate(self._strings)}
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return self._labels
+    def size(self) -> int:
+        return len(self._strings)
 
-    def to_index(self, label: str) -> int:
+    def add(self, s: str) -> int:
+        """The id of ``s``, which is added if new."""
+        idx = self._index.get(s)
+        if idx is None:
+            idx = self._index[s] = len(self._strings)
+            self._strings.append(s)
+        return idx
+
+    def get(self, s: str, default=None):
+        """The id of ``s``, or ``default``; never adds."""
+        return self._index.get(s, default)
+
+    def to_index(self, s: str) -> int:
         try:
-            return self._index[label]
+            return self._index[s]
         except KeyError:
-            raise ValueError(f"unknown label {label!r}") from None
+            raise ValueError(f"{s!r} is not in the alphabet") from None
 
     def from_index(self, i: int) -> str:
-        return self._labels[i]
+        return self._strings[i]
 
-    def __contains__(self, label):
-        return label in self._index
+    def strings(self) -> list[str]:
+        """Every string in id order."""
+        return list(self._strings)
+
+    def __contains__(self, s):
+        return s in self._index
 
     def __len__(self):
-        return len(self._labels)
+        return len(self._strings)
 
     def __eq__(self, other):
-        return isinstance(other, LabelAlphabet) and self._labels == other._labels
+        return isinstance(other, Alphabet) and self._strings == other._strings
 
 
 @dataclass(frozen=True)
@@ -171,9 +179,9 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
     and may include ``aux`` and ``label``.  A leading byte-order mark,
     trailing ASCII whitespace and the presence of a final newline are
     ignored; other whitespace is content.  A line with the wrong column
-    count raises :class:`CorpusFormatError` naming the line number, and
-    bytes that are not UTF-8 a ``ValueError`` naming it.  An empty file
-    yields an empty list.
+    count or an empty field raises :class:`CorpusFormatError` naming the
+    line number, and bytes that are not UTF-8 a ``ValueError`` naming it.
+    An empty file yields an empty list.
     """
     columns = _check_columns(columns)
     sentences = []
@@ -204,8 +212,9 @@ def read_column_corpus(path, columns=("token", "label")) -> list[Sentence]:
                 raise CorpusFormatError(
                     f"{path}: line {lineno}: expected {len(columns)} columns, got {len(parts)}"
                 )
-            if not parts[0]:
-                raise CorpusFormatError(f"{path}: line {lineno}: empty token")
+            if "" in parts:
+                empty = columns[parts.index("")]
+                raise CorpusFormatError(f"{path}: line {lineno}: empty {empty}")
             rows.append(parts)
     flush()
     return sentences
@@ -277,13 +286,6 @@ def bies_word_spans(labels) -> list[SpanAnnotation]:
         if lab not in BIES_TAGS:
             raise ValueError(f"not a BIES tag: {lab!r}")
     return position_tags_to_spans([t + "-WORD" for t in labels], "BIOES")
-
-
-def bies_to_segmentation(tokens, labels) -> list[str]:
-    """Inverse of :func:`segmentation_to_bies`, total via deterministic repair."""
-    if len(tokens) != len(labels):
-        raise ValueError(f"{len(tokens)} tokens vs {len(labels)} labels")
-    return ["".join(tokens[s.start : s.end]) for s in bies_word_spans(labels)]
 
 
 # ---------------------------------------------------------------------------

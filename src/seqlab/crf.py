@@ -50,10 +50,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import LabelAlphabet, Sentence
+from .corpus import Alphabet, Sentence
 from .embeddings import InputComposer, bag_sum, members, pad
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
-from .features import FeatureAlphabet, TemplateSet
+from .features import TemplateSet
 
 MODES = ("discrete", "neural", "joint")
 
@@ -228,10 +228,10 @@ class ModelParams:
     """Everything trainable, plus the alphabets that give the weights meaning."""
 
     mode: str
-    labels: LabelAlphabet
+    labels: Alphabet
     dropout_p: float = 0.25
     templates: TemplateSet | None = None
-    out_alphabet: FeatureAlphabet | None = None
+    out_alphabet: Alphabet | None = None
     theta_out: np.ndarray | None = None
     theta_edge: np.ndarray | None = None
     composer: InputComposer | None = None
@@ -284,10 +284,10 @@ class ModelParams:
     def create(
         cls,
         mode: str,
-        labels: LabelAlphabet,
+        labels: Alphabet,
         *,
         templates: TemplateSet | None = None,
-        out_alphabet: FeatureAlphabet | None = None,
+        out_alphabet: Alphabet | None = None,
         composer: InputComposer | None = None,
         hidden: int = 50,
         rng=None,
@@ -350,8 +350,8 @@ class ModelParams:
 
 class SentenceIds(NamedTuple):
     """A sentence's table indices for every scorer of a model, each None
-    without its scorer: the ``index_contexts`` bag over the frozen alphabet
-    and the ``composer.row_ids()`` bags."""
+    without its scorer: the ``index_contexts`` bag over ``out_alphabet`` and
+    the ``composer.row_ids()`` bags."""
 
     contexts: tuple[np.ndarray, np.ndarray] | None
     rows: dict | None
@@ -380,11 +380,12 @@ def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.nd
 
 def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
     """``sent``'s ids for every scorer of ``params``, made once and handed to
-    every ``build_forward`` over it.  Contexts outside the frozen alphabet are
-    left out; ``contexts``, when given, is the bag made elsewhere (by
-    ``trainer.build_output_alphabet`` for the training sentences)."""
+    every ``build_forward`` over it.  Contexts outside ``out_alphabet`` are
+    left out, and it never grows; ``contexts``, when given, is the bag made
+    elsewhere (by ``trainer.build_output_alphabet`` for the training
+    sentences)."""
     if contexts is None and params.uses_discrete:
-        contexts = index_contexts(params.templates, params.out_alphabet.lookup, sent)
+        contexts = index_contexts(params.templates, params.out_alphabet.get, sent)
     rows = params.composer.row_ids(sent) if params.uses_neural else None
     return SentenceIds(contexts, rows)
 

@@ -4,8 +4,8 @@ Tables are plain float64 matrices with a symbol vocabulary and a reserved
 ``<UNK>`` row, so lookups never fail.  The text file format is one vector
 per line, ``symbol v1 ... vD`` separated by single spaces, with an optional
 ``count dim`` header line; a leading byte-order mark and trailing ASCII
-whitespace on a line are skipped, as in the corpus readers.  Saving mirrors
-loading at full float precision.
+whitespace on a line are skipped, as in the corpus readers.  A table's
+``symbols`` is a ``corpus.Alphabet``: symbol k owns row k.
 
 Composition per task (concatenation order is fixed):
 
@@ -35,7 +35,7 @@ import logging
 
 import numpy as np
 
-from .corpus import Sentence, open_text, strip_line
+from .corpus import Alphabet, Sentence, open_text, strip_line
 from .features import EOS
 
 log = logging.getLogger(__name__)
@@ -74,9 +74,8 @@ class EmbeddingTable:
     def __init__(self, name, dim, symbols, matrix, fine_tune=True, lowercase=False):
         self.name = name
         self.dim = int(dim)
-        self.symbols = list(symbols)
-        self.vocab = {s: i for i, s in enumerate(self.symbols)}
-        if len(self.vocab) != len(self.symbols):
+        self.symbols = Alphabet(symbols)
+        if len(self.symbols) != len(symbols):
             raise ValueError(f"table {name!r} has duplicate symbols")
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self.fine_tune = bool(fine_tune)
@@ -86,9 +85,9 @@ class EmbeddingTable:
                 f"table {name!r}: matrix shape {self.matrix.shape} does not match "
                 f"{len(self.symbols)} symbols of dim {self.dim}"
             )
-        if UNK not in self.vocab:
+        if UNK not in self.symbols:
             raise ValueError(f"table {name!r} lacks the {UNK} symbol")
-        self.unk_index = self.vocab[UNK]
+        self.unk_index = self.symbols.get(UNK)
 
     def __len__(self):
         return len(self.symbols)
@@ -96,19 +95,18 @@ class EmbeddingTable:
     def index(self, symbol: str) -> int:
         if self.lowercase:
             symbol = symbol.lower()
-        return self.vocab.get(symbol, self.unk_index)
+        return self.symbols.get(symbol, self.unk_index)
 
 
 def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> EmbeddingTable:
     """Fresh table with entries uniform in [-0.01, 0.01]; deterministic in ``seed``."""
     if dim <= 0:
         raise ValueError("dim must be positive")
-    symbols = list(dict.fromkeys(vocab))
-    if UNK not in symbols:
-        symbols.append(UNK)
+    symbols = Alphabet(vocab)
+    symbols.add(UNK)
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(symbols), dim))
-    return EmbeddingTable(name, dim, symbols, matrix, fine_tune=fine_tune)
+    return EmbeddingTable(name, dim, symbols.strings(), matrix, fine_tune=fine_tune)
 
 
 def load_text_embeddings(
@@ -124,9 +122,8 @@ def load_text_embeddings(
     symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
     the file provides one.
     """
-    symbols: list[str] = []
+    symbols = Alphabet()
     rows: list[np.ndarray] = []
-    index: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = strip_line(raw)
@@ -161,26 +158,19 @@ def load_text_embeddings(
                     f"{path}: line {lineno}: the vector for {symbol!r} holds a value "
                     "that is not a finite number"
                 )
-            if symbol in index:
+            k = symbols.add(symbol)
+            if k < len(rows):
                 log.info("%s: duplicate symbol %r at line %d; keeping the later vector", path, symbol, lineno)
-                rows[index[symbol]] = vec
+                rows[k] = vec
             else:
-                index[symbol] = len(symbols)
-                symbols.append(symbol)
                 rows.append(vec)
-    if UNK not in index:
-        rng = np.random.default_rng(0)
-        symbols.append(UNK)
-        rows.append(rng.uniform(-INIT_SCALE, INIT_SCALE, size=dim_expected))
-    matrix = np.vstack(rows) if rows else np.zeros((0, dim_expected))
-    return EmbeddingTable(name, dim_expected, symbols, matrix, fine_tune=fine_tune, lowercase=lowercase)
-
-
-def save_text_embeddings(path, table: EmbeddingTable) -> None:
-    """Write the load format back out; float repr round-trips exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for symbol, row in zip(table.symbols, table.matrix):
-            fh.write(symbol + " " + " ".join(repr(v) for v in row.tolist()) + "\n")
+    if UNK not in symbols:
+        symbols.add(UNK)
+        rows.append(np.random.default_rng(0).uniform(-INIT_SCALE, INIT_SCALE, size=dim_expected))
+    matrix = np.vstack(rows)
+    return EmbeddingTable(
+        name, dim_expected, symbols.strings(), matrix, fine_tune=fine_tune, lowercase=lowercase
+    )
 
 
 def table_symbols(task: str, sent: Sentence) -> dict:

@@ -8,7 +8,7 @@ the sentence contribute the boundary sentinels ``<S>`` / ``</S>``.  No two
 groups share a prefix, so the strings at one position are distinct by
 construction.  Contexts carry no label: the discrete scorer crosses each
 context with every output label by indexing a (contexts x labels) weight
-matrix with the context's ``FeatureAlphabet`` id.
+matrix with the context's id in the model's context ``corpus.Alphabet``.
 """
 
 from __future__ import annotations
@@ -84,50 +84,6 @@ def connect_class(w: str) -> str:
 
 def is_capitalized(w: str) -> bool:
     return bool(w) and w[0].isupper()
-
-
-# ---------------------------------------------------------------------------
-# context alphabet
-# ---------------------------------------------------------------------------
-
-
-class FeatureAlphabet:
-    """Dense string-to-id map; once frozen, unseen strings stay absent."""
-
-    def __init__(self):
-        self._index: dict[str, int] = {}
-        self.frozen = False
-
-    @property
-    def size(self) -> int:
-        return len(self._index)
-
-    def add(self, feature: str) -> int | None:
-        idx = self._index.get(feature)
-        if idx is None:
-            if self.frozen:
-                return None
-            idx = len(self._index)
-            self._index[feature] = idx
-        return idx
-
-    def lookup(self, feature: str) -> int | None:
-        return self._index.get(feature)
-
-    def freeze(self):
-        self.frozen = True
-
-    def strings(self) -> list[str]:
-        return list(self._index)
-
-    @classmethod
-    def from_strings(cls, strings) -> "FeatureAlphabet":
-        """The frozen alphabet of ``strings``, ids in list order."""
-        alpha = cls()
-        for s in strings:
-            alpha.add(s)
-        alpha.freeze()
-        return alpha
 
 
 # ---------------------------------------------------------------------------

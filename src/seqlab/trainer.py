@@ -36,9 +36,9 @@ from itertools import chain
 import numpy as np
 
 from . import crf, evaluator
-from .corpus import LabelAlphabet, Sentence
+from .corpus import Alphabet, Sentence
 from .embeddings import EmbeddingTable, InputComposer, init_random_table, table_symbols
-from .features import FeatureAlphabet, TemplateSet
+from .features import TemplateSet
 
 log = logging.getLogger(__name__)
 
@@ -130,7 +130,7 @@ def collect_embedding_vocab(task: str, sentences) -> dict[str, list[str]]:
     ``embeddings.table_symbols`` that ``InputComposer.row_ids`` looks up."""
     symbols = [table_symbols(task, sent) for sent in sentences]
     return {
-        key: list(dict.fromkeys(chain.from_iterable(s[key][0] for s in symbols)))
+        key: Alphabet(chain.from_iterable(s[key][0] for s in symbols)).strings()
         for key in InputComposer.REQUIRED[task]
     }
 
@@ -161,19 +161,18 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
     return tables
 
 
-def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[FeatureAlphabet, dict]:
-    """The frozen alphabet of template contexts seen in the training corpus,
-    and each sentence's ``crf.index_contexts`` bag, keyed by sentence.
+def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[Alphabet, dict]:
+    """The alphabet of template contexts seen in the training corpus, and
+    each sentence's ``crf.index_contexts`` bag, keyed by sentence.
 
     Ids follow first appearance; each id is one row of ``theta_out``, which
     holds a weight for that context under every label.  The bags are made
     in the same pass, so the templates run once per training position;
     every context is in the alphabet, so they equal the ``contexts`` of
-    ``crf.sentence_ids`` on the finished model.
+    ``crf.sentence_ids`` on the finished model, which only reads it.
     """
-    alpha = FeatureAlphabet()
+    alpha = Alphabet()
     ids = {sent: crf.index_contexts(templates, alpha.add, sent) for sent in sentences}
-    alpha.freeze()
     return alpha, ids
 
 
@@ -191,9 +190,9 @@ def build_model(
     """Assemble a zero-initialized model with alphabets built from the corpus."""
     if not train_sentences:
         raise ValueError("training corpus is empty")
-    labels = LabelAlphabet.from_sentences(train_sentences)
-    if len(labels) == 0:
-        raise ValueError("empty label alphabet")
+    if any(sent.gold_labels is None for sent in train_sentences):
+        raise ValueError("training sentences must carry gold labels")
+    labels = Alphabet(chain.from_iterable(sent.gold_labels for sent in train_sentences))
     templates = out_alpha = train_ids = None
     if mode in ("discrete", "joint"):
         templates = TemplateSet(

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 
@@ -663,6 +664,43 @@ def ner_checkpoint(mode, directory):
     path = directory / f"{mode}.bin"
     checkpoint.save_model(path, model, {"task": "NER"})
     return path.read_bytes()
+
+
+# sha256 of the untrained NER model's checkpoint, per mode: pins the id order
+# of the labels, the contexts and every table's symbols.  Fixed before those
+# maps became one ``corpus.Alphabet``; no BLAS call is involved.
+UNTRAINED_NER_SHA256 = {
+    "discrete": "16f87bde678918318ac8d523080755d945051b76fb02d3f0c7330b25267bb3e0",
+    "joint": "1c3ed80dc26ec23060073bf25d19e1885e88402744839aac8ad97f24133a7454",
+    "neural": "751ffc80d1ef746dcbda592bf7bbd9f026fc0bc19de3402d2e15c1cc5bb8b672",
+}
+
+
+class TestCheckpointBytes:
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_untrained_model_bytes_pinned(self, tmp_path, mode):
+        h = HyperParams(word_hidden=4, char_emb=2, word_emb=3, pos_emb=2)
+        model = trainer.build_model(
+            mode, "NER", "EN", NER_SENTS, h, cluster_lexicon={"EU": "0110", "German": "1011"}
+        )
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {"task": "NER"})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == UNTRAINED_NER_SHA256[mode]
+
+    def test_predict_on_an_empty_aux_field_names_the_input_line(self, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        model.write_bytes(ner_checkpoint("discrete", tmp_path))
+        source = tmp_path / "in.col"
+        source.write_text(
+            "EU\tNNP\tS-ORG\n\nPeter\tNNP\tB-PER\nBlackburn\t\tE-PER\n", encoding="utf-8"
+        )
+        status = run_cli(
+            ["predict", "--set", "task=NER", "--set", f"model_in={model}",
+             "--set", f"input={source}", "--set", f"output={tmp_path/'p.col'}"]
+        )
+        assert status == 2
+        assert f"error: {source}: line 4: empty aux" in capsys.readouterr().err
+        assert not (tmp_path / "p.col").exists()
 
 
 def header_end(blob):

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.corpus import (
+    Alphabet,
     CorpusFormatError,
-    LabelAlphabet,
     Sentence,
     SpanAnnotation,
-    bies_to_segmentation,
     bies_word_spans,
     position_tags_to_spans,
     read_column_corpus,
@@ -34,16 +33,35 @@ class TestSentence:
         assert s.tokens == ("a",) and s.gold_labels == ("X",)
 
 
+class TestAlphabet:
+    def test_dense_first_appearance_ids(self):
+        alpha = Alphabet(["c", "a"])
+        assert [alpha.add(s) for s in ("a", "b", "c", "b")] == [1, 2, 0, 2]
+        assert alpha.strings() == ["c", "a", "b"]
+        assert alpha.size == len(alpha) == 3
+        assert [alpha.from_index(i) for i in range(3)] == ["c", "a", "b"]
+
+    def test_strings_rebuild_an_equal_alphabet(self):
+        alpha = Alphabet(["x", "y", "x", "z"])
+        assert Alphabet(alpha.strings()) == alpha
+        assert Alphabet(["y", "x", "z"]) != alpha
+        # the list is a copy: changing it leaves the alphabet alone
+        alpha.strings().append("w")
+        assert alpha.size == 3
+
+
 class TestLabelAlphabet:
+    """The label alphabet of a model is an ``Alphabet`` over the gold labels."""
+
     def test_bijection(self):
-        alpha = LabelAlphabet(["B", "I", "E", "S", "B"])
+        alpha = Alphabet(["B", "I", "E", "S", "B"])
         assert len(alpha) == 4
         for i in range(4):
             assert alpha.to_index(alpha.from_index(i)) == i
 
     def test_unknown_label(self):
-        alpha = LabelAlphabet(["B"])
-        with pytest.raises(ValueError):
+        alpha = Alphabet(["B"])
+        with pytest.raises(ValueError, match="'Q' is not in the alphabet"):
             alpha.to_index("Q")
 
 
@@ -85,6 +103,22 @@ class TestColumnCorpus:
         first, second = read_column_corpus(path)
         assert first.tokens[0] is second.tokens[0]
         assert first.gold_labels[0] is second.gold_labels[0]
+
+    @pytest.mark.parametrize(
+        "text,columns,line,name",
+        [
+            ("EU\t\tS-ORG\n", ("token", "aux", "label"), 1, "aux"),
+            ("EU\tNNP\tS-ORG\n\n\tNNP\tO\n", ("token", "aux", "label"), 3, "token"),
+            ("a\tX\n\tY\n", ("token", "label"), 2, "token"),
+        ],
+        ids=["aux", "token-ner", "token-seg"],
+    )
+    def test_empty_field_names_file_and_line(self, tmp_path, text, columns, line, name):
+        # the writer refuses an empty field, so the reader does too
+        path = tmp_path / "c.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=rf"c\.txt: line {line}: empty {name}$"):
+            read_column_corpus(path, columns)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -206,6 +240,11 @@ class TestColumnCorpus:
 BIES_REPAIR_DIGEST = "0d0fd7de4a6dfb13d86d9adfc9497ab5d97c73a4ffe8c13c72bb796e36751d55"
 
 
+def bies_words(tokens, labels):
+    """The words ``bies_word_spans`` cuts ``tokens`` into."""
+    return ["".join(tokens[s.start : s.end]) for s in bies_word_spans(labels)]
+
+
 class TestBies:
     def test_single_char_word(self):
         assert segmentation_to_bies(["猫"]) == (["猫"], ["S"])
@@ -221,23 +260,23 @@ class TestBies:
             segmentation_to_bies(["好", ""])
 
     def test_inverse(self):
-        assert bies_to_segmentation(["中", "国", "人"], ["B", "E", "S"]) == ["中国", "人"]
+        assert bies_words(["中", "国", "人"], ["B", "E", "S"]) == ["中国", "人"]
 
     def test_repair_dangling_b(self):
-        assert bies_to_segmentation(["A", "B"], ["B", "B"]) == ["A", "B"]
+        assert bies_words(["A", "B"], ["B", "B"]) == ["A", "B"]
 
     def test_repair_orphan_i(self):
-        assert bies_to_segmentation(["A"], ["I"]) == ["A"]
+        assert bies_words(["A"], ["I"]) == ["A"]
 
     def test_repair_orphan_e(self):
         # an E with no open word closes as a one-character word
-        assert bies_to_segmentation(["A", "B"], ["S", "E"]) == ["A", "B"]
-        assert bies_to_segmentation(["A", "B"], ["E", "E"]) == ["A", "B"]
+        assert bies_words(["A", "B"], ["S", "E"]) == ["A", "B"]
+        assert bies_words(["A", "B"], ["E", "E"]) == ["A", "B"]
 
     def test_repair_i_after_s(self):
         # an I after a closed word opens the next one, closed by E or the end
-        assert bies_to_segmentation(["A", "B", "C"], ["S", "I", "E"]) == ["A", "BC"]
-        assert bies_to_segmentation(["A", "B", "C"], ["S", "I", "I"]) == ["A", "BC"]
+        assert bies_words(["A", "B", "C"], ["S", "I", "E"]) == ["A", "BC"]
+        assert bies_words(["A", "B", "C"], ["S", "I", "I"]) == ["A", "BC"]
 
     def test_non_bies_tag_rejected(self):
         with pytest.raises(ValueError, match="not a BIES tag"):
@@ -257,22 +296,18 @@ class TestBies:
         assert count == 87380
         assert h.hexdigest() == BIES_REPAIR_DIGEST
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bies_to_segmentation(["A"], ["B", "E"])
-
     def test_exhaustive_repair_totality(self):
         # every label string up to length 3 yields words covering all characters
         for length in (1, 2, 3):
             for labels in itertools.product("BIES", repeat=length):
                 tokens = [chr(ord("a") + i) for i in range(length)]
-                words = bies_to_segmentation(tokens, list(labels))
+                words = bies_words(tokens, list(labels))
                 assert "".join(words) == "".join(tokens), labels
 
     @given(st.lists(st.text(alphabet="abc中国人", min_size=1, max_size=4), min_size=1, max_size=8))
     def test_round_trip(self, words):
         tokens, labels = segmentation_to_bies(words)
-        assert bies_to_segmentation(tokens, labels) == words
+        assert bies_words(tokens, labels) == words
         assert "".join(tokens) == "".join(words)
 
     def test_word_spans_match_segmentation(self):

@@ -3,10 +3,10 @@ import pytest
 
 import synthetic
 from seqlab import crf, trainer
-from seqlab.corpus import LabelAlphabet, Sentence
+from seqlab.corpus import Alphabet, Sentence
 from seqlab.embeddings import EmbeddingTable, InputComposer, UNK
 from seqlab.encoder import backward as encoder_backward
-from seqlab.features import FeatureAlphabet, TemplateSet
+from seqlab.features import TemplateSet
 
 
 def random_lattice(rng, n=None, L=None):
@@ -193,7 +193,7 @@ class TestPartition:
 
 
 def tiny_discrete_model():
-    labels = LabelAlphabet(["B", "E", "S"])
+    labels = Alphabet(["B", "E", "S"])
     templates = TemplateSet("SEG", "ZH")
     sents = [
         Sentence(tokens=list("中国人"), gold_labels=["B", "E", "S"]),
@@ -262,7 +262,7 @@ class TestBuildLattice:
             assert np.array_equal(crf.viterbi(lat_j).labels, crf.viterbi(lat_d).labels)
 
     def test_mode_params_mismatch(self):
-        labels = LabelAlphabet(["A"])
+        labels = Alphabet(["A"])
         with pytest.raises(ValueError):
             crf.ModelParams(mode="neural", labels=labels).validate()
         with pytest.raises(ValueError):
@@ -280,7 +280,7 @@ class TestDiscreteLayout:
         templates = model.templates
         contexts = {s for sent in sents for s in templates.instantiate(sent, 0)}
         assert model.theta_out.shape == (len(contexts), 2)
-        c = model.out_alphabet.lookup("T1[0]=a|B")
+        c = model.out_alphabet.get("T1[0]=a|B")
         model.theta_out[c, model.labels.to_index("C")] = 1.0
         assert crf.build_lattice(model, sents[0]).emission[0, 0] == 1.0
         assert not np.any(crf.build_lattice(model, sents[1]).emission)
@@ -316,12 +316,12 @@ class TestLossGradients:
         out_cells = cell_dict(model, bundle["theta_out"])
         edge_cells = cell_dict(model, bundle["theta_edge"])
         for s in model.templates.instantiate(sent, 1):
-            c = model.out_alphabet.lookup(s)
+            c = model.out_alphabet.get(s)
             assert out_cells[(c, S)] == 1.0
             assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
         for s in model.templates.instantiate(sent, 0):
-            assert (model.out_alphabet.lookup(s), B) not in out_cells
+            assert (model.out_alphabet.get(s), B) not in out_cells
         assert len(out_cells) == 2 * len(model.templates.instantiate(sent, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
         assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
@@ -401,7 +401,7 @@ class TestContextIds:
         assert ids.dtype == np.int32
         assert ids.shape == (len(sent), counts.max())
         for i in range(len(sent)):
-            expected = [model.out_alphabet.lookup(s) for s in model.templates.instantiate(sent, i)]
+            expected = [model.out_alphabet.get(s) for s in model.templates.instantiate(sent, i)]
             assert counts[i] == len(expected)
             assert ids[i].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
 
@@ -410,7 +410,7 @@ class TestContextIds:
         sent = Sentence(tokens=list("国外"))
         ids, counts = crf.sentence_ids(model, sent).contexts
         for i in range(len(sent)):
-            found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
+            found = map(model.out_alphabet.get, model.templates.instantiate(sent, i))
             known = [c for c in found if c is not None]
             assert 0 < len(known) < len(model.templates.instantiate(sent, i))
             assert ids[i, : counts[i]].tolist() == known
@@ -464,7 +464,7 @@ def loop_emission(model, sent):
     """The discrete emission by a per-position loop over the known contexts."""
     emission = np.zeros((len(sent), len(model.labels)))
     for i in range(len(sent)):
-        found = map(model.out_alphabet.lookup, model.templates.instantiate(sent, i))
+        found = map(model.out_alphabet.get, model.templates.instantiate(sent, i))
         emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
     return emission
 
@@ -491,7 +491,7 @@ class TestDiscreteEmission:
 
     def test_alphabet_that_knows_no_context(self):
         model, sents = tiny_discrete_model()
-        alpha = FeatureAlphabet.from_strings(["T0[0]=never"])
+        alpha = Alphabet(["T0[0]=never"])
         model = crf.ModelParams.create(
             "discrete", model.labels, templates=model.templates, out_alphabet=alpha
         )

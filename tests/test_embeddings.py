@@ -11,7 +11,6 @@ from seqlab.embeddings import (
     InputComposer,
     init_random_table,
     load_text_embeddings,
-    save_text_embeddings,
 )
 
 
@@ -83,7 +82,7 @@ class TestLoading:
         )
         with caplog.at_level(logging.INFO, logger="seqlab.embeddings"):
             table = load_text_embeddings(path, 2, lowercase=True)
-        assert table.symbols == ["france", "paris", UNK]
+        assert table.symbols.strings() == ["france", "paris", UNK]
         assert row(table, "Paris").tolist() == row(table, "paris").tolist() == [0.3, 0.3]
         assert row(table, "France").tolist() == [0.1, 0.1]
         assert row(table, "unseen").tolist() == [0.7, 0.7]
@@ -109,7 +108,7 @@ class TestLoading:
             path = tmp_path / f"v{k}.txt"
             path.write_bytes(text.encode("utf-8"))
             tables.append(load_text_embeddings(path, 2))
-        assert tables[0].symbols == ["the", "b", UNK]
+        assert tables[0].symbols.strings() == ["the", "b", UNK]
         for table in tables[1:]:
             assert table.symbols == tables[0].symbols
             np.testing.assert_array_equal(table.matrix, tables[0].matrix)
@@ -121,7 +120,8 @@ class TestLoading:
         plain.write_bytes(text.encode("utf-8"))
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         t1, t2 = load_text_embeddings(plain, 2), load_text_embeddings(bom, 2)
-        assert t2.symbols == t1.symbols == ["a", "b", UNK]
+        assert t2.symbols == t1.symbols
+        assert t1.symbols.strings() == ["a", "b", UNK]
         np.testing.assert_array_equal(t2.matrix, t1.matrix)
 
     def test_save_load_full_precision(self, tmp_path):
@@ -129,7 +129,10 @@ class TestLoading:
         table = init_random_table(["a", "b", "c"], 4, seed=9)
         table.matrix[:] = rng.normal(size=table.matrix.shape)
         path = tmp_path / "emb.txt"
-        save_text_embeddings(path, table)
+        # float repr round-trips exactly
+        rows = zip(table.symbols.strings(), table.matrix.tolist())
+        lines = [" ".join([symbol, *map(repr, row)]) for symbol, row in rows]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         reloaded = load_text_embeddings(path, 4)
         assert reloaded.symbols == table.symbols
         np.testing.assert_array_equal(reloaded.matrix, table.matrix)
@@ -148,11 +151,23 @@ class TestRandomInit:
 
     def test_unk_added(self):
         table = init_random_table(["a"], 4, seed=1)
-        assert UNK in table.vocab
+        assert UNK in table.symbols
+        assert table.symbols.strings() == ["a", UNK]
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             init_random_table(["a"], 0, seed=1)
+
+
+class TestTable:
+    @pytest.mark.parametrize(
+        "symbols,message",
+        [(["a", "a", UNK], "duplicate symbols"), (["a", "b"], "lacks the <UNK> symbol")],
+    )
+    def test_symbols_checked(self, symbols, message):
+        # checkpoint headers hand their symbol lists straight to the table
+        with pytest.raises(ValueError, match=message):
+            EmbeddingTable("t", 2, symbols, np.zeros((len(symbols), 2)))
 
 
 def toy_tables():

@@ -5,10 +5,9 @@ import unicodedata
 
 import pytest
 
-from seqlab.corpus import Sentence
+from seqlab.corpus import Alphabet, Sentence
 from seqlab.features import (
     CharType,
-    FeatureAlphabet,
     TemplateSet,
     char_type,
     connect_class,
@@ -91,18 +90,20 @@ class TestConnectAndCapital:
 
 
 class TestFeatureAlphabet:
+    """The context alphabet of a model is an ``Alphabet`` over the contexts."""
+
     def test_dense_ids(self):
-        alpha = FeatureAlphabet()
+        alpha = Alphabet()
         ids = [alpha.add(s) for s in ("a", "b", "a", "c")]
         assert ids == [0, 1, 0, 2]
         assert alpha.size == 3
 
-    def test_freeze_blocks_growth(self):
-        alpha = FeatureAlphabet()
+    def test_get_never_grows(self):
+        alpha = Alphabet()
         alpha.add("a")
-        alpha.freeze()
-        assert alpha.add("b") is None
-        assert alpha.lookup("b") is None
+        assert alpha.get("a") == 0
+        assert alpha.get("b") is None and alpha.get("b", -1) == -1
+        assert "b" not in alpha and "a" in alpha
         assert alpha.size == 1
 
 
@@ -216,13 +217,10 @@ class TestExtraction:
 
     def test_frozen_alphabet_never_grows(self):
         t = TemplateSet("SEG", "ZH")
-        alpha = FeatureAlphabet()
-        for s in t.instantiate(Sentence(tokens=list("中国")), 0):
-            alpha.add(s)
-        alpha.freeze()
+        alpha = Alphabet(t.instantiate(Sentence(tokens=list("中国")), 0))
         size = alpha.size
         for s in t.instantiate(Sentence(tokens=list("日本")), 0):
-            alpha.add(s)
+            alpha.get(s)
         assert alpha.size == size
 
     def test_contexts_deduped(self):

