@@ -159,7 +159,7 @@ def _model_from_header(path, header) -> ModelParams:
                 cluster_lexicon=t["cluster_lexicon"],
                 radical_lexicon=t["radical_lexicon"],
             )
-            out_alphabet = Alphabet(header["contexts"])
+            out_alphabet = Alphabet.distinct(header["contexts"], "header contexts")
         if neural:
             tables = {
                 spec["key"]: EmbeddingTable(
@@ -175,7 +175,7 @@ def _model_from_header(path, header) -> ModelParams:
             composer = InputComposer(header["composer_task"], tables)
         model = ModelParams.create(
             mode,
-            Alphabet(header["labels"]),
+            Alphabet.distinct(header["labels"], "header labels"),
             templates=templates,
             out_alphabet=out_alphabet,
             composer=composer,

@@ -70,6 +70,21 @@ class Alphabet:
         # about three times as long on a corpus's embedding symbols
         self._strings: list[str] = list({s: None for s in strings})
         self._index: dict[str, int] = {s: i for i, s in enumerate(self._strings)}
+        # get(s, default=None): the id of ``s``, or ``default``; never adds.
+        # The dict's own method saves a frame per template context looked up.
+        self.get = self._index.get
+
+    def __reduce__(self):  # so a copy's ``get`` reads the copy's dict
+        return Alphabet, (self._strings,)
+
+    @classmethod
+    def distinct(cls, strings, what: str) -> Alphabet:
+        """``strings``' alphabet; a repeat, which would shift later ids, raises ``ValueError``."""
+        alphabet = cls(strings)
+        if len(alphabet) != len(strings):
+            repeat = next(s for k, s in enumerate(strings) if alphabet.to_index(s) != k)
+            raise ValueError(f"{what} has duplicate symbols: {repeat!r} repeats")
+        return alphabet
 
     @property
     def size(self) -> int:
@@ -82,10 +97,6 @@ class Alphabet:
             idx = self._index[s] = len(self._strings)
             self._strings.append(s)
         return idx
-
-    def get(self, s: str, default=None):
-        """The id of ``s``, or ``default``; never adds."""
-        return self._index.get(s, default)
 
     def to_index(self, s: str) -> int:
         try:

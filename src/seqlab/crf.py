@@ -367,12 +367,13 @@ class ForwardPass:
 
 
 def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
-    """The bag of ``sent``'s context ids (int32), each position's in
-    instantiation order.  ``index`` maps a context string to its id, or to
-    None to leave it out."""
+    """The bag of ``sent``'s context ids (int32), each position's in instantiation
+    order.  ``index`` maps a context string to its id, or to None to leave it
+    out.  Token values are computed once per sentence, templates once per position."""
+    values = templates.token_values(sent)
     flat, counts = [], []
     for i in range(len(sent)):
-        known = [c for c in map(index, templates.instantiate(sent, i)) if c is not None]
+        known = [c for c in map(index, templates.instantiate(values, i)) if c is not None]
         flat += known
         counts.append(len(known))
     return pad(np.array(flat, dtype=np.int32), counts)

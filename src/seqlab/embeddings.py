@@ -74,9 +74,7 @@ class EmbeddingTable:
     def __init__(self, name, dim, symbols, matrix, fine_tune=True, lowercase=False):
         self.name = name
         self.dim = int(dim)
-        self.symbols = Alphabet(symbols)
-        if len(self.symbols) != len(symbols):
-            raise ValueError(f"table {name!r} has duplicate symbols")
+        self.symbols = Alphabet.distinct(symbols, f"table {name!r}")
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
         self.fine_tune = bool(fine_tune)
         self.lowercase = bool(lowercase)

@@ -1,14 +1,15 @@
 """Sparse indicator feature extraction for the discrete models.
 
 Each task/language pair has a closed template table.  ``TemplateSet``
-compiles each row once into offset groups, each carrying its finished
-``T<row>[<offsets>]=`` prefix; at a position a group appends its value to
-that prefix, multi-part values joined with ``~``.  Context positions outside
-the sentence contribute the boundary sentinels ``<S>`` / ``</S>``.  No two
-groups share a prefix, so the strings at one position are distinct by
-construction.  Contexts carry no label: the discrete scorer crosses each
-context with every output label by indexing a (contexts x labels) weight
-matrix with the context's id in the model's context ``corpus.Alphabet``.
+compiles each row once into offset groups with finished ``T<row>[<offsets>]=``
+prefixes.  ``token_values`` computes each per-token value the groups read once
+per sentence, padded with the boundary sentinels ``<S>`` / ``</S>``;
+``instantiate`` reads them by index, each group appending its value to its
+prefix, multi-part values joined with ``~``.  No two groups share a prefix,
+so the strings at one position are distinct by construction.  Contexts carry
+no label: the discrete scorer crosses each context with every output label by
+indexing a (contexts x labels) weight matrix with the context's id in the
+model's context ``corpus.Alphabet``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import enum
 import logging
 import unicodedata
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .corpus import Sentence, open_text, strip_line
 
@@ -24,6 +26,7 @@ log = logging.getLogger(__name__)
 
 BOS = "<S>"
 EOS = "</S>"
+PAD = 2  # sentinels on each side of a sentence's token values: the widest offset
 
 TASKS = ("SEG", "POS", "NER")
 LANGUAGES = ("EN", "ZH")
@@ -98,9 +101,9 @@ _SEG_ROWS = (
     (2, "char_ngram", ((-2, -1), (-1, 0), (0, 1), (1, 2), (-1, 1), (0, 2))),
     (3, "char_eq", ((0, -2), (0, 1))),
     (4, "char_ngram", ((-1, 0, 1),)),
-    (5, "char_type", ((0,),)),
-    (6, "char_type", ((-1, 0, 1),)),
-    (7, "char_type", ((-2, -1, 0, 1, 2),)),
+    (5, "char_type", (0,)),
+    (6, "char_type_ngram", ((-1, 0, 1),)),
+    (7, "char_type_ngram", ((-2, -1, 0, 1, 2),)),
 )
 
 _POS_ROWS_EN = (
@@ -159,9 +162,19 @@ _AFFIX_LEN = {("POS", "EN"): 5, ("POS", "ZH"): 3, ("NER", "EN"): 4, ("NER", "ZH"
 RADICAL_POSITIONS = 5  # radical(w0, k) for k in 0..4
 LENGTH_CAP = 6
 
+# values read from the token alone, by kind; a SEG token is one character
+_TOKEN_VALUE = {
+    "char_type": lambda tok: str(int(char_type(tok))),
+    "shape": word_shape,
+    "capital": lambda tok: "T" if is_capitalized(tok) else "F",
+    "connect": connect_class,
+    "length": lambda tok: str(min(len(tok), LENGTH_CAP)),
+}
+
 
 def load_lexicon(path, what: str) -> dict[str, str]:
-    """Read a ``key<TAB>value`` lexicon; a missing file is an empty lexicon."""
+    """Read a ``key<TAB>value`` lexicon; a missing file is an empty lexicon,
+    and a repeated key keeps its later value with a warning."""
     if path is None:
         return {}
     lex = {}
@@ -174,6 +187,8 @@ def load_lexicon(path, what: str) -> dict[str, str]:
                 parts = line.split("\t")
                 if len(parts) != 2:
                     raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>value'")
+                if parts[0] in lex:
+                    log.warning("%s: line %d: key %r repeats; keeping the later value", path, lineno, parts[0])
                 lex[parts[0]] = parts[1]
     except FileNotFoundError:
         log.warning("%s lexicon %s not found; continuing with an empty lexicon", what, path)
@@ -186,8 +201,9 @@ def _compile_row(row: int, kind: str, args) -> list[tuple[str, str, object]]:
 
     ``prefix`` is the group's finished ``T<row>[<offsets>]=``.  A ``join``
     group's ``arg`` lists the (per-token kind, offset) pairs whose values are
-    joined with ``~``; a ``char_eq`` group takes its offset pair, an affix
-    group its offset and a ``radical`` group the character index k.
+    joined with ``~``, a ``one`` group's its single pair; a ``char_eq`` group
+    takes its offset pair, an affix group its offset and a ``radical`` group
+    the character index k.
     """
 
     def prefix(offsets):
@@ -204,10 +220,17 @@ def _compile_row(row: int, kind: str, args) -> list[tuple[str, str, object]]:
     if kind in ("capital_word", "postag_word"):
         first = kind.partition("_")[0]
         return [("join", prefix(pair), ((first, pair[0]), ("word", pair[1]))) for pair in args]
-    if kind.endswith("_ngram") or kind == "char_type":
+    if kind.endswith("_ngram"):
         base = kind.removesuffix("_ngram")
         return [("join", prefix(offsets), tuple((base, off) for off in offsets)) for offsets in args]
-    return [("join", prefix((off,)), ((kind, off),)) for off in args]
+    return [("one", prefix((off,)), ((kind, off),)) for off in args]
+
+
+class TokenValues(NamedTuple):
+    """A sentence and, by kind, its padded per-token values (``TemplateSet.token_values``)."""
+
+    sent: Sentence
+    lists: dict[str, list]
 
 
 @dataclass
@@ -228,58 +251,58 @@ class TemplateSet:
         rows = _TABLES[(self.task, self.language)]
         self.groups = [group for row in rows for group in _compile_row(*row)]
         self.affix_len = _AFFIX_LEN.get((self.task, self.language), 0)
+        # the per-token kinds the groups read, which ``token_values`` computes
+        reads = [arg for how, _, arg in self.groups if how in ("one", "join")]
+        self.kinds = list(dict.fromkeys(kind for arg in reads for kind, _ in arg))
 
-    def _value(self, kind: str, sent: Sentence, j: int) -> str | None:
-        """Per-token value of ``kind`` at position ``j``: the boundary sentinel
-        outside the sentence, None for a cluster miss (its group is skipped)."""
-        if j < 0:
-            return BOS
-        if j >= len(sent.tokens):
-            return EOS
-        tok = sent.tokens[j]
-        if kind in ("char", "word"):
-            return tok
-        if kind == "char_type":
-            # token is one character for the segmentation task
-            return str(int(char_type(tok)))
-        if kind == "shape":
-            return word_shape(tok)
-        if kind == "capital":
-            return "T" if is_capitalized(tok) else "F"
-        if kind == "connect":
-            return connect_class(tok)
-        if kind == "cluster":
-            return self.cluster_lexicon.get(tok)
-        if kind == "postag":
-            if sent.aux_tags is None:
-                raise ValueError("templates need an aux tag column but the sentence has none")
-            return sent.aux_tags[j]
-        if kind == "length":
-            return str(min(len(tok), LENGTH_CAP))
-        raise AssertionError(kind)
+    def token_values(self, sent: Sentence) -> TokenValues:
+        """Each per-token value the groups read, computed once per token, between
+        ``PAD`` boundary sentinels each side; a cluster miss is None (its group is skipped)."""
+        tokens = sent.tokens
+        lists = {}
+        for kind in self.kinds:
+            if kind in ("char", "word"):
+                values = tokens
+            elif kind == "cluster":
+                values = map(self.cluster_lexicon.get, tokens)
+            elif kind == "postag":
+                if sent.aux_tags is None:
+                    raise ValueError("templates need an aux tag column but the sentence has none")
+                values = sent.aux_tags
+            else:
+                values = map(_TOKEN_VALUE[kind], tokens)
+            lists[kind] = [BOS] * PAD + [*values] + [EOS] * PAD
+        return TokenValues(sent, lists)
 
-    def instantiate(self, sent: Sentence, i: int) -> list[str]:
-        """Unlabeled context strings at position ``i``, in table order.
+    def instantiate(self, values: TokenValues, i: int) -> list[str]:
+        """Unlabeled context strings at position ``i`` of the sentence, in table order.
 
         Each group has its own prefix, and an affix group's values differ in
         length, so the strings are distinct by construction.
         """
-        tokens = sent.tokens
+        tokens = values.sent.tokens
+        lists = values.lists
         n = len(tokens)
         if not 0 <= i < n:
             raise IndexError(f"position {i} outside sentence of length {n}")
+        at = i + PAD  # position i in the padded lists
         out: list[str] = []
         for how, prefix, arg in self.groups:
-            if how == "join":
-                values = [self._value(kind, sent, i + off) for kind, off in arg]
-                if None not in values:
-                    out.append(prefix + "~".join(values))
+            if how == "one":
+                ((kind, off),) = arg
+                value = lists[kind][at + off]
+                if value is not None:
+                    out.append(prefix + value)
+            elif how == "join":
+                parts = [lists[kind][at + off] for kind, off in arg]
+                if None not in parts:
+                    out.append(prefix + "~".join(parts))
             elif how == "char_eq":
                 j, k = i + arg[0], i + arg[1]
                 if not 0 <= j < n:
-                    out.append(prefix + self._value("char", sent, j))
+                    out.append(prefix + (BOS if j < 0 else EOS))
                 elif not 0 <= k < n:
-                    out.append(prefix + self._value("char", sent, k))
+                    out.append(prefix + (BOS if k < 0 else EOS))
                 else:
                     out.append(prefix + ("T" if tokens[j] == tokens[k] else "F"))
             elif how == "radical":
@@ -294,5 +317,5 @@ class TemplateSet:
                     for length in range(1, min(self.affix_len, len(tok)) + 1):
                         out.append(prefix + (tok[:length] if how == "prefix" else tok[-length:]))
                 else:
-                    out.append(prefix + self._value("word", sent, j))
+                    out.append(prefix + (BOS if j < 0 else EOS))
         return out

@@ -772,6 +772,43 @@ JSON_VALUES = st.one_of(
 )
 
 
+class TestCheckpointHeaderRepeats:
+    """A repeated label or context would shift every later id; the alphabet
+    would drop it and still match the manifest, so the load refuses it."""
+
+    @staticmethod
+    def repeated(tmp_path, key):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {"task": "POS"})
+        blob = path.read_bytes()
+        header = json.loads(blob[16 : header_end(blob)])
+        header[key].insert(0, header[key][0])
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, header))
+        return bad, header[key][0]
+
+    @pytest.mark.parametrize("key", ["labels", "contexts"])
+    def test_load_names_the_key_and_the_string(self, tmp_path, key):
+        bad, repeat = self.repeated(tmp_path, key)
+        with pytest.raises(checkpoint.CheckpointError) as err:
+            checkpoint.load_model(bad)
+        assert f"header {key} has duplicate symbols: {repeat!r} repeats" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["labels", "contexts"])
+    def test_predict_exits_2(self, pos_setup, tmp_path, capsys, key):
+        _, train, _, _ = pos_setup
+        bad, repeat = self.repeated(tmp_path, key)
+        status = run_cli(
+            ["predict", "--set", "task=POS", "--set", f"model_in={bad}",
+             "--set", f"input={train}", "--set", f"output={tmp_path/'p.col'}"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert "bad.bin" in err and f"header {key} has duplicate symbols: {repeat!r} repeats" in err
+
+
 class TestCheckpointHeaderTypes:
     @given(mode=st.sampled_from(crf.MODES), data=st.data())
     @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +50,19 @@ class TestAlphabet:
         # the list is a copy: changing it leaves the alphabet alone
         alpha.strings().append("w")
         assert alpha.size == 3
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))])
+    def test_a_copy_looks_up_its_own_ids(self, clone):
+        alpha = Alphabet(["x", "y"])
+        other = clone(alpha)
+        other.add("z")
+        assert other.get("z") == 2 and other.get("y") == 1
+        assert alpha.get("z") is None and alpha.size == 2
+
+    def test_distinct_refuses_a_repeat_by_name(self):
+        assert Alphabet.distinct(["x", "y"], "list") == Alphabet(["x", "y"])
+        with pytest.raises(ValueError, match=r"^list has duplicate symbols: 'y' repeats$"):
+            Alphabet.distinct(["x", "y", "z", "y", "x"], "list")
 
 
 class TestLabelAlphabet:

@@ -277,8 +277,8 @@ class TestDiscreteLayout:
             Sentence(tokens=["a"], gold_labels=["B|C"]),
         ]
         model = trainer.build_model("discrete", "POS", "EN", sents, trainer.HyperParams())
-        templates = model.templates
-        contexts = {s for sent in sents for s in templates.instantiate(sent, 0)}
+        t = model.templates
+        contexts = {s for sent in sents for s in t.instantiate(t.token_values(sent), 0)}
         assert model.theta_out.shape == (len(contexts), 2)
         c = model.out_alphabet.get("T1[0]=a|B")
         model.theta_out[c, model.labels.to_index("C")] = 1.0
@@ -315,14 +315,15 @@ class TestLossGradients:
         B, E, S = (model.labels.to_index(l) for l in "BES")
         out_cells = cell_dict(model, bundle["theta_out"])
         edge_cells = cell_dict(model, bundle["theta_edge"])
-        for s in model.templates.instantiate(sent, 1):
+        values = model.templates.token_values(sent)
+        for s in model.templates.instantiate(values, 1):
             c = model.out_alphabet.get(s)
             assert out_cells[(c, S)] == 1.0
             assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
-        for s in model.templates.instantiate(sent, 0):
+        for s in model.templates.instantiate(values, 0):
             assert (model.out_alphabet.get(s), B) not in out_cells
-        assert len(out_cells) == 2 * len(model.templates.instantiate(sent, 1))
+        assert len(out_cells) == 2 * len(model.templates.instantiate(values, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
         assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
 
@@ -400,8 +401,9 @@ class TestContextIds:
         ids, counts = crf.sentence_ids(model, sent).contexts
         assert ids.dtype == np.int32
         assert ids.shape == (len(sent), counts.max())
+        values = model.templates.token_values(sent)
         for i in range(len(sent)):
-            expected = [model.out_alphabet.get(s) for s in model.templates.instantiate(sent, i)]
+            expected = [model.out_alphabet.get(s) for s in model.templates.instantiate(values, i)]
             assert counts[i] == len(expected)
             assert ids[i].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
 
@@ -409,10 +411,11 @@ class TestContextIds:
         model, _ = tiny_discrete_model()
         sent = Sentence(tokens=list("国外"))
         ids, counts = crf.sentence_ids(model, sent).contexts
+        values = model.templates.token_values(sent)
         for i in range(len(sent)):
-            found = map(model.out_alphabet.get, model.templates.instantiate(sent, i))
-            known = [c for c in found if c is not None]
-            assert 0 < len(known) < len(model.templates.instantiate(sent, i))
+            contexts = model.templates.instantiate(values, i)
+            known = [c for c in map(model.out_alphabet.get, contexts) if c is not None]
+            assert 0 < len(known) < len(contexts)
             assert ids[i, : counts[i]].tolist() == known
             assert np.all(ids[i, counts[i] :] == -1)
 
@@ -463,8 +466,9 @@ EMISSION_CORPORA = {
 def loop_emission(model, sent):
     """The discrete emission by a per-position loop over the known contexts."""
     emission = np.zeros((len(sent), len(model.labels)))
+    values = model.templates.token_values(sent)
     for i in range(len(sent)):
-        found = map(model.out_alphabet.get, model.templates.instantiate(sent, i))
+        found = map(model.out_alphabet.get, model.templates.instantiate(values, i))
         emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
     return emission
 

@@ -4,9 +4,15 @@ import random
 import unicodedata
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_templates
+from seqlab import features
 from seqlab.corpus import Alphabet, Sentence
 from seqlab.features import (
+    LANGUAGES,
+    TASKS,
     CharType,
     TemplateSet,
     char_type,
@@ -111,7 +117,7 @@ class TestSegTemplates:
     def test_pinned_row1_strings(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("中国人"))
-        feats = t.instantiate(s, 1)
+        feats = t.instantiate(t.token_values(s), 1)
         for expected in (
             "T1[-1]=中",
             "T1[0]=国",
@@ -124,13 +130,13 @@ class TestSegTemplates:
     def test_equality_row_with_boundary(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("AAB"))
-        feats = [f for f in t.instantiate(s, 2) if f.startswith("T3")]
+        feats = [f for f in t.instantiate(t.token_values(s), 2) if f.startswith("T3")]
         assert feats == ["T3[0,-2]=F", "T3[0,1]=</S>"]
 
     def test_equality_row_true_case(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("ABA"))
-        feats = [f for f in t.instantiate(s, 2) if f.startswith("T3")]
+        feats = [f for f in t.instantiate(t.token_values(s), 2) if f.startswith("T3")]
         assert feats == ["T3[0,-2]=T", "T3[0,1]=</S>"]
 
     def test_reference_extractor_row1(self):
@@ -148,7 +154,7 @@ class TestSegTemplates:
                 else:
                     val = s.tokens[j]
                 expected.append(f"T1[{off}]={val}")
-            got = [f for f in t.instantiate(s, i) if f.startswith("T1[")]
+            got = [f for f in t.instantiate(t.token_values(s), i) if f.startswith("T1[")]
             assert got == expected
 
 
@@ -156,7 +162,7 @@ class TestPosTemplates:
     def test_prefixes_of_running(self):
         t = TemplateSet("POS", "EN")
         s = Sentence(tokens=["running"])
-        prefixes = [f for f in t.instantiate(s, 0) if f.startswith("T3")]
+        prefixes = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T3")]
         assert prefixes == [
             "T3[0]=r",
             "T3[0]=ru",
@@ -168,58 +174,58 @@ class TestPosTemplates:
     def test_chinese_affix_length_three(self):
         t = TemplateSet("POS", "ZH")
         s = Sentence(tokens=["中国人民"])
-        prefixes = [f for f in t.instantiate(s, 0) if f.startswith("T3")]
+        prefixes = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T3")]
         assert prefixes == ["T3[0]=中", "T3[0]=中国", "T3[0]=中国人"]
 
     def test_length_capped_at_six(self):
         t = TemplateSet("POS", "ZH")
         for word, val in (("abc", "3"), ("abcdef", "6"), ("abcdefgh", "6")):
-            feats = t.instantiate(Sentence(tokens=[word]), 0)
+            feats = t.instantiate(t.token_values(Sentence(tokens=[word])), 0)
             assert f"T5[0]={val}" in feats
 
     def test_length_absent_for_english(self):
         t = TemplateSet("POS", "EN")
-        assert not [f for f in t.instantiate(Sentence(tokens=["abc"]), 0) if f.startswith("T5")]
+        assert not [f for f in t.instantiate(t.token_values(Sentence(tokens=["abc"])), 0) if f.startswith("T5")]
 
 
 class TestNerTemplates:
     def test_cluster_miss_is_skipped(self):
         t = TemplateSet("NER", "EN", cluster_lexicon={"EU": "0110"})
         s = Sentence(tokens=["EU", "rejects"], aux_tags=["NNP", "VBZ"])
-        feats_eu = t.instantiate(s, 0)
+        feats_eu = t.instantiate(t.token_values(s), 0)
         assert "T9[0]=0110" in feats_eu
-        assert not [f for f in t.instantiate(s, 1) if f.startswith("T9[0]")]
+        assert not [f for f in t.instantiate(t.token_values(s), 1) if f.startswith("T9[0]")]
 
     def test_out_of_range_cluster_uses_sentinel(self):
         t = TemplateSet("NER", "EN", cluster_lexicon={"EU": "0110"})
         s = Sentence(tokens=["EU"], aux_tags=["NNP"])
-        feats = t.instantiate(s, 0)
+        feats = t.instantiate(t.token_values(s), 0)
         assert "T9[-1]=<S>" in feats and "T9[1]=</S>" in feats
 
     def test_radical_positions(self):
         t = TemplateSet("NER", "ZH", radical_lexicon={"江": "氵", "河": "氵", "明": "日"})
         s = Sentence(tokens=["江河明月"], aux_tags=["NN"])
-        feats = [f for f in t.instantiate(s, 0) if f.startswith("T10")]
+        feats = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T10")]
         # lexicon miss at k=3 (月) emits nothing; word shorter than 5 stops early
         assert feats == ["T10[0,0]=氵", "T10[0,1]=氵", "T10[0,2]=日"]
 
     def test_aux_tags_required(self):
         t = TemplateSet("NER", "EN")
         with pytest.raises(ValueError):
-            t.instantiate(Sentence(tokens=["EU"]), 0)
+            t.token_values(Sentence(tokens=["EU"]))
 
 
 class TestExtraction:
     def test_determinism(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("中国人民"))
-        assert t.instantiate(s, 2) == t.instantiate(s, 2)
+        assert t.instantiate(t.token_values(s), 2) == t.instantiate(t.token_values(s), 2)
 
     def test_frozen_alphabet_never_grows(self):
         t = TemplateSet("SEG", "ZH")
-        alpha = Alphabet(t.instantiate(Sentence(tokens=list("中国")), 0))
+        alpha = Alphabet(t.instantiate(t.token_values(Sentence(tokens=list("中国"))), 0))
         size = alpha.size
-        for s in t.instantiate(Sentence(tokens=list("日本")), 0):
+        for s in t.instantiate(t.token_values(Sentence(tokens=list("日本"))), 0):
             alpha.get(s)
         assert alpha.size == size
 
@@ -237,7 +243,7 @@ class TestExtraction:
                             radical_lexicon=GOLDEN_RADICALS)
             s = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens) if task == "NER" else None)
             for i in range(len(s)):
-                feats = t.instantiate(s, i)
+                feats = t.instantiate(t.token_values(s), i)
                 assert len(feats) == len(set(feats))
 
 
@@ -278,7 +284,7 @@ def golden_corpus(task, language):
 def corpus_contexts(task, language):
     t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
                     radical_lexicon=GOLDEN_RADICALS)
-    return [t.instantiate(s, i) for s in golden_corpus(task, language) for i in range(len(s))]
+    return [t.instantiate(t.token_values(s), i) for s in golden_corpus(task, language) for i in range(len(s))]
 
 
 class TestCorpusGoldens:
@@ -304,7 +310,67 @@ class TestCorpusGoldens:
         assert {"T5[0]=0", "T5[0]=1", "T5[0]=2", "T5[0]=3", "T5[0]=4"} <= seg
 
 
+# Tokens that read like sentinels, the join separator or a context prefix,
+# beside capitalised, digit, CJK and fullwidth ones.  SEG tokens are single
+# characters.
+WORD_POOL = ("<S>", "</S>", "~", "a~b", "T1[0]=", "EU", "German", "of", "And", "-", "1999",
+             "U.S.", "x", "江泽民", "美国", "二〇〇八年", "Ｚｅｎ", "３月")
+CHAR_POOL = tuple("~<>S/=中国人年一〇3３ａZx，-")
+LEXICON_VALUES = ("0110", "11", "<S>", "</S>", "~", "氵")
+
+
+class TestTokenValues:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_instantiate_equals_the_per_offset_oracle(self, data):
+        task, language = data.draw(st.sampled_from([(t, l) for t in TASKS for l in LANGUAGES]))
+        pool = CHAR_POOL if task == "SEG" else WORD_POOL
+        tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8), label="tokens")
+        tags = data.draw(st.lists(st.sampled_from(GOLDEN_TAGS + LEXICON_VALUES),
+                                  min_size=len(tokens), max_size=len(tokens)), label="tags")
+        t = TemplateSet(
+            task, language,
+            cluster_lexicon=data.draw(st.dictionaries(st.sampled_from(pool), st.sampled_from(LEXICON_VALUES))),
+            radical_lexicon=data.draw(st.dictionaries(st.sampled_from(CHAR_POOL + tuple("江泽民美")),
+                                                      st.sampled_from(LEXICON_VALUES))),
+        )
+        sent = Sentence(tokens=tokens, aux_tags=tags)
+        values = t.token_values(sent)
+        for i in range(len(sent)):
+            assert t.instantiate(values, i) == reference_templates.instantiate(t, sent, i)
+
+    @pytest.mark.parametrize(
+        "task,language,kind,tokens",
+        [("NER", "EN", "shape", ["EU", "rejects", "German", "call", "of"]),
+         ("SEG", "ZH", "char_type", list("中国人民１月"))],
+    )
+    def test_each_token_value_is_computed_once(self, monkeypatch, task, language, kind, tokens):
+        # read per offset, word_shape ran up to 7 times per NER-EN position
+        # and char_type 9 times per SEG position
+        compute, seen = features._TOKEN_VALUE[kind], []
+        monkeypatch.setitem(features._TOKEN_VALUE, kind, lambda tok: seen.append(tok) or compute(tok))
+        t = TemplateSet(task, language)
+        sent = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens))
+        values = t.token_values(sent)
+        for i in range(len(sent)):
+            t.instantiate(values, i)
+        assert seen == tokens
+
+    def test_only_the_kinds_the_table_reads(self):
+        assert TemplateSet("SEG", "ZH").kinds == ["char", "char_type"]
+        assert "postag" not in TemplateSet("POS", "EN").token_values(Sentence(tokens=["a"])).lists
+
+
 class TestLexiconLoading:
+    def test_repeated_key_keeps_the_later_value_and_warns(self, tmp_path, caplog):
+        path = tmp_path / "lex.txt"
+        path.write_text("a\tX\nb\tZ\na\tY\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert load_lexicon(path, "cluster") == {"a": "Y", "b": "Z"}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: line 3: key 'a' repeats; keeping the later value"
+        ]
+
     def test_missing_file_warns_and_is_empty(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             lex = load_lexicon(tmp_path / "absent.txt", "cluster")

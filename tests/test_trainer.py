@@ -329,9 +329,9 @@ class TestTrainLoop:
         for mode in ("discrete", "joint"):
             calls = []
 
-            def counting(self, sent, i):
-                calls.append((id(sent), i))
-                return original(self, sent, i)
+            def counting(self, values, i):
+                calls.append((id(values.sent), i))
+                return original(self, values, i)
 
             monkeypatch.setattr(TemplateSet, "instantiate", counting)
             model = trainer.build_model(mode, "POS", "EN", train, SMALL)
