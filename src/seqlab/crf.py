@@ -27,7 +27,8 @@ and ``_logz`` below; every decode and ``log_partition`` goes through them.
 Decoding breaks ties toward the lowest label index at every backpointer
 decision, so results are deterministic.  ``sequence_score`` fixes the
 summation order (start transition, emission 0, then transition/emission per
-position); the brute-force oracles score sequences with the same order, so
+position); the Viterbi recursion and the brute-force oracles sum in the
+same order, so a decode's score is its labels' ``sequence_score`` and
 agreement checks can be exact rather than approximate.
 
 ``sentence_ids`` is the one indexer: it maps a sentence to its template
@@ -85,7 +86,8 @@ class DecodeResult:
     score: float
 
 
-def _viterbi_path(emission, transition):
+def _viterbi_path(emission, transition) -> tuple[np.ndarray, float]:
+    """The best labels and their score, summed in ``_path_score``'s order."""
     n, L = emission.shape
     # scores[y, y'] = alpha[y'] + transition[y', y]: one contiguous row per label
     into, labels = np.ascontiguousarray(transition[:L].T), np.arange(L)
@@ -100,7 +102,7 @@ def _viterbi_path(emission, transition):
     labels[n - 1] = int(np.argmax(alpha))
     for i in range(n - 1, 0, -1):
         labels[i - 1] = back[i, labels[i]]
-    return labels
+    return labels, float(alpha[labels[-1]])
 
 
 def _logz(emission, transition):
@@ -136,9 +138,7 @@ def sequence_score(lattice: ScoreLattice, labels) -> float:
 
 def viterbi(lattice: ScoreLattice) -> DecodeResult:
     """Exact argmax decoding; ties resolve to the lowest label index."""
-    emission, transition = lattice.emission, lattice.transition
-    labels = _viterbi_path(emission, transition)
-    return DecodeResult(labels=labels, score=_path_score(emission, transition, labels))
+    return DecodeResult(*_viterbi_path(lattice.emission, lattice.transition))
 
 
 def _augmented_emission(lattice: ScoreLattice, gold) -> np.ndarray:
@@ -162,9 +162,7 @@ def cost_augmented_viterbi(lattice: ScoreLattice, gold) -> DecodeResult:
 
     The returned score includes the cost term.
     """
-    emission = _augmented_emission(lattice, gold)
-    labels = _viterbi_path(emission, lattice.transition)
-    return DecodeResult(labels=labels, score=_path_score(emission, lattice.transition, labels))
+    return DecodeResult(*_viterbi_path(_augmented_emission(lattice, gold), lattice.transition))
 
 
 def margin_loss(lattice: ScoreLattice, gold) -> tuple[float, DecodeResult]:
@@ -392,7 +390,7 @@ def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> Sentence
 
 
 def build_forward(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None, ids=None
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, ids=None
 ) -> ForwardPass:
     """Score lattice plus gradient-routing caches; ``ids``: ``sentence_ids()``, or None
     to make them here."""
@@ -410,19 +408,15 @@ def build_forward(
 
     if params.uses_neural:
         composed = params.composer.compose_all(ids.rows)
-        enc = encode(
-            params.lstm, composed, train=train, rng=rng, masks=masks, dropout_p=params.dropout_p
-        )
+        enc = encode(params.lstm, composed, train=train, rng=rng, dropout_p=params.dropout_p)
         emission += enc.h @ params.theta_dense.T
         transition += params.tau if params.mode == "neural" else params.tau_weight[0] * params.tau
 
     return ForwardPass(ScoreLattice(emission=emission, transition=transition), ids, enc)
 
 
-def build_lattice(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, masks=None
-) -> ScoreLattice:
-    return build_forward(params, sent, train=train, rng=rng, masks=masks).lattice
+def build_lattice(params: ModelParams, sent: Sentence, *, train: bool = False, rng=None) -> ScoreLattice:
+    return build_forward(params, sent, train=train, rng=rng).lattice
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,8 @@ def load_text_embeddings(
     ``count dim`` header and skipped.  A vector of the wrong width raises
     with the offending line number, and so does a value that is not a finite
     number (``nan``, ``inf`` or text); a repeated symbol keeps the last
-    vector and logs the replacement, after ``lowercase`` has lowercased every
-    symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
+    vector and warns of the replacement, after ``lowercase`` has lowercased
+    every symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
     the file provides one.
     """
     symbols = Alphabet()
@@ -158,7 +158,7 @@ def load_text_embeddings(
                 )
             k = symbols.add(symbol)
             if k < len(rows):
-                log.info("%s: duplicate symbol %r at line %d; keeping the later vector", path, symbol, lineno)
+                log.warning("%s: duplicate symbol %r at line %d; keeping the later vector", path, symbol, lineno)
                 rows[k] = vec
             else:
                 rows.append(vec)

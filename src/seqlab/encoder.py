@@ -243,13 +243,13 @@ def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
 
 
 def encode(
-    params: BiLSTMParams, inputs, train: bool, rng=None, masks=None, dropout_p: float = 0.25
+    params: BiLSTMParams, inputs, train: bool, rng=None, dropout_p: float = 0.25
 ) -> EncoderOutput:
     """Run the windowed BiLSTM over composed input vectors.
 
     ``inputs`` is (n, input_dim).  In train mode a dropout mask is drawn from
-    ``rng`` (or taken from ``masks`` when given, which keeps gradient checks
-    deterministic); inference applies no mask and no rescaling.
+    ``rng`` (a freshly seeded one keeps gradient checks deterministic);
+    inference applies no mask and no rescaling.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -263,14 +263,9 @@ def encode(
         p = dropout_p
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability {p} outside [0, 1)")
-        if masks is None:
-            if rng is None:
-                raise ValueError("train-mode encode needs an rng or explicit masks")
-            masks = (rng.random(inputs.shape) >= p).astype(np.float64)
-        else:
-            masks = np.asarray(masks, dtype=np.float64)
-            if masks.shape != inputs.shape:
-                raise ValueError("mask shape does not match inputs")
+        if rng is None:
+            raise ValueError("train-mode encode needs an rng")
+        masks = (rng.random(inputs.shape) >= p).astype(np.float64)
         dropped = inputs * masks / (1.0 - p)
     else:
         p = 0.0

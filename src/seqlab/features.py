@@ -2,14 +2,16 @@
 
 Each task/language pair has a closed template table.  ``TemplateSet``
 compiles each row once into offset groups with finished ``T<row>[<offsets>]=``
-prefixes.  ``token_values`` computes each per-token value the groups read once
-per sentence, padded with the boundary sentinels ``<S>`` / ``</S>``;
-``instantiate`` reads them by index, each group appending its value to its
-prefix, multi-part values joined with ``~``.  No two groups share a prefix,
-so the strings at one position are distinct by construction.  Contexts carry
-no label: the discrete scorer crosses each context with every output label by
-indexing a (contexts x labels) weight matrix with the context's id in the
-model's context ``corpus.Alphabet``.
+prefixes.  ``token_values`` computes each per-token value the groups read
+once per sentence (character equality, affixes and radicals included),
+padded with the boundary sentinels ``<S>`` / ``</S>``; ``instantiate`` reads
+them by index, each group appending its value to its prefix, multi-part
+values joined with ``~``.  Only the affix groups of one offset share a
+prefix, one group per affix length, so the strings at one position are
+distinct by construction.  Contexts carry no label: the discrete scorer
+crosses each context with every output label by indexing a (contexts x
+labels) weight matrix with the context's id in the model's context
+``corpus.Alphabet``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import enum
 import logging
 import unicodedata
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .corpus import Sentence, open_text, strip_line
 
@@ -196,25 +197,29 @@ def load_lexicon(path, what: str) -> dict[str, str]:
     return lex
 
 
-def _compile_row(row: int, kind: str, args) -> list[tuple[str, str, object]]:
-    """One table row as offset groups ``(how, prefix, arg)``.
+def _compile_row(row: int, kind: str, args, affix_len: int) -> list[tuple[str, str, tuple]]:
+    """One table row as offset groups ``(how, prefix, reads)``.
 
-    ``prefix`` is the group's finished ``T<row>[<offsets>]=``.  A ``join``
-    group's ``arg`` lists the (per-token kind, offset) pairs whose values are
-    joined with ``~``, a ``one`` group's its single pair; a ``char_eq`` group
-    takes its offset pair, an affix group its offset and a ``radical`` group
-    the character index k.
+    ``prefix`` is the group's finished ``T<row>[<offsets>]=``; ``reads`` lists
+    the (per-token kind, offset) pairs whose values the group appends, one
+    for a ``one`` group, several joined with ``~`` for a ``join`` group.
+    Three kinds carry an argument: ``("char_eq", d)`` compares a token with
+    the one ``d`` places on, ``("prefix", k)`` / ``("suffix", k)`` is a
+    word's k-character affix (the groups of one offset share its prefix and
+    come in length order) and ``("radical", k)`` the radical of its k-th
+    character.
     """
 
     def prefix(offsets):
         return f"T{row}[{','.join(map(str, offsets))}]="
 
     if kind == "char_eq":
-        return [(kind, prefix(pair), pair) for pair in args]
+        return [("one", prefix((a, b)), ((("char_eq", b - a), a),)) for a, b in args]
     if kind in ("prefix", "suffix"):
-        return [(kind, prefix((off,)), off) for off in args]
+        lengths = range(1, affix_len + 1)
+        return [("one", prefix((off,)), (((kind, k), off),)) for off in args for k in lengths]
     if kind == "radical":
-        return [(kind, prefix((0, k)), k) for k in range(RADICAL_POSITIONS)]
+        return [("one", prefix((0, k)), ((("radical", k), 0),)) for k in range(RADICAL_POSITIONS)]
     if kind == "capital_connect":
         return [("join", prefix((off, 0)), (("capital", off), ("connect", 0))) for off in args]
     if kind in ("capital_word", "postag_word"):
@@ -226,17 +231,11 @@ def _compile_row(row: int, kind: str, args) -> list[tuple[str, str, object]]:
     return [("one", prefix((off,)), ((kind, off),)) for off in args]
 
 
-class TokenValues(NamedTuple):
-    """A sentence and, by kind, its padded per-token values (``TemplateSet.token_values``)."""
-
-    sent: Sentence
-    lists: dict[str, list]
-
-
 @dataclass
 class TemplateSet:
     """The closed template table for one (task, language) pair, compiled
-    once into offset groups (see ``_compile_row``)."""
+    once into offset groups (see ``_compile_row``) that read their values
+    by slot: a kind's index in ``kinds``."""
 
     task: str
     language: str
@@ -248,74 +247,68 @@ class TemplateSet:
             raise ValueError(f"unknown task {self.task!r}")
         if self.language not in LANGUAGES:
             raise ValueError(f"unknown language {self.language!r}")
+        affix_len = _AFFIX_LEN.get((self.task, self.language), 0)
         rows = _TABLES[(self.task, self.language)]
-        self.groups = [group for row in rows for group in _compile_row(*row)]
-        self.affix_len = _AFFIX_LEN.get((self.task, self.language), 0)
+        groups = [group for row in rows for group in _compile_row(*row, affix_len)]
         # the per-token kinds the groups read, which ``token_values`` computes
-        reads = [arg for how, _, arg in self.groups if how in ("one", "join")]
-        self.kinds = list(dict.fromkeys(kind for arg in reads for kind, _ in arg))
+        self.kinds = list(dict.fromkeys(kind for _, _, reads in groups for kind, _ in reads))
+        slot = {kind: s for s, kind in enumerate(self.kinds)}
+        self.groups = [
+            (how, prefix, tuple((slot[kind], off) for kind, off in reads)) for how, prefix, reads in groups
+        ]
 
-    def token_values(self, sent: Sentence) -> TokenValues:
-        """Each per-token value the groups read, computed once per token, between
-        ``PAD`` boundary sentinels each side; a cluster miss is None (its group is skipped)."""
+    def token_values(self, sent: Sentence) -> list[list]:
+        """Each per-token value the groups read, computed once per token: one
+        list per kind, in ``kinds`` order, between ``PAD`` boundary sentinels
+        each side.  None (a cluster or radical miss, an affix longer than its
+        word) skips the group reading it."""
         tokens = sent.tokens
-        lists = {}
+        n = len(tokens)
+        lists = []
         for kind in self.kinds:
-            if kind in ("char", "word"):
+            name, k = kind if isinstance(kind, tuple) else (kind, 0)
+            if name in ("char", "word"):
                 values = tokens
-            elif kind == "cluster":
+            elif name == "cluster":
                 values = map(self.cluster_lexicon.get, tokens)
-            elif kind == "postag":
+            elif name == "postag":
                 if sent.aux_tags is None:
                     raise ValueError("templates need an aux tag column but the sentence has none")
                 values = sent.aux_tags
+            elif name == "char_eq":  # token t against token t + k
+                values = (
+                    BOS if t + k < 0 else EOS if t + k >= n else "T" if tokens[t] == tokens[t + k] else "F"
+                    for t in range(n)
+                )
+            elif name == "prefix":
+                values = (tok[:k] if k <= len(tok) else None for tok in tokens)
+            elif name == "suffix":
+                values = (tok[-k:] if k <= len(tok) else None for tok in tokens)
+            elif name == "radical":
+                values = (self.radical_lexicon.get(tok[k]) if k < len(tok) else None for tok in tokens)
             else:
-                values = map(_TOKEN_VALUE[kind], tokens)
-            lists[kind] = [BOS] * PAD + [*values] + [EOS] * PAD
-        return TokenValues(sent, lists)
+                values = map(_TOKEN_VALUE[name], tokens)
+            # an affix offset outside the sentence gives one string, the 1-character group's sentinel
+            head, tail = (None, None) if name in ("prefix", "suffix") and k > 1 else (BOS, EOS)
+            lists.append([head] * PAD + [*values] + [tail] * PAD)
+        return lists
 
-    def instantiate(self, values: TokenValues, i: int) -> list[str]:
-        """Unlabeled context strings at position ``i`` of the sentence, in table order.
-
-        Each group has its own prefix, and an affix group's values differ in
-        length, so the strings are distinct by construction.
-        """
-        tokens = values.sent.tokens
-        lists = values.lists
-        n = len(tokens)
+    def instantiate(self, values: list[list], i: int) -> list[str]:
+        """Unlabeled context strings at position ``i`` of the sentence with
+        these ``token_values``, in table order."""
+        n = len(values[0]) - 2 * PAD
         if not 0 <= i < n:
             raise IndexError(f"position {i} outside sentence of length {n}")
         at = i + PAD  # position i in the padded lists
         out: list[str] = []
-        for how, prefix, arg in self.groups:
+        for how, prefix, reads in self.groups:
             if how == "one":
-                ((kind, off),) = arg
-                value = lists[kind][at + off]
+                ((slot, off),) = reads
+                value = values[slot][at + off]
                 if value is not None:
                     out.append(prefix + value)
-            elif how == "join":
-                parts = [lists[kind][at + off] for kind, off in arg]
+            else:  # join
+                parts = [values[slot][at + off] for slot, off in reads]
                 if None not in parts:
                     out.append(prefix + "~".join(parts))
-            elif how == "char_eq":
-                j, k = i + arg[0], i + arg[1]
-                if not 0 <= j < n:
-                    out.append(prefix + (BOS if j < 0 else EOS))
-                elif not 0 <= k < n:
-                    out.append(prefix + (BOS if k < 0 else EOS))
-                else:
-                    out.append(prefix + ("T" if tokens[j] == tokens[k] else "F"))
-            elif how == "radical":
-                tok = tokens[i]
-                radical = self.radical_lexicon.get(tok[arg]) if arg < len(tok) else None
-                if radical is not None:
-                    out.append(prefix + radical)
-            else:  # prefix or suffix
-                j = i + arg
-                if 0 <= j < n:
-                    tok = tokens[j]
-                    for length in range(1, min(self.affix_len, len(tok)) + 1):
-                        out.append(prefix + (tok[:length] if how == "prefix" else tok[-length:]))
-                else:
-                    out.append(prefix + (BOS if j < 0 else EOS))
         return out

@@ -390,8 +390,7 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
                 arr[:] = rng.uniform(-0.5, 0.5, arr.shape)
         gold = np.array([model.labels.to_index(l) for l in sents[0].gold_labels])
         # evaluate under the same fixed dropout masks the gradient check uses
-        masks = _gradcheck_masks(model, sents[0])
-        lattice = crf.build_lattice(model, sents[0], train=True, masks=masks)
+        lattice = crf.build_lattice(model, sents[0], train=True, rng=_gradcheck_rng())
         loss, _ = crf.margin_loss(lattice, gold)
         if loss > 0.05 and _score_gap(lattice, gold) > 1e-3:
             return model, sents[0]
@@ -407,13 +406,9 @@ GRADCHECK_MASK_SEED = 0
 TIE_GAP = 1e-6
 
 
-def _gradcheck_masks(model: crf.ModelParams, sentence: Sentence):
-    """The fixed dropout masks of every gradient check, None without an encoder."""
-    if not model.uses_neural:
-        return None
-    rng = np.random.default_rng([GRADCHECK_MASK_SEED, SEED_DROPOUT])
-    shape = (len(sentence), model.composer.dim)
-    return (rng.random(shape) >= model.dropout_p).astype(np.float64)
+def _gradcheck_rng() -> np.random.Generator:
+    """A fresh dropout stream for one gradient-check forward pass: every pass draws the same masks."""
+    return np.random.default_rng([GRADCHECK_MASK_SEED, SEED_DROPOUT])
 
 
 def _score_gap(lattice: crf.ScoreLattice, gold) -> float:
@@ -490,11 +485,10 @@ def gradient_check(
         raise ValueError("gradient check instances must have n <= 5")
     gold = np.array([model.labels.to_index(l) for l in sentence.gold_labels])
 
-    masks = _gradcheck_masks(model, sentence)
     ids = crf.sentence_ids(model, sentence)
 
     def forward():
-        fp = crf.build_forward(model, sentence, train=True, masks=masks, ids=ids)
+        fp = crf.build_forward(model, sentence, train=True, rng=_gradcheck_rng(), ids=ids)
         loss, result = crf.margin_loss(fp.lattice, gold)
         return loss, fp, result
 

@@ -1,17 +1,29 @@
 """Straight-line template instantiation, the oracle for ``TemplateSet``.
 
-It reads each per-token value at the position it is needed, once per offset
-that reads it, where ``TemplateSet.instantiate`` reads the values
-``TemplateSet.token_values`` computed once per sentence.  Both walk the same
-compiled groups, whose strings the goldens pin.
+It interprets the raw template table rows at each position, reading each
+per-token value where it is needed, once per offset that reads it.
+``TemplateSet`` instead compiles the rows into offset groups and reads the
+values ``TemplateSet.token_values`` computed once per sentence; this oracle
+shares neither the compiled groups nor the per-sentence values with it.
 """
 
-from seqlab.features import BOS, EOS, LENGTH_CAP, char_type, connect_class, is_capitalized, word_shape
+from seqlab.features import (
+    _AFFIX_LEN,
+    _TABLES,
+    BOS,
+    EOS,
+    LENGTH_CAP,
+    RADICAL_POSITIONS,
+    char_type,
+    connect_class,
+    is_capitalized,
+    word_shape,
+)
 
 
 def value(templates, kind, sent, j):
     """Per-token value of ``kind`` at position ``j``: the boundary sentinel
-    outside the sentence, None for a cluster miss (its group is skipped)."""
+    outside the sentence, None for a cluster miss (its template is skipped)."""
     if j < 0:
         return BOS
     if j >= len(sent.tokens):
@@ -45,31 +57,50 @@ def instantiate(templates, sent, i):
     n = len(tokens)
     if not 0 <= i < n:
         raise IndexError(f"position {i} outside sentence of length {n}")
+    affix_len = _AFFIX_LEN.get((templates.task, templates.language), 0)
     out = []
-    for how, prefix, arg in templates.groups:
-        if how in ("one", "join"):
-            values = [value(templates, kind, sent, i + off) for kind, off in arg]
-            if None not in values:
-                out.append(prefix + "~".join(values))
-        elif how == "char_eq":
-            j, k = i + arg[0], i + arg[1]
-            if not 0 <= j < n:
-                out.append(prefix + value(templates, "char", sent, j))
-            elif not 0 <= k < n:
-                out.append(prefix + value(templates, "char", sent, k))
-            else:
-                out.append(prefix + ("T" if tokens[j] == tokens[k] else "F"))
-        elif how == "radical":
-            tok = tokens[i]
-            radical = templates.radical_lexicon.get(tok[arg]) if arg < len(tok) else None
-            if radical is not None:
-                out.append(prefix + radical)
-        else:  # prefix or suffix
-            j = i + arg
-            if 0 <= j < n:
+
+    def emit(row, offsets, values):
+        if None not in values:
+            out.append(f"T{row}[{','.join(map(str, offsets))}]=" + "~".join(values))
+
+    for row, kind, args in _TABLES[(templates.task, templates.language)]:
+        if kind == "char_eq":
+            for a, b in args:
+                j, k = i + a, i + b
+                if not 0 <= j < n:
+                    emit(row, (a, b), [value(templates, "char", sent, j)])
+                elif not 0 <= k < n:
+                    emit(row, (a, b), [value(templates, "char", sent, k)])
+                else:
+                    emit(row, (a, b), ["T" if tokens[j] == tokens[k] else "F"])
+        elif kind in ("prefix", "suffix"):
+            for off in args:
+                j = i + off
+                if not 0 <= j < n:
+                    emit(row, (off,), [value(templates, "word", sent, j)])
+                    continue
                 tok = tokens[j]
-                for length in range(1, min(templates.affix_len, len(tok)) + 1):
-                    out.append(prefix + (tok[:length] if how == "prefix" else tok[-length:]))
-            else:
-                out.append(prefix + value(templates, "word", sent, j))
+                for length in range(1, min(affix_len, len(tok)) + 1):
+                    emit(row, (off,), [tok[:length] if kind == "prefix" else tok[-length:]])
+        elif kind == "radical":
+            tok = tokens[i]
+            for k in range(RADICAL_POSITIONS):
+                emit(row, (0, k), [templates.radical_lexicon.get(tok[k]) if k < len(tok) else None])
+        elif kind == "capital_connect":
+            for off in args:
+                capital = value(templates, "capital", sent, i + off)
+                emit(row, (off, 0), [capital, value(templates, "connect", sent, i)])
+        elif kind in ("capital_word", "postag_word"):
+            first = kind.partition("_")[0]
+            for a, b in args:
+                emit(row, (a, b), [value(templates, first, sent, i + a),
+                                   value(templates, "word", sent, i + b)])
+        elif kind.endswith("_ngram"):
+            base = kind.removesuffix("_ngram")
+            for offsets in args:
+                emit(row, offsets, [value(templates, base, sent, i + off) for off in offsets])
+        else:
+            for off in args:
+                emit(row, (off,), [value(templates, kind, sent, i + off)])
     return out

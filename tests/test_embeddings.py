@@ -57,11 +57,16 @@ class TestLoading:
         message = str(info.value)
         assert str(path) in message and "line 2" in message and "'wb0'" in message
 
-    def test_duplicate_last_wins(self, tmp_path):
+    def test_duplicate_last_wins(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 1.0\na 2.0 2.0\n", encoding="utf-8")
-        table = load_text_embeddings(path, 2)
+        # the CLI logs at WARNING: an info record would replace the vector unseen
+        with caplog.at_level(logging.WARNING, logger="seqlab.embeddings"):
+            table = load_text_embeddings(path, 2)
         assert row(table, "a").tolist() == [2.0, 2.0]
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.WARNING, f"{path}: duplicate symbol 'a' at line 2; keeping the later vector")
+        ]
 
     def test_unknown_symbol_maps_to_unk(self, tmp_path):
         path = tmp_path / "emb.txt"

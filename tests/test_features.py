@@ -357,8 +357,11 @@ class TestTokenValues:
         assert seen == tokens
 
     def test_only_the_kinds_the_table_reads(self):
-        assert TemplateSet("SEG", "ZH").kinds == ["char", "char_type"]
-        assert "postag" not in TemplateSet("POS", "EN").token_values(Sentence(tokens=["a"])).lists
+        assert TemplateSet("SEG", "ZH").kinds == ["char", ("char_eq", -2), ("char_eq", 1), "char_type"]
+        pos_en = TemplateSet("POS", "EN")
+        assert "postag" not in pos_en.kinds
+        # no aux tag column: a postag list would raise
+        assert len(pos_en.token_values(Sentence(tokens=["a"]))) == len(pos_en.kinds)
 
 
 class TestLexiconLoading:

@@ -325,18 +325,25 @@ class TestTrainLoop:
     def test_instantiates_each_train_and_dev_position_once(self, monkeypatch):
         train = synthetic.separable_corpus(6, seed=1)
         dev = synthetic.separable_corpus(4, seed=2)
-        original = TemplateSet.instantiate
+        original, original_values = TemplateSet.instantiate, TemplateSet.token_values
         for mode in ("discrete", "joint"):
-            calls = []
+            calls, sent_of = [], {}
+
+            def values_of(self, sent):
+                values = original_values(self, sent)
+                sent_of[id(values)] = id(sent)
+                return values
 
             def counting(self, values, i):
-                calls.append((id(values.sent), i))
+                calls.append((sent_of[id(values)], i))
                 return original(self, values, i)
 
+            monkeypatch.setattr(TemplateSet, "token_values", values_of)
             monkeypatch.setattr(TemplateSet, "instantiate", counting)
             model = trainer.build_model(mode, "POS", "EN", train, SMALL)
             trainer.train(model, train, dev, HyperParams(epochs=2, seed=3), "POS")
             monkeypatch.setattr(TemplateSet, "instantiate", original)
+            monkeypatch.setattr(TemplateSet, "token_values", original_values)
             expected = [(id(s), i) for s in train + dev for i in range(len(s))]
             assert sorted(calls) == sorted(expected), mode
 
@@ -414,12 +421,7 @@ class TestGradientCheck:
     def test_every_trainable_array_gets_a_gradient(self, mode):
         model, sent = trainer.make_gradcheck_instance(mode, seed=1)
         gold = np.array([model.labels.to_index(l) for l in sent.gold_labels])
-        masks = None
-        if model.uses_neural:
-            mask_rng = np.random.default_rng([0, trainer.SEED_DROPOUT])
-            shape = (len(sent), model.composer.dim)
-            masks = (mask_rng.random(shape) >= model.dropout_p).astype(np.float64)
-        fp = crf.build_forward(model, sent, train=True, masks=masks)
+        fp = crf.build_forward(model, sent, train=True, rng=np.random.default_rng([0, trainer.SEED_DROPOUT]))
         loss, result = crf.margin_loss(fp.lattice, gold)
         assert loss > 0.0
         bundle = crf.loss_gradients(model, fp, result.labels, gold)
