@@ -7,11 +7,11 @@ sentence.  "Character" throughout the package means one Unicode scalar
 value, so Chinese text is never split inside a code point.
 
 Also provides the tagging-scheme conversions: word segmentation to
-per-character B/I/E/S tags and those tags to word spans, and entity spans
-to and from BIO / BIOES position tags.  The decoding directions are total:
-an ill-formed tag sequence is repaired deterministically (a tag inconsistent
-with its left context starts a new segment; dangling segments close at the
-boundary).
+per-character B/I/E/S tags, entity spans to BIO / BIOES position tags, and
+both kinds of tags back to ``SpanAnnotation`` tuples.  One repair loop
+decodes BIO, BIOES and BIES, and it is total: an ill-formed tag sequence is
+repaired deterministically (a tag inconsistent with its left context starts
+a new segment; dangling segments close at the boundary).
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from __future__ import annotations
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 BIES_TAGS = ("B", "I", "E", "S")
 SCHEMES = ("BIO", "BIOES")
@@ -121,17 +123,12 @@ class Alphabet:
         return isinstance(other, Alphabet) and self._strings == other._strings
 
 
-@dataclass(frozen=True)
-class SpanAnnotation:
+class SpanAnnotation(NamedTuple):
     """Half-open token span [start, end) of a given kind."""
 
     start: int
     end: int
     kind: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"bad span bounds ({self.start}, {self.end})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +287,13 @@ def segmentation_to_bies(words) -> tuple[list[str], list[str]]:
 def bies_word_spans(labels) -> list[SpanAnnotation]:
     """Word boundaries of a BIES tag sequence as WORD spans.
 
-    BIES is BIOES with one kind and no O, so the words are the spans of the
-    same tags suffixed ``-WORD``, repaired by :func:`position_tags_to_spans`.
+    BIES is BIOES with one kind and no O, so the words are the spans the
+    entity decoder's repair loop reads from the tags as heads of kind WORD.
     """
     for lab in labels:
         if lab not in BIES_TAGS:
             raise ValueError(f"not a BIES tag: {lab!r}")
-    return position_tags_to_spans([t + "-WORD" for t in labels], "BIOES")
+    return _decode(zip(labels, repeat("WORD")))
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +302,18 @@ def bies_word_spans(labels) -> list[SpanAnnotation]:
 
 
 def spans_to_position_tags(n: int, spans, scheme: str) -> list[str]:
-    """Encode non-overlapping spans over ``n`` tokens as BIO or BIOES tags."""
+    """Encode non-overlapping spans over ``n`` tokens as BIO or BIOES tags.
+
+    A span that is empty, starts before 0, overlaps another or runs past
+    ``n`` raises ``ValueError``.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     ordered = sorted(spans, key=lambda s: s.start)
     prev_end = 0
     for span in ordered:
+        if not 0 <= span.start < span.end:
+            raise ValueError(f"bad span bounds in {span}")
         if span.start < prev_end:
             raise ValueError(f"overlapping spans at token {span.start}")
         if span.end > n:
@@ -329,57 +332,39 @@ def spans_to_position_tags(n: int, spans, scheme: str) -> list[str]:
     return tags
 
 
-def _parse_position_tag(label):
-    if label == "O":
-        return "O", None
-    head, _, kind = label.partition("-")
-    if head in ("B", "I", "E", "S") and kind:
-        return head, kind
-    # anything outside the scheme grammar is treated as outside
-    return "O", None
+def position_tags_to_spans(labels) -> list[SpanAnnotation]:
+    """Decode BIO or BIOES position tags into spans; never fails on ill-formed
+    input.  A tag is ``head-kind``; one whose head is not B, I, E or S, or
+    whose kind is empty, reads as O.  The two schemes' tags may mix."""
+    return _decode(label.partition("-")[::2] for label in labels)
 
 
-def position_tags_to_spans(labels, scheme: str = "BIO") -> list[SpanAnnotation]:
-    """Decode position tags into spans; never fails on ill-formed input.
+def _decode(pairs) -> list[SpanAnnotation]:
+    """The spans of ``(head, kind)`` tag pairs, by one repair rule.
 
-    Repair rule: an I without a matching open segment opens one; a segment
-    left open at an O, at a differently-typed tag, or at the sequence end is
-    closed there.  The decoder accepts the union of the BIO and BIOES tag
-    alphabets regardless of ``scheme``.
+    An I or E of the open segment's kind continues it, and the E closes it.
+    Any other pair closes the open segment before its position; then a B or
+    an I opens a segment there, an E or an S is a one-token span, and
+    anything else (O) is outside.  A segment still open at the end closes
+    there.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    labels = list(labels)
     spans: list[SpanAnnotation] = []
-    open_start = None
-    open_kind = None
-
-    def close(end):
-        nonlocal open_start, open_kind
-        if open_start is not None:
-            spans.append(SpanAnnotation(open_start, end, open_kind))
-            open_start = open_kind = None
-
-    for t, label in enumerate(labels):
-        head, kind = _parse_position_tag(label)
-        if head == "O":
-            close(t)
-        elif head == "B":
-            close(t)
-            open_start, open_kind = t, kind
-        elif head == "S":
-            close(t)
+    start, open_kind = 0, None
+    for t, (head, kind) in enumerate(pairs):
+        if kind == open_kind and (head == "I" or head == "E"):
+            if head == "E":
+                spans.append(SpanAnnotation(start, t + 1, kind))
+                open_kind = None
+            continue
+        if open_kind is not None:
+            spans.append(SpanAnnotation(start, t, open_kind))
+            open_kind = None
+        if not kind:
+            continue
+        if head == "B" or head == "I":
+            start, open_kind = t, kind
+        elif head == "E" or head == "S":
             spans.append(SpanAnnotation(t, t + 1, kind))
-        elif head == "I":
-            if open_kind != kind:
-                close(t)
-                open_start, open_kind = t, kind
-        elif head == "E":
-            if open_kind == kind:
-                spans.append(SpanAnnotation(open_start, t + 1, kind))
-                open_start = open_kind = None
-            else:
-                close(t)
-                spans.append(SpanAnnotation(t, t + 1, kind))
-    close(len(labels))
+    if open_kind is not None:
+        spans.append(SpanAnnotation(start, t + 1, open_kind))
     return spans

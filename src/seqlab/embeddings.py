@@ -3,9 +3,10 @@
 Tables are plain float64 matrices with a symbol vocabulary and a reserved
 ``<UNK>`` row, so lookups never fail.  The text file format is one vector
 per line, ``symbol v1 ... vD`` separated by single spaces, with an optional
-``count dim`` header line; a leading byte-order mark and trailing ASCII
-whitespace on a line are skipped, as in the corpus readers.  A table's
-``symbols`` is a ``corpus.Alphabet``: symbol k owns row k.
+``count dim`` header line that the vector lines must match; a leading
+byte-order mark and trailing ASCII whitespace on a line are skipped, as in
+the corpus readers.  A table's ``symbols`` is a ``corpus.Alphabet``:
+symbol k owns row k.
 
 Composition per task (concatenation order is fixed):
 
@@ -90,11 +91,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self.symbols)
 
-    def index(self, symbol: str) -> int:
-        if self.lowercase:
-            symbol = symbol.lower()
-        return self.symbols.get(symbol, self.unk_index)
-
 
 def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> EmbeddingTable:
     """Fresh table with entries uniform in [-0.01, 0.01]; deterministic in ``seed``."""
@@ -113,15 +109,18 @@ def load_text_embeddings(
     """Load a text-format embedding file.
 
     A first line consisting of exactly two integers is taken as a
-    ``count dim`` header and skipped.  A vector of the wrong width raises
-    with the offending line number, and so does a value that is not a finite
-    number (``nan``, ``inf`` or text); a repeated symbol keeps the last
+    ``count dim`` header: ``dim`` must be ``dim_expected``, and exactly
+    ``count`` vector lines must follow it.  A vector of the wrong width
+    raises with the offending line number, and so does a value that is not a
+    finite number (``nan``, ``inf`` or text); a repeated symbol keeps the last
     vector and warns of the replacement, after ``lowercase`` has lowercased
     every symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
     the file provides one.
     """
     symbols = Alphabet()
     rows: list[np.ndarray] = []
+    declared = None  # the header's count, when there is a header
+    lines = 0
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = strip_line(raw)
@@ -138,7 +137,9 @@ def load_text_embeddings(
                         raise ValueError(
                             f"{path}: header declares dim {parts[1]}, expected {dim_expected}"
                         )
+                    declared = int(parts[0])
                     continue
+            lines += 1
             symbol, values = parts[0], parts[1:]
             if lowercase and symbol != UNK:
                 symbol = symbol.lower()
@@ -162,6 +163,10 @@ def load_text_embeddings(
                 rows[k] = vec
             else:
                 rows.append(vec)
+    if declared is not None and declared != lines:
+        raise ValueError(
+            f"{path}: header declares {declared} vectors, but {lines} vector lines follow it"
+        )
     if UNK not in symbols:
         symbols.add(UNK)
         rows.append(np.random.default_rng(0).uniform(-INIT_SCALE, INIT_SCALE, size=dim_expected))
@@ -223,8 +228,11 @@ class InputComposer:
         table, a bag of one except for the char mean of POS and NER."""
         rows = {}
         for key, (symbols, counts) in table_symbols(self.task, sent).items():
-            index = self.tables[key].index
-            rows[key] = pad(np.array([index(symbol) for symbol in symbols], dtype=np.intp), counts)
+            table = self.tables[key]
+            if table.lowercase:
+                symbols = [symbol.lower() for symbol in symbols]
+            get, unk = table.symbols.get, table.unk_index
+            rows[key] = pad(np.array([get(symbol, unk) for symbol in symbols], dtype=np.intp), counts)
         return rows
 
     def compose_all(self, rows: dict) -> np.ndarray:

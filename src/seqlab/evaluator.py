@@ -2,8 +2,9 @@
 
 Every metric reads one count rule, :func:`sentence_counts`: a sentence's
 ``(hits, predicted, gold)`` under the :func:`count_scheme` of its task.
-Corpus scores sum those counts (micro-averaging).  A span hit is an exact
-(start, end, kind) match between a gold and a predicted span.
+Corpus scores sum those counts (micro-averaging).  Spans are the
+``(start, end, kind)`` tuples of ``corpus``'s one tag decoder, and a span
+hit is a tuple in both the gold and the predicted set.
 Zero-denominator cases are total by convention (precision 0 with no
 predictions, recall 0 with no gold) and flagged in the JSON record.  For
 the per-sentence comparison, a sentence with neither gold nor predicted
@@ -17,8 +18,10 @@ from dataclasses import dataclass
 
 from .corpus import bies_word_spans, position_tags_to_spans
 
+# each span scheme's decoder into (start, end, kind) tuples
+_DECODERS = {"BIO": position_tags_to_spans, "BIOES": position_tags_to_spans, "BIES": bies_word_spans}
 # what a metric can count: tokens, or the spans of one tag scheme
-METRIC_SCHEMES = ("accuracy", "BIO", "BIOES", "BIES")
+METRIC_SCHEMES = ("accuracy", *_DECODERS)
 
 
 @dataclass(frozen=True)
@@ -47,11 +50,6 @@ def count_scheme(task: str, scheme: str) -> str:
         raise ValueError(f"unknown task {task!r}") from None
 
 
-def _spans(labels, scheme):
-    spans = bies_word_spans(labels) if scheme == "BIES" else position_tags_to_spans(labels, scheme)
-    return {(s.start, s.end, s.kind) for s in spans}
-
-
 def sentence_counts(gold_labels, pred_labels, scheme: str) -> tuple[int, int, int]:
     """One sentence's ``(hits, predicted, gold)`` under a :func:`count_scheme`.
 
@@ -64,7 +62,10 @@ def sentence_counts(gold_labels, pred_labels, scheme: str) -> tuple[int, int, in
     if scheme == "accuracy":
         hits = sum(g == p for g, p in zip(gold_labels, pred_labels))
         return hits, len(pred_labels), len(gold_labels)
-    gold, pred = _spans(gold_labels, scheme), _spans(pred_labels, scheme)
+    decode = _DECODERS.get(scheme)
+    if decode is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    gold, pred = set(decode(gold_labels)), set(decode(pred_labels))
     return len(gold & pred), len(pred), len(gold)
 
 

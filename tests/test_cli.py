@@ -186,6 +186,19 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert str(emb) in err and "line 1" in err and repr(word) in err
 
+    def test_embedding_header_count_mismatch_exits_2(self, pos_setup, capsys):
+        tmp_path, train, dev, sents = pos_setup
+        emb = tmp_path / "words.txt"
+        emb.write_text(f"3 5\n{sents[0].tokens[0]} 0 0 0 0 0\n", encoding="utf-8")
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "word_emb=5",
+             "--set", f"word_embeddings={emb}",
+             "--set", f"train={train}", "--set", f"dev={dev}",
+             "--set", f"model_out={tmp_path/'m.bin'}"]
+        )
+        assert status == 2
+        assert f"{emb}: header declares 3 vectors, but 1 vector lines follow it" in capsys.readouterr().err
+
     @pytest.mark.parametrize("item", ["eta=nan", "eta=inf", "l2=nan", "l2=inf"])
     def test_non_finite_step_size_or_l2_exits_2(self, pos_setup, capsys, item):
         tmp_path, train, dev, _ = pos_setup
@@ -388,6 +401,56 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert f"gold {gold_path} and predictions {pred_path} do not align" in err
         assert "the tokens of sentence 1 differ" in err
+
+    # Hand-counted spans.  SEG: gold AB|C|DE FG H|IJ against AB|CDE F|G H|IJ,
+    # the last repaired from S I I.  NER: gold PER John Smith, LOC New York;
+    # ORG Acme, PER Mary.  Predicted: the PER, New and York as two LOC; ORG Acme
+    # from an orphan I, and Mary as LOC from a B left open at the end.
+    @pytest.mark.parametrize(
+        "task, settings, counted, gold, pred, counts",
+        [
+            (
+                "SEG", [], "BIES",
+                [Sentence("ABCDE", "BESBE"), Sentence("FG", "BE"), Sentence("HIJ", "SBE")],
+                [Sentence("ABCDE", "BEBIE"), Sentence("FG", "SS"), Sentence("HIJ", "SII")],
+                (3, 6, 6),
+            ),
+            (
+                "NER", ["--set", "scheme=BIOES"], "BIOES",
+                [
+                    Sentence(
+                        ["John", "Smith", "lives", "in", "New", "York"],
+                        ["B-PER", "E-PER", "O", "O", "B-LOC", "E-LOC"],
+                        ["NNP", "NNP", "VBZ", "IN", "NNP", "NNP"],
+                    ),
+                    Sentence(["Acme", "hired", "Mary"], ["S-ORG", "O", "S-PER"], ["NNP", "VBD", "NNP"]),
+                ],
+                [
+                    Sentence(
+                        ["John", "Smith", "lives", "in", "New", "York"],
+                        ["B-PER", "E-PER", "O", "O", "S-LOC", "S-LOC"],
+                        ["NNP", "NNP", "VBZ", "IN", "NNP", "NNP"],
+                    ),
+                    Sentence(["Acme", "hired", "Mary"], ["I-ORG", "O", "B-LOC"], ["NNP", "VBD", "NNP"]),
+                ],
+                (2, 5, 4),
+            ),
+        ],
+    )
+    def test_span_counts(self, tmp_path, capsys, task, settings, counted, gold, pred, counts):
+        columns = cli.TASK_COLUMNS[task]
+        gold_path, pred_path = tmp_path / "gold.col", tmp_path / "pred.col"
+        write_column_corpus(gold_path, gold, columns)
+        write_column_corpus(pred_path, pred, columns)
+        assert run_cli(
+            ["eval", "--set", f"task={task}", *settings,
+             "--set", f"gold={gold_path}", "--set", f"predictions={pred_path}"]
+        ) == 0
+        record = json.loads(capsys.readouterr().out)
+        tp, predicted, gold_count = counts
+        assert (record["metric"], record["scheme"]) == ("span_f1", counted)
+        assert (record["tp"], record["predicted"], record["gold"]) == counts
+        assert record["precision"] == tp / predicted and record["recall"] == tp / gold_count
 
 
 class TestCompareCommand:

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import itertools
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -253,6 +254,12 @@ class TestColumnCorpus:
 # in TestBies.test_repair_digest_every_sequence_up_to_length_8.  Fixed with
 # the dedicated BIES repair walk that BIES-as-one-kind-BIOES decoding replaced.
 BIES_REPAIR_DIGEST = "0d0fd7de4a6dfb13d86d9adfc9497ab5d97c73a4ffe8c13c72bb796e36751d55"
+# Every BIO/BIOES sequence of length 1-5 over two kinds, O and a junk label,
+# with its repaired spans, hashed as in
+# TestPositionTags.test_repair_digest_every_sequence_up_to_length_5.  Fixed
+# with the decoder that parsed each tag in its own function before the one
+# repair loop for BIO, BIOES and BIES replaced it.
+POSITION_REPAIR_DIGEST = "5978a01ec3d9fad4e35bc02d10fbec5244800c92fdcefd7f01031ea9df1b502e"
 
 
 def bies_words(tokens, labels):
@@ -349,19 +356,43 @@ class TestPositionTags:
         with pytest.raises(ValueError):
             spans_to_position_tags(3, spans, "BIO")
 
+    @pytest.mark.parametrize("span", [SpanAnnotation(2, 2, "X"), SpanAnnotation(-1, 1, "X")])
+    def test_empty_or_negative_span_rejected_naming_it(self, span):
+        with pytest.raises(ValueError, match=re.escape(repr(span))):
+            spans_to_position_tags(3, [span], "BIOES")
+
+    def test_spans_are_plain_tuples(self):
+        spans = position_tags_to_spans(["B-PER", "E-PER", "S-LOC"])
+        assert spans == [(0, 2, "PER"), (2, 3, "LOC")]
+        assert spans[0].start == 0 and spans[0].end == 2 and spans[0].kind == "PER"
+
     def test_bio_decoding(self):
-        assert position_tags_to_spans(["B-PER", "I-PER", "O"], "BIO") == [
+        assert position_tags_to_spans(["B-PER", "I-PER", "O"]) == [
             SpanAnnotation(0, 2, "PER")
         ]
 
     def test_no_spans(self):
-        assert position_tags_to_spans(["O", "O"], "BIO") == []
+        assert position_tags_to_spans(["O", "O"]) == []
 
     def test_repair_orphan_i_opens(self):
-        assert position_tags_to_spans(["I-PER", "O"], "BIO") == [SpanAnnotation(0, 1, "PER")]
+        assert position_tags_to_spans(["I-PER", "O"]) == [SpanAnnotation(0, 1, "PER")]
 
     def test_junk_label_treated_as_outside(self):
-        assert position_tags_to_spans(["XYZ", "B-"], "BIO") == []
+        assert position_tags_to_spans(["XYZ", "B-"]) == []
+
+    def test_repair_digest_every_sequence_up_to_length_5(self):
+        # the spans of all 111,110 sequences of length 1-5 over two kinds'
+        # BIOES tags, O and a junk label, pinned
+        tags = ["O", "B-A", "I-A", "E-A", "S-A", "B-B", "I-B", "E-B", "S-B", "X"]
+        h = hashlib.sha256()
+        count = 0
+        for length in range(1, 6):
+            for labels in itertools.product(tags, repeat=length):
+                spans = " ".join(f"{s.start},{s.end},{s.kind}" for s in position_tags_to_spans(labels))
+                h.update(f"{' '.join(labels)}:{spans}\n".encode())
+                count += 1
+        assert count == 111110
+        assert h.hexdigest() == POSITION_REPAIR_DIGEST
 
     def test_exhaustive_idempotence(self):
         # re-encoding extracted spans and extracting again is a fixed point
@@ -369,9 +400,9 @@ class TestPositionTags:
         for scheme in ("BIO", "BIOES"):
             for length in (1, 2, 3):
                 for labels in itertools.product(tags, repeat=length):
-                    spans = position_tags_to_spans(list(labels), scheme)
+                    spans = position_tags_to_spans(list(labels))
                     encoded = spans_to_position_tags(length, spans, scheme)
-                    assert position_tags_to_spans(encoded, scheme) == spans
+                    assert position_tags_to_spans(encoded) == spans
 
     @given(
         st.lists(
@@ -381,11 +412,10 @@ class TestPositionTags:
             min_size=1,
             max_size=12,
         ),
-        st.sampled_from(["BIO", "BIOES"]),
     )
     @settings(max_examples=200)
-    def test_repair_totality(self, labels, scheme):
-        spans = position_tags_to_spans(labels, scheme)
+    def test_repair_totality(self, labels):
+        spans = position_tags_to_spans(labels)
         prev_end = 0
         for span in spans:
             assert 0 <= span.start < span.end <= len(labels)
@@ -406,4 +436,4 @@ class TestPositionTags:
             cursor = end
         scheme = data.draw(st.sampled_from(["BIO", "BIOES"]))
         tags = spans_to_position_tags(n, spans, scheme)
-        assert position_tags_to_spans(tags, scheme) == spans
+        assert position_tags_to_spans(tags) == spans

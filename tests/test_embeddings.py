@@ -14,9 +14,15 @@ from seqlab.embeddings import (
 )
 
 
+def index(table, symbol):
+    """The row ``symbol`` looks up, lowercased first in a lowercase table;
+    ``<UNK>``'s when it is not in the table."""
+    return table.symbols.get(symbol.lower() if table.lowercase else symbol, table.unk_index)
+
+
 def row(table, symbol):
-    """The vector ``symbol`` looks up, ``<UNK>``'s when it is not in the table."""
-    return table.matrix[table.index(symbol)]
+    """The vector ``symbol`` looks up."""
+    return table.matrix[index(table, symbol)]
 
 
 def compose(composer, sent):
@@ -41,6 +47,28 @@ class TestLoading:
         t2 = load_text_embeddings(headed, 2)
         assert t1.symbols == t2.symbols
         np.testing.assert_array_equal(t1.matrix, t2.matrix)
+
+    @pytest.mark.parametrize(
+        "text, dim, declared, read",
+        [
+            ("5 2\na 0.1 0.2\nb 0.3 0.4\n", 2, 5, 2),  # truncated
+            ("7 1\n8 2\n", 1, 7, 1),  # a one-wide first vector that reads as a header
+            ("1 2\na 0.1 0.2\nb 0.3 0.4\n", 2, 1, 2),
+        ],
+    )
+    def test_header_count_must_match_the_vector_lines(self, tmp_path, text, dim, declared, read):
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            load_text_embeddings(path, dim)
+        assert str(info.value) == (
+            f"{path}: header declares {declared} vectors, but {read} vector lines follow it"
+        )
+
+    def test_header_count_ignores_blank_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\n\na 0.1 0.2\n\nb 0.3 0.4\n\n", encoding="utf-8")
+        assert load_text_embeddings(path, 2).symbols.strings() == ["a", "b", UNK]
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -197,7 +225,7 @@ def reference_compose(composer, sent, i):
     if composer.task == "SEG":
         nxt = sent.tokens[i + 1] if i + 1 < len(sent) else EOS
         return np.concatenate([row(tables["char"], word), row(tables["bigram"], word + nxt)])
-    chars = tables["char"].matrix[[tables["char"].index(c) for c in word]]
+    chars = tables["char"].matrix[[index(tables["char"], c) for c in word]]
     pieces = [row(tables["word"], word), chars.mean(axis=0)]
     if composer.task == "NER":
         pieces.append(row(tables["pos"], sent.aux_tags[i]))
@@ -300,9 +328,9 @@ class TestComposer:
         chars, counts = rows["char"]
         assert counts.tolist() == [3, 3, 1, 2, 1, 7, 20, 3]
         assert chars.shape == (8, 20)
-        assert chars[2].tolist() == [char.index("a")] + [-1] * 19
-        assert chars[3, :2].tolist() == [char.index("z")] * 2 == [char.unk_index] * 2
-        assert chars[7, :3].tolist() == [char.index(c) for c in "CAT"]
+        assert chars[2].tolist() == [index(char, "a")] + [-1] * 19
+        assert chars[3, :2].tolist() == [index(char, "z")] * 2 == [char.unk_index] * 2
+        assert chars[7, :3].tolist() == [index(char, c) for c in "CAT"]
 
     @pytest.mark.parametrize("task", sorted(COMPOSE_SENTENCES))
     def test_bag_of_one_is_bitwise_its_row(self, task):
@@ -413,7 +441,7 @@ class TestComposerBackward:
                     symbols = [(sent.aux_tags if key == "pos" else sent.tokens)[i]]
                 rows = expected.setdefault(key, {})
                 for symbol in symbols:
-                    row = table.index(symbol)
+                    row = index(table, symbol)
                     rows[row] = rows.get(row, np.zeros(table.dim)) + piece
         out = composer.backward(grads, composer.row_ids(sent))
         assert list(out) == list(composer.table_order())
