@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import checkpoint, crf, evaluator, trainer
-from .corpus import Sentence, open_text, read_column_corpus, strip_line, write_column_corpus
-from .embeddings import InputComposer, load_text_embeddings
-from .features import load_lexicon
+from .corpus import SCHEMES, Sentence, open_text, read_column_corpus, strip_line, write_column_corpus
+from .embeddings import load_text_embeddings
+from .features import LANGUAGES, load_lexicon
 
 
 TASK_COLUMNS = {
@@ -103,12 +103,12 @@ class RunConfig:
         config.scheme = values.pop("scheme", config.scheme).upper()
         if config.task not in TASK_COLUMNS:
             raise ConfigError(f"task must be one of {sorted(TASK_COLUMNS)}")
-        if config.language not in ("EN", "ZH"):
-            raise ConfigError("language must be EN or ZH")
+        if config.language not in LANGUAGES:
+            raise ConfigError(f"language must be {' or '.join(LANGUAGES)}")
         if config.mode not in crf.MODES:
             raise ConfigError(f"mode must be one of {crf.MODES}")
-        if config.scheme not in ("BIO", "BIOES"):
-            raise ConfigError("scheme must be BIO or BIOES")
+        if config.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}")
         return config
 
     def get(self, key, default=None):
@@ -184,18 +184,15 @@ def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
 
 
 def _load_tables(config: RunConfig, hypers: trainer.HyperParams):
-    """Pretrained tables named by ``<key>_embeddings``; the rest are random-initialized."""
-    overrides = {}
-    specs = trainer.table_specs(hypers)
-    for key in InputComposer.REQUIRED[config.task]:
+    """Every pretrained table the config names by ``<key>_embeddings``;
+    ``trainer.build_model`` refuses one the model does not compose."""
+    tables = {}
+    for key, (dim, fine_tune) in trainer.table_specs(hypers).items():
         p = config.path(f"{key}_embeddings")
         if p is not None:
-            dim, fine_tune = specs[key]
-            lowercase = key == "word" and bool(config.get("embeddings_lowercase", False))
-            overrides[key] = load_text_embeddings(
-                p, dim, name=key, fine_tune=fine_tune, lowercase=lowercase
-            )
-    return overrides
+            lowercase = key == "word" and config.get("embeddings_lowercase", False)
+            tables[key] = load_text_embeddings(p, dim, name=key, fine_tune=fine_tune, lowercase=lowercase)
+    return tables
 
 
 def _checkpoint_meta(config: RunConfig, hypers: trainer.HyperParams) -> dict:
@@ -210,10 +207,6 @@ def _checkpoint_meta(config: RunConfig, hypers: trainer.HyperParams) -> dict:
 def cmd_train(config: RunConfig) -> int:
     config.require_paths("train", "dev")
     config.require_paths("model_out", exist=False)
-    for key in ("word_embeddings", "char_embeddings", "bigram_embeddings",
-                "cluster_lexicon", "radical_lexicon"):
-        if config.get(key) is not None:
-            config.require_paths(key)
     hypers = config.hypers()
     train_sents = read_task_corpus(config.path("train"), config.task, require_labels=True)
     dev_sents = read_task_corpus(config.path("dev"), config.task, require_labels=True)
@@ -225,7 +218,7 @@ def cmd_train(config: RunConfig) -> int:
         config.language,
         train_sents,
         hypers,
-        tables=_load_tables(config, hypers) if config.mode != "discrete" else None,
+        tables=_load_tables(config, hypers),
         cluster_lexicon=load_lexicon(config.path("cluster_lexicon"), "cluster"),
         radical_lexicon=load_lexicon(config.path("radical_lexicon"), "radical"),
     )

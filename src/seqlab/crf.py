@@ -22,14 +22,14 @@ joint
     enters the edge clique as one real-valued feature with its own learned
     weight.
 
-Viterbi and the forward recursion are the numpy loops ``_viterbi_path``
-and ``_logz`` below; every decode and ``log_partition`` goes through them.
-Decoding breaks ties toward the lowest label index at every backpointer
-decision, so results are deterministic.  ``sequence_score`` fixes the
-summation order (start transition, emission 0, then transition/emission per
-position); the Viterbi recursion and the brute-force oracles sum in the
-same order, so a decode's score is its labels' ``sequence_score`` and
-agreement checks can be exact rather than approximate.
+Every decode goes through ``_viterbi_path``, a numpy loop over positions;
+``log_partition`` is the forward recursion.  Decoding breaks ties toward
+the lowest label index at every backpointer decision, so results are
+deterministic.  ``sequence_score`` fixes the summation order (start
+transition, emission 0, then transition/emission per position); the
+Viterbi recursion and the brute-force oracles sum in the same order, so a
+decode's score is its labels' ``sequence_score`` and agreement checks can
+be exact rather than approximate.
 
 ``sentence_ids`` is the one indexer: it maps a sentence to its template
 context ids and its embedding row ids (``SentenceIds``), all ``embeddings``
@@ -87,7 +87,7 @@ class DecodeResult:
 
 
 def _viterbi_path(emission, transition) -> tuple[np.ndarray, float]:
-    """The best labels and their score, summed in ``_path_score``'s order."""
+    """The best labels and their score, summed in ``sequence_score``'s order."""
     n, L = emission.shape
     # scores[y, y'] = alpha[y'] + transition[y', y]: one contiguous row per label
     into, labels = np.ascontiguousarray(transition[:L].T), np.arange(L)
@@ -105,35 +105,20 @@ def _viterbi_path(emission, transition) -> tuple[np.ndarray, float]:
     return labels, float(alpha[labels[-1]])
 
 
-def _logz(emission, transition):
-    n, L = emission.shape
-    alpha = transition[L] + emission[0]
-    for i in range(1, n):
-        scores = alpha[:, None] + transition[:L]
-        shift = scores.max(axis=0)
-        alpha = shift + np.log(np.exp(scores - shift).sum(axis=0)) + emission[i]
-    shift = alpha.max()
-    return float(shift + np.log(np.exp(alpha - shift).sum()))
-
-
-def _path_score(emission, transition, labels) -> float:
-    L = emission.shape[1]
-    score = transition[L, labels[0]] + emission[0, labels[0]]
-    for i in range(1, len(labels)):
-        score = score + transition[labels[i - 1], labels[i]]
-        score = score + emission[i, labels[i]]
-    return float(score)
-
-
 def sequence_score(lattice: ScoreLattice, labels) -> float:
     """Total log-score of one label sequence, in the pinned summation order."""
     labels = np.asarray(labels, dtype=np.int64)
-    n, L = lattice.emission.shape
+    emission, transition = lattice.emission, lattice.transition
+    n, L = emission.shape
     if labels.shape != (n,):
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= L:
         raise ValueError("label index out of range")
-    return _path_score(lattice.emission, lattice.transition, labels)
+    score = transition[L, labels[0]] + emission[0, labels[0]]
+    for i in range(1, n):
+        score = score + transition[labels[i - 1], labels[i]]
+        score = score + emission[i, labels[i]]
+    return float(score)
 
 
 def viterbi(lattice: ScoreLattice) -> DecodeResult:
@@ -178,7 +163,15 @@ def margin_loss(lattice: ScoreLattice, gold) -> tuple[float, DecodeResult]:
 
 def log_partition(lattice: ScoreLattice) -> float:
     """Forward-algorithm log of the summed exponentiated sequence scores."""
-    return _logz(lattice.emission, lattice.transition)
+    emission, transition = lattice.emission, lattice.transition
+    n, L = emission.shape
+    alpha = transition[L] + emission[0]
+    for i in range(1, n):
+        scores = alpha[:, None] + transition[:L]
+        shift = scores.max(axis=0)
+        alpha = shift + np.log(np.exp(scores - shift).sum(axis=0)) + emission[i]
+    shift = alpha.max()
+    return float(shift + np.log(np.exp(alpha - shift).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ Composition per task (concatenation order is fixed):
 
 ``table_symbols`` is the one rule for which symbols a sentence reads from
 each table: the vocabulary build of random-init tables
-(``trainer.collect_embedding_vocab``) and the lookup
+(``trainer.default_tables``) and the lookup
 (``InputComposer.row_ids``) both read it, so a training symbol never maps
 to ``<UNK>``.  ``row_ids`` looks the symbols up once, into bags.
 

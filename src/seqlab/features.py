@@ -174,26 +174,23 @@ _TOKEN_VALUE = {
 
 
 def load_lexicon(path, what: str) -> dict[str, str]:
-    """Read a ``key<TAB>value`` lexicon; a missing file is an empty lexicon,
-    and a repeated key keeps its later value with a warning."""
+    """Read a ``key<TAB>value`` lexicon of ``what`` values (``cluster`` or
+    ``radical``).  None is the empty lexicon, and a path that cannot be
+    opened raises; a repeated key keeps its later value with a warning."""
     if path is None:
         return {}
     lex = {}
-    try:
-        with open_text(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = strip_line(raw)
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>value'")
-                if parts[0] in lex:
-                    log.warning("%s: line %d: key %r repeats; keeping the later value", path, lineno, parts[0])
-                lex[parts[0]] = parts[1]
-    except FileNotFoundError:
-        log.warning("%s lexicon %s not found; continuing with an empty lexicon", what, path)
-        return {}
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = strip_line(raw)
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>{what}'")
+            if parts[0] in lex:
+                log.warning("%s: line %d: key %r repeats; keeping the later value", path, lineno, parts[0])
+            lex[parts[0]] = parts[1]
     return lex
 
 

@@ -125,16 +125,6 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: dict
 # ---------------------------------------------------------------------------
 
 
-def collect_embedding_vocab(task: str, sentences) -> dict[str, list[str]]:
-    """First-appearance symbol lists per table key for random-init tables: the
-    ``embeddings.table_symbols`` that ``InputComposer.row_ids`` looks up."""
-    symbols = [table_symbols(task, sent) for sent in sentences]
-    return {
-        key: Alphabet(chain.from_iterable(s[key][0] for s in symbols)).strings()
-        for key in InputComposer.REQUIRED[task]
-    }
-
-
 def table_specs(hypers: HyperParams) -> dict[str, tuple[int, bool]]:
     """Each table key's ``(dim, fine_tune)``, for random-init and pretrained tables alike."""
     return {
@@ -146,18 +136,21 @@ def table_specs(hypers: HyperParams) -> dict[str, tuple[int, bool]]:
 
 
 def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict[str, EmbeddingTable]:
-    """Embedding tables for a task: supplied ones win, the rest random-init."""
-    overrides = dict(overrides or {})
+    """Embedding tables for a task: supplied ones win, the rest random-init over
+    the ``embeddings.table_symbols`` of ``sentences`` in first-appearance order.
+    Every sentence's symbols are listed, so NER refuses one without aux tags."""
+    overrides = overrides or {}
     specs = table_specs(hypers)
-    vocab = collect_embedding_vocab(task, sentences)
+    symbols = [table_symbols(task, sent) for sent in sentences]
     tables = {}
     for k, key in enumerate(InputComposer.REQUIRED[task]):
         if key in overrides:
             tables[key] = overrides[key]
         else:
             dim, fine_tune = specs[key]
+            vocab = chain.from_iterable(s[key][0] for s in symbols)
             seed = [hypers.seed, SEED_TABLE_BASE + k]
-            tables[key] = init_random_table(vocab[key], dim, seed, name=key, fine_tune=fine_tune)
+            tables[key] = init_random_table(vocab, dim, seed, name=key, fine_tune=fine_tune)
     return tables
 
 
@@ -187,13 +180,19 @@ def build_model(
     cluster_lexicon=None,
     radical_lexicon=None,
 ) -> crf.ModelParams:
-    """Assemble a zero-initialized model with alphabets built from the corpus."""
+    """Assemble a zero-initialized model with alphabets built from the corpus.
+
+    The one place that decides what a model reads: a ``tables`` entry it does
+    not compose (any, in discrete mode) and a non-empty lexicon no template
+    reads (either, in neural mode) raise a ``ValueError`` naming the input,
+    the mode and the task.  Tables not given are random-init.
+    """
     if not train_sentences:
         raise ValueError("training corpus is empty")
     if any(sent.gold_labels is None for sent in train_sentences):
         raise ValueError("training sentences must carry gold labels")
     labels = Alphabet(chain.from_iterable(sent.gold_labels for sent in train_sentences))
-    templates = out_alpha = train_ids = None
+    templates = out_alpha = train_ids = composer = None
     if mode in ("discrete", "joint"):
         templates = TemplateSet(
             task,
@@ -201,9 +200,17 @@ def build_model(
             cluster_lexicon=dict(cluster_lexicon or {}),
             radical_lexicon=dict(radical_lexicon or {}),
         )
+    kinds = {kind if isinstance(kind, str) else kind[0] for kind in templates.kinds} if templates else ()
+    for name, lexicon in (("cluster", cluster_lexicon), ("radical", radical_lexicon)):
+        if lexicon and name not in kinds:
+            raise ValueError(f"{name}_lexicon: no template of a {mode} {task}-{language} model reads it")
+    composed = InputComposer.REQUIRED[task] if mode in ("neural", "joint") else ()
+    for key in tables or {}:
+        if key not in composed:
+            raise ValueError(f"{key}_embeddings: a {mode} {task} model composes no {key} embedding table")
+    if templates is not None:
         out_alpha, train_ids = build_output_alphabet(templates, train_sentences)
-    composer = None
-    if mode in ("neural", "joint"):
+    if composed:
         composer = InputComposer(task, default_tables(task, train_sentences, hypers, tables))
     model = crf.ModelParams.create(
         mode,
@@ -301,7 +308,10 @@ def train(
 ) -> tuple[crf.ModelParams, TrainReport]:
     """Run the online margin trainer; returns the best-dev snapshot.
 
-    Takes the training ids ``build_model`` left on ``model``, if any.
+    Reads only ``eta``, ``l2``, ``epochs``, ``seed`` and ``shuffle`` from
+    ``hypers``: ``build_model`` fixed the dropout, the sizes and the
+    fine-tuning flags, so a different ``dropout_p`` here is ignored.  Takes
+    the training ids ``build_model`` left on ``model``, if any.
     """
     handoff, model._train_ids = model._train_ids or {}, None
     if not train_sentences or not dev_sentences:
@@ -328,8 +338,7 @@ def train(
     dropout_rng = np.random.default_rng([hypers.seed, SEED_DROPOUT])
     state = {}
     report = TrainReport()
-    best_model = clone_model(model)
-    best_metric = -np.inf
+    best_metric = -np.inf  # a dev metric is a ratio, so epoch 0 beats it
     started = time.perf_counter()
 
     for epoch in range(hypers.epochs):

@@ -1,7 +1,10 @@
 import functools
 import hashlib
 import json
+import logging
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +115,14 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
             cli.RunConfig.load(None, ["diagnostics=1"])
 
+    def test_readme_key_table_names_exactly_the_known_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.partition("\n| Key | Meaning |\n")[2].partition("\n\n")[0]
+        rows = [line for line in table.splitlines() if line.startswith("| `")]
+        named = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        assert len(named) == len(set(named))
+        assert set(named) == cli.KNOWN_KEYS
+
     @pytest.mark.parametrize(
         "command,overrides",
         [
@@ -170,6 +181,68 @@ class TestTrainCommand:
         )
         assert status == 2
         assert not model_out.exists()
+
+    @pytest.mark.parametrize(
+        "task,mode,key,content",
+        [
+            ("POS", "neural", "bigram_embeddings", "ab 0.5 0.25 0.125\n"),
+            ("POS", "discrete", "word_embeddings", "wa0 0.5 0.25 0.125 1\n"),
+            ("POS", "discrete", "radical_lexicon", "中\t氵\n"),
+            ("NER", "neural", "cluster_lexicon", "EU\t0110\n"),
+        ],
+        ids=["a_neural_pos_bigrams", "b_discrete_pos_words", "c_discrete_pos_radicals", "d_neural_ner_clusters"],
+    )
+    def test_an_input_the_model_would_drop_exits_2(self, tmp_path, capsys, task, mode, key, content):
+        corpus = tmp_path / "corpus.col"
+        sents = NER_SENTS if task == "NER" else synthetic.separable_corpus(5, seed=1)
+        write_column_corpus(corpus, sents, cli.TASK_COLUMNS[task])
+        source = tmp_path / "input.txt"
+        source.write_text(content, encoding="utf-8")
+        model_out = tmp_path / "m.bin"
+        status = run_cli(
+            ["train", "--set", f"task={task}", "--set", f"mode={mode}", "--set", "char_emb=3",
+             "--set", "word_emb=4", "--set", f"{key}={source}", "--set", f"train={corpus}",
+             "--set", f"dev={corpus}", "--set", f"model_out={model_out}"]
+        )
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and f" a {mode} {task}" in err
+        assert not model_out.exists()
+
+    def test_missing_lexicon_file_exits_2_naming_it(self, pos_setup, capsys):
+        tmp_path, train, dev, _ = pos_setup
+        absent = tmp_path / "absent.txt"
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", f"radical_lexicon={absent}", "--set", f"train={train}",
+             "--set", f"dev={dev}", "--set", f"model_out={tmp_path / 'm.bin'}"]
+        )
+        assert status == 2
+        assert str(absent) in capsys.readouterr().err
+
+    def test_embeddings_lowercase_reads_the_lowercased_row(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.col"
+        write_pos_corpus(corpus, [Sentence(tokens=["Apple", "eats"], gold_labels=["NN", "VB"]),
+                                  Sentence(tokens=["apple", "falls"], gold_labels=["NN", "VB"])])
+        emb = tmp_path / "words.txt"
+        emb.write_text("apple 1 1 1\nAPPLE 2 2 2\neats 3 3 3\n", encoding="utf-8")
+        model_out = tmp_path / "m.bin"
+        with caplog.at_level(logging.WARNING):
+            status = run_cli(
+                ["train", "--set", "task=POS", "--set", "mode=neural", "--set", "epochs=1",
+                 "--set", "word_emb=3", "--set", "char_emb=2", "--set", "word_hidden=4",
+                 "--set", "fine_tune_words=false", "--set", "embeddings_lowercase=true",
+                 "--set", f"word_embeddings={emb}", "--set", f"train={corpus}",
+                 "--set", f"dev={corpus}", "--set", f"model_out={model_out}"]
+            )
+        assert status == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{emb}: duplicate symbol 'apple' at line 2; keeping the later vector"]
+        model, _ = checkpoint.load_model(model_out)
+        table = model.composer.tables["word"]
+        apple = table.symbols.get("apple")
+        ids, _ = model.composer.row_ids(Sentence(tokens=["Apple", "EATS", "falls"]))["word"]
+        assert ids[:, 0].tolist() == [apple, table.symbols.get("eats"), table.unk_index]
+        np.testing.assert_array_equal(table.matrix[apple], [2.0, 2.0, 2.0])
 
     def test_non_finite_embedding_file_rejected(self, pos_setup, capsys):
         tmp_path, train, dev, sents = pos_setup
@@ -714,13 +787,17 @@ NER_SENTS = [
 NER_PROBES = NER_SENTS + [Sentence(tokens=["Unseen", "words"], aux_tags=["NNP", "XX"])]
 
 
+def untrained_ner(mode):
+    """A small NER model; the discrete and joint ones read a cluster lexicon."""
+    h = HyperParams(word_hidden=4, char_emb=2, word_emb=3, pos_emb=2)
+    clusters = None if mode == "neural" else {"EU": "0110", "German": "1011"}
+    return trainer.build_model(mode, "NER", "EN", NER_SENTS, h, cluster_lexicon=clusters)
+
+
 @functools.lru_cache(maxsize=None)
 def ner_checkpoint(mode, directory):
     """The bytes of a small saved NER model whose weights are all nonzero."""
-    h = HyperParams(word_hidden=4, char_emb=2, word_emb=3, pos_emb=2)
-    model = trainer.build_model(
-        mode, "NER", "EN", NER_SENTS, h, cluster_lexicon={"EU": "0110", "German": "1011"}
-    )
+    model = untrained_ner(mode)
     rng = np.random.default_rng(1)
     for _, arr in model.named_arrays():
         arr[...] = rng.uniform(-1.0, 1.0, arr.shape)
@@ -742,12 +819,8 @@ UNTRAINED_NER_SHA256 = {
 class TestCheckpointBytes:
     @pytest.mark.parametrize("mode", crf.MODES)
     def test_untrained_model_bytes_pinned(self, tmp_path, mode):
-        h = HyperParams(word_hidden=4, char_emb=2, word_emb=3, pos_emb=2)
-        model = trainer.build_model(
-            mode, "NER", "EN", NER_SENTS, h, cluster_lexicon={"EU": "0110", "German": "1011"}
-        )
         path = tmp_path / "m.bin"
-        checkpoint.save_model(path, model, {"task": "NER"})
+        checkpoint.save_model(path, untrained_ner(mode), {"task": "NER"})
         assert hashlib.sha256(path.read_bytes()).hexdigest() == UNTRAINED_NER_SHA256[mode]
 
     def test_predict_on_an_empty_aux_field_names_the_input_line(self, tmp_path, capsys):

@@ -374,11 +374,16 @@ class TestLexiconLoading:
             f"{path}: line 3: key 'a' repeats; keeping the later value"
         ]
 
-    def test_missing_file_warns_and_is_empty(self, tmp_path, caplog):
-        with caplog.at_level(logging.WARNING):
-            lex = load_lexicon(tmp_path / "absent.txt", "cluster")
-        assert lex == {}
-        assert any("absent.txt" in rec.message for rec in caplog.records)
+    def test_missing_file_raises_naming_it(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="absent.txt"):
+            load_lexicon(tmp_path / "absent.txt", "cluster")
+
+    @pytest.mark.parametrize("what", ["cluster", "radical"])
+    def test_line_without_one_tab_names_file_line_and_format(self, tmp_path, what):
+        path = tmp_path / "lex.txt"
+        path.write_text("a\tX\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"lex\.txt: line 2: expected 'key<TAB>{what}'"):
+            load_lexicon(path, what)
 
     def test_reads_pairs(self, tmp_path):
         path = tmp_path / "lex.txt"

@@ -7,6 +7,7 @@ import pytest
 import synthetic
 from seqlab import checkpoint, crf, trainer
 from seqlab.corpus import Sentence
+from seqlab.embeddings import init_random_table
 from seqlab.features import TemplateSet
 from seqlab.trainer import ADAGRAD_EPS, HyperParams, adagrad_step
 
@@ -29,6 +30,12 @@ TABLE_CORPORA = {
         Sentence(tokens=("in", "Ünïcode"), gold_labels=("O", "S-MISC"), aux_tags=("IN", "NNP")),
     ],
 }
+
+
+def pretrained(keys) -> dict:
+    """A one-symbol table per key, as wide as ``SMALL`` makes it."""
+    specs = trainer.table_specs(SMALL)
+    return {key: init_random_table(["Paris"], specs[key][0], 0, name=key) for key in keys}
 
 
 def checkpoint_bytes(model, tmp_path) -> bytes:
@@ -322,6 +329,20 @@ class TestTrainLoop:
         metrics = [r.dev_metric for r in report.records]
         assert report.best_epoch == int(np.argmax(metrics))
 
+    def test_clones_once_per_improving_epoch(self, monkeypatch):
+        sents = synthetic.separable_corpus(20, seed=13)
+        h = HyperParams(epochs=6, seed=2)
+        model = trainer.build_model("discrete", "POS", "EN", sents, h)
+        clones = []
+        clone = trainer.clone_model
+        monkeypatch.setattr(trainer, "clone_model", lambda m: clones.append(m) or clone(m))
+        _, report = trainer.train(model, sents, sents, h, "POS")
+        metrics = [r.dev_metric for r in report.records]
+        improving = [k for k, m in enumerate(metrics) if m > max(metrics[:k], default=-math.inf)]
+        assert 0 < len(improving) < h.epochs
+        assert len(clones) == len(improving)
+        assert report.best_epoch == improving[-1]
+
     def test_instantiates_each_train_and_dev_position_once(self, monkeypatch):
         train = synthetic.separable_corpus(6, seed=1)
         dev = synthetic.separable_corpus(4, seed=2)
@@ -477,8 +498,55 @@ class TestBuildModel:
 
     def test_ner_neural_without_aux_tags_is_refused(self):
         sents = synthetic.separable_corpus(3, seed=1)
-        with pytest.raises(ValueError, match="NER composition needs aux POS tags"):
-            trainer.build_model("neural", "NER", "EN", sents, SMALL)
+        # also when no table is random-init, so no vocabulary is built
+        for supplied in ((), ("word", "char", "pos")):
+            with pytest.raises(ValueError, match="NER composition needs aux POS tags"):
+                trainer.build_model("neural", "NER", "EN", sents, SMALL, tables=pretrained(supplied))
+
+    @pytest.mark.parametrize(
+        "mode,task,inputs,message",
+        [
+            ("neural", "POS", {"tables": ["bigram"]},
+             "bigram_embeddings: a neural POS model composes no bigram embedding table"),
+            ("joint", "SEG", {"tables": ["char", "word"]},
+             "word_embeddings: a joint SEG model composes no word embedding table"),
+            ("discrete", "POS", {"tables": ["word"]},
+             "word_embeddings: a discrete POS model composes no word embedding table"),
+            ("discrete", "POS", {"radical_lexicon": {"a": "x"}},
+             "radical_lexicon: no template of a discrete POS-EN model reads it"),
+            ("joint", "NER", {"radical_lexicon": {"a": "x"}},
+             "radical_lexicon: no template of a joint NER-EN model reads it"),
+            ("discrete", "SEG", {"cluster_lexicon": {"a": "0"}},
+             "cluster_lexicon: no template of a discrete SEG-EN model reads it"),
+            ("neural", "NER", {"cluster_lexicon": {"EU": "0110"}},
+             "cluster_lexicon: no template of a neural NER-EN model reads it"),
+        ],
+        ids=["neural_pos_bigram", "joint_seg_word", "discrete_pos_word", "discrete_pos_radicals",
+             "joint_ner_en_radicals", "discrete_seg_clusters", "neural_ner_clusters"],
+    )
+    def test_an_input_the_model_would_drop_is_refused(self, mode, task, inputs, message):
+        inputs = {**inputs, "tables": pretrained(inputs.get("tables", ()))}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            trainer.build_model(mode, task, "EN", TABLE_CORPORA[task], SMALL, **inputs)
+
+    @pytest.mark.parametrize(
+        "mode,language,inputs",
+        [
+            ("neural", "EN", {"cluster_lexicon": {}, "radical_lexicon": {}}),
+            ("neural", "EN", {"tables": ["word", "pos"]}),
+            ("joint", "EN", {"cluster_lexicon": {"Paris": "01"}, "tables": ["char"]}),
+            ("discrete", "ZH", {"cluster_lexicon": {"Paris": "01"}, "radical_lexicon": {"P": "x"}}),
+        ],
+        ids=["neural_empty_lexicons", "neural_tables", "joint_clusters_and_table", "discrete_zh_lexicons"],
+    )
+    def test_the_inputs_a_model_reads_are_taken(self, mode, language, inputs):
+        inputs = {**inputs, "tables": pretrained(inputs.get("tables", ()))}
+        model = trainer.build_model(mode, "NER", language, TABLE_CORPORA["NER"], SMALL, **inputs)
+        for key, table in inputs["tables"].items():
+            assert model.composer.tables[key] is table
+        if model.templates is not None:
+            assert model.templates.cluster_lexicon == inputs.get("cluster_lexicon", {})
+            assert model.templates.radical_lexicon == inputs.get("radical_lexicon", {})
 
     def test_alphabet_frozen_after_build(self):
         sents = synthetic.separable_corpus(5, seed=1)
