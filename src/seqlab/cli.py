@@ -1,9 +1,9 @@
 """Command-line entry points: train, predict, eval, compare, gradcheck.
 
 Runs are described by a key=value config file plus ``--set key=value``
-overrides; the full key set is documented in the README.  All validation
-happens before any work starts, and every command exits nonzero with a
-message on bad input.
+overrides; each command accepts only the keys it reads (``COMMAND_KEYS``,
+documented in the README).  All validation happens before any work starts,
+and every command exits nonzero with a message on bad input.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from . import checkpoint, crf, evaluator, trainer
@@ -29,32 +30,29 @@ TASK_COLUMNS = {
     "NER": ("token", "aux", "label"),
 }
 
-_BOOL_KEYS = ("shuffle", "fine_tune_words", "fine_tune_chars", "embeddings_lowercase")
-_INT_KEYS = ("epochs", "seed", "word_hidden", "char_emb", "word_emb", "pos_emb")
-_FLOAT_KEYS = ("eta", "l2", "dropout", "gc_tolerance", "gc_eps")
-_PATH_KEYS = (
-    "train",
-    "dev",
-    "input",
-    "output",
-    "gold",
-    "predictions",
-    "model_in",
-    "model_out",
-    "model_a",
-    "model_b",
-    "compare_out",
-    "report_summary",
-    "report_log",
-    "word_embeddings",
-    "char_embeddings",
-    "bigram_embeddings",
-    "cluster_lexicon",
-    "radical_lexicon",
+# The keys each command reads.  Only the neural scorer has the sizes,
+# dropout and tables that NEURAL_TRAIN_KEYS set, so a discrete train reads none.
+NEURAL_TRAIN_KEYS = (
+    "dropout", "word_hidden", "char_emb", "word_emb", "pos_emb",
+    "fine_tune_words", "fine_tune_chars", "embeddings_lowercase",
 )
-_STR_KEYS = ("task", "language", "mode", "scheme")
-
-KNOWN_KEYS = frozenset(_BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _PATH_KEYS + _STR_KEYS)
+COMMAND_KEYS = {
+    "train": (
+        "task", "language", "mode", "scheme", "train", "dev", "model_out", "report_summary",
+        "report_log", "word_embeddings", "char_embeddings", "bigram_embeddings", "cluster_lexicon",
+        "radical_lexicon", "eta", "l2", "epochs", "seed", "shuffle", *NEURAL_TRAIN_KEYS,
+    ),
+    "predict": ("task", "model_in", "input", "output"),
+    "eval": ("task", "scheme", "gold", "predictions"),
+    "compare": ("task", "scheme", "model_a", "model_b", "input", "compare_out"),
+    "gradcheck": ("mode", "seed", "gc_tolerance", "gc_eps"),
+}
+KNOWN_KEYS = frozenset(chain.from_iterable(COMMAND_KEYS.values()))
+# A hyperparameter key sets the HyperParams field of its name (``dropout``:
+# ``dropout_p``) and has its default's type; a key not in _KEY_TYPES is a string.
+_HYPER_FIELDS = {f.name.removesuffix("_p"): f for f in dataclasses.fields(trainer.HyperParams)}
+_KEY_TYPES = {key: type(f.default) for key, f in _HYPER_FIELDS.items()}
+_KEY_TYPES |= {"embeddings_lowercase": bool, "gc_tolerance": float, "gc_eps": float}
 
 
 class ConfigError(ValueError):
@@ -70,7 +68,8 @@ class RunConfig:
     values: dict = field(default_factory=dict)
 
     @classmethod
-    def load(cls, config_path=None, overrides=()) -> "RunConfig":
+    def load(cls, command, config_path=None, overrides=()) -> "RunConfig":
+        """The config of one command, which must read every key given."""
         raw: dict[str, str] = {}
         if config_path is not None:
             raw.update(parse_config_file(config_path))
@@ -82,20 +81,21 @@ class RunConfig:
         unknown = set(raw) - KNOWN_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        unread = set(raw) - set(COMMAND_KEYS[command])
+        if unread:
+            raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
         values: dict = {}
         for key, text in raw.items():
-            if key in _BOOL_KEYS:
+            kind = _KEY_TYPES.get(key, str)
+            if kind is bool:
                 if text.lower() not in ("true", "false", "1", "0"):
                     raise ConfigError(f"{key} must be a boolean, got {text!r}")
                 values[key] = text.lower() in ("true", "1")
-            elif key in _INT_KEYS or key in _FLOAT_KEYS:
-                kind = int if key in _INT_KEYS else float
+            else:
                 try:
                     values[key] = kind(text)
                 except ValueError:
                     raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
-            else:
-                values[key] = text
         config = cls(values=values)
         config.task = values.pop("task", config.task).upper()
         config.language = values.pop("language", config.language).upper()
@@ -109,6 +109,11 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {crf.MODES}")
         if config.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}")
+        neural = sorted(set(values) & set(NEURAL_TRAIN_KEYS))
+        if command == "train" and config.mode == "discrete" and neural:
+            raise ConfigError(f"train in discrete mode does not read config keys {neural}")
+        if "embeddings_lowercase" in values and "word_embeddings" not in values:
+            raise ConfigError("embeddings_lowercase: no word_embeddings file to lowercase")
         return config
 
     def get(self, key, default=None):
@@ -127,13 +132,8 @@ class RunConfig:
                 raise ConfigError(f"{key}: file {p} does not exist")
 
     def hypers(self) -> trainer.HyperParams:
-        """A key named like a ``HyperParams`` field sets it; ``dropout`` sets ``dropout_p``."""
-        names = {f.name for f in dataclasses.fields(trainer.HyperParams)} | {"dropout"}
-        updates = {
-            "dropout_p" if key == "dropout" else key: value
-            for key, value in self.values.items()
-            if key in names
-        }
+        """Every ``HyperParams`` field the config sets; the rest keep their defaults."""
+        updates = {_HYPER_FIELDS[k].name: v for k, v in self.values.items() if k in _HYPER_FIELDS}
         return dataclasses.replace(trainer.HyperParams(), **updates)
 
 
@@ -355,7 +355,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = RunConfig.load(args.config, args.overrides)
+        config = RunConfig.load(args.command, args.config, args.overrides)
         return COMMANDS[args.command](config)
     except (
         ConfigError, checkpoint.CheckpointError, ValueError, OSError, FloatingPointError

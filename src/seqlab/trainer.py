@@ -311,12 +311,16 @@ def train(
     Reads only ``eta``, ``l2``, ``epochs``, ``seed`` and ``shuffle`` from
     ``hypers``: ``build_model`` fixed the dropout, the sizes and the
     fine-tuning flags, so a different ``dropout_p`` here is ignored.  Takes
-    the training ids ``build_model`` left on ``model``, if any.
+    the training ids ``build_model`` left on ``model``, if any.  ``task``
+    must be the one the model was built for.
     """
     handoff, model._train_ids = model._train_ids or {}, None
     if not train_sentences or not dev_sentences:
         raise ValueError("train and dev corpora must be non-empty")
     model.validate()
+    built_for = (model.templates or model.composer).task
+    if task != built_for:
+        raise ValueError(f"task {task} does not match the model, which was built for {built_for}")
     gold_indices, train_ids = [], []
     for sent in train_sentences:
         if sent.gold_labels is None:
@@ -485,8 +489,13 @@ def gradient_check(
     Runs with a fixed dropout mask so the loss is a deterministic function
     of the parameters.  Points where the cost-augmented argmax is not unique
     (best-vs-second score gap below ``TIE_GAP``) are reported as skipped:
-    the loss is non-differentiable there.
+    the loss is non-differentiable there.  Each perturbed entry is put back,
+    even when a forward pass raises.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     model.validate()
     if sentence.gold_labels is None:
         raise ValueError("gradient check needs a labeled sentence")
@@ -513,11 +522,13 @@ def gradient_check(
 
     def fd_for(array, index):
         orig = array[index]
-        array[index] = orig + eps
-        lp, _, _ = forward()
-        array[index] = orig - eps
-        lm, _, _ = forward()
-        array[index] = orig
+        try:
+            array[index] = orig + eps
+            lp, _, _ = forward()
+            array[index] = orig - eps
+            lm, _, _ = forward()
+        finally:
+            array[index] = orig
         return (lp - lm) / (2 * eps)
 
     pooled: dict[str, _ClassError] = {}

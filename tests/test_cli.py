@@ -45,22 +45,22 @@ class TestConfig:
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("task = POS\nmode = discrete\n# comment\nepochs=7\n", encoding="utf-8")
-        config = cli.RunConfig.load(cfg, ["epochs=9", "seed=4"])
+        config = cli.RunConfig.load("train", cfg, ["epochs=9", "seed=4"])
         assert config.task == "POS"
         assert config.values["epochs"] == 9
         assert config.values["seed"] == 4
 
     def test_unknown_key_rejected(self):
         with pytest.raises(cli.ConfigError):
-            cli.RunConfig.load(None, ["no_such_key=1"])
+            cli.RunConfig.load("train", None, ["no_such_key=1"])
 
     def test_bad_value_types(self):
         with pytest.raises(ValueError):
-            cli.RunConfig.load(None, ["epochs=three"])
+            cli.RunConfig.load("train", None, ["epochs=three"])
         with pytest.raises(cli.ConfigError):
-            cli.RunConfig.load(None, ["shuffle=maybe"])
+            cli.RunConfig.load("train", None, ["shuffle=maybe"])
 
-    @pytest.mark.parametrize("item,key", [("epochs=x", "epochs"), ("eta=fast", "eta")])
+    @pytest.mark.parametrize("item,key", [("seed=x", "seed"), ("gc_eps=fast", "gc_eps")])
     def test_bad_number_names_its_key(self, item, key, capsys):
         assert run_cli(["gradcheck", "--set", item]) == 2
         err = capsys.readouterr().err
@@ -85,10 +85,10 @@ class TestConfig:
         plain.write_bytes(text.encode("utf-8"))
         bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
         assert cli.parse_config_file(bom) == cli.parse_config_file(plain)
-        assert cli.RunConfig.load(bom).task == "POS"
+        assert cli.RunConfig.load("train", bom).task == "POS"
 
     def test_hypers_override(self):
-        config = cli.RunConfig.load(None, ["eta=0.1", "dropout=0.5", "l2=0.0"])
+        config = cli.RunConfig.load("train", None, ["mode=neural", "eta=0.1", "dropout=0.5", "l2=0.0"])
         h = config.hypers()
         assert (h.eta, h.dropout_p, h.l2) == (0.1, 0.5, 0.0)
 
@@ -96,14 +96,14 @@ class TestConfig:
         overrides = ["dropout=0.5", "word_hidden=8", "char_emb=3", "word_emb=4", "pos_emb=2",
                      "fine_tune_words=false", "fine_tune_chars=false", "eta=0.5", "l2=0.25",
                      "epochs=7", "seed=11", "shuffle=false"]
-        h = cli.RunConfig.load(None, overrides).hypers()
+        h = cli.RunConfig.load("train", None, ["mode=joint", *overrides]).hypers()
         assert h == HyperParams(dropout_p=0.5, word_hidden=8, char_emb=3, word_emb=4, pos_emb=2,
                                 fine_tune_words=False, fine_tune_chars=False, eta=0.5, l2=0.25,
                                 epochs=7, seed=11, shuffle=False)
 
     def test_char_hidden_is_an_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
-            cli.RunConfig.load(None, ["char_hidden=60"])
+            cli.RunConfig.load("train", None, ["char_hidden=60"])
 
     def test_config_file_with_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -113,15 +113,69 @@ class TestConfig:
 
     def test_diagnostics_is_an_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
-            cli.RunConfig.load(None, ["diagnostics=1"])
+            cli.RunConfig.load("train", None, ["diagnostics=1"])
 
     def test_readme_key_table_names_exactly_the_known_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        table = readme.partition("\n| Key | Meaning |\n")[2].partition("\n\n")[0]
-        rows = [line for line in table.splitlines() if line.startswith("| `")]
-        named = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+        table = readme.partition("\n| Key | Meaning | Read by |\n")[2].partition("\n\n")[0]
+        rows = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+        named = [key for row in rows for key in re.findall(r"`([^`]+)`", row[1])]
         assert len(named) == len(set(named))
         assert set(named) == cli.KNOWN_KEYS
+        for row in rows:
+            for key in re.findall(r"`([^`]+)`", row[1]):
+                read_by = [command for command, keys in cli.COMMAND_KEYS.items() if key in keys]
+                assert re.findall(r"`([^`]+)`", row[3]) == read_by, key
+                assert ("(neural, joint)" in row[3]) == (key in cli.NEURAL_TRAIN_KEYS), key
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+    def test_each_command_accepts_every_key_it_reads(self, command):
+        fixed = {"task": "POS", "language": "EN", "mode": "joint", "scheme": "BIO"}
+        keys = cli.COMMAND_KEYS[command]
+        config = cli.RunConfig.load(command, None, [f"{key}={fixed.get(key, '1')}" for key in keys])
+        assert set(config.values) == set(keys) - set(fixed)
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+    def test_each_command_refuses_every_key_it_does_not_read(self, command):
+        unread = cli.KNOWN_KEYS - set(cli.COMMAND_KEYS[command])
+        assert unread
+        for key in sorted(unread):
+            with pytest.raises(cli.ConfigError, match=rf"^{command} does not read config keys \['{key}'\]$"):
+                cli.RunConfig.load(command, None, [f"{key}=1"])
+
+    @pytest.mark.parametrize("mode", [None, "discrete"])
+    def test_a_discrete_train_refuses_the_neural_keys(self, mode):
+        chosen = [] if mode is None else [f"mode={mode}"]  # discrete is the default mode
+        for key in cli.NEURAL_TRAIN_KEYS:
+            message = rf"^train in discrete mode does not read config keys \['{key}'\]$"
+            with pytest.raises(cli.ConfigError, match=message):
+                cli.RunConfig.load("train", None, [*chosen, f"{key}=1", "word_embeddings=w.txt"])
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["predict", "--set", "task=POS", "--set", "model_in=m", "--set", "input=i",
+              "--set", "output=o", "--set", "cluster_lexicon=/nonexistent", "--set", "epochs=9"],
+             "predict does not read config keys ['cluster_lexicon', 'epochs']"),
+            (["predict", "--set", "task=POS", "--set", "model_in=m", "--set", "input=i",
+              "--set", "output=o", "--set", "cluster_lexicon=/nonexistent"],
+             "predict does not read config keys ['cluster_lexicon']"),
+            (["gradcheck", "--set", "train=/nonexistent", "--set", "task=NER"],
+             "gradcheck does not read config keys ['task', 'train']"),
+            (["train", "--set", "mode=discrete", "--set", "word_hidden=6", "--set", "fine_tune_words=false"],
+             "train in discrete mode does not read config keys ['fine_tune_words', 'word_hidden']"),
+            (["train", "--set", "mode=neural", "--set", "embeddings_lowercase=true"],
+             "embeddings_lowercase: no word_embeddings file to lowercase"),
+        ],
+        ids=["predict_lexicon_epochs", "predict_lexicon", "gradcheck_train_task",
+             "discrete_train_sizes", "lowercase_without_words"],
+    )
+    def test_a_key_the_command_does_not_read_exits_2(self, args, named, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # the relative paths name no file
+        assert run_cli(args) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {named}\n" and out.out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "command,overrides",
@@ -186,7 +240,7 @@ class TestTrainCommand:
         "task,mode,key,content",
         [
             ("POS", "neural", "bigram_embeddings", "ab 0.5 0.25 0.125\n"),
-            ("POS", "discrete", "word_embeddings", "wa0 0.5 0.25 0.125 1\n"),
+            ("POS", "discrete", "word_embeddings", "wa0" + " 0.5" * 50 + "\n"),  # word_emb's default
             ("POS", "discrete", "radical_lexicon", "中\t氵\n"),
             ("NER", "neural", "cluster_lexicon", "EU\t0110\n"),
         ],
@@ -199,9 +253,10 @@ class TestTrainCommand:
         source = tmp_path / "input.txt"
         source.write_text(content, encoding="utf-8")
         model_out = tmp_path / "m.bin"
+        sizes = ["--set", "char_emb=3", "--set", "word_emb=4"] if mode == "neural" else []
         status = run_cli(
-            ["train", "--set", f"task={task}", "--set", f"mode={mode}", "--set", "char_emb=3",
-             "--set", "word_emb=4", "--set", f"{key}={source}", "--set", f"train={corpus}",
+            ["train", "--set", f"task={task}", "--set", f"mode={mode}", *sizes,
+             "--set", f"{key}={source}", "--set", f"train={corpus}",
              "--set", f"dev={corpus}", "--set", f"model_out={model_out}"]
         )
         assert status == 2
@@ -287,7 +342,7 @@ class TestTrainCommand:
     def test_dropout_out_of_range_names_the_key(self, pos_setup, capsys):
         tmp_path, train, dev, _ = pos_setup
         status = run_cli(
-            ["train", *TRAIN_ARGS, "--set", "dropout=1.5",
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "dropout=1.5",
              "--set", f"train={train}", "--set", f"dev={dev}", "--set", f"model_out={tmp_path/'m.bin'}"]
         )
         assert status == 2

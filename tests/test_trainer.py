@@ -412,6 +412,14 @@ class TestTrainLoop:
         message = warnings[0].getMessage()
         assert message.startswith("3 dev tokens") and "['NEW', 'ODD']" in message
 
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_a_task_other_than_the_models_is_refused(self, mode):
+        sents = synthetic.separable_corpus(5, seed=1)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4, epochs=1)
+        model = trainer.build_model(mode, "POS", "EN", sents, h)
+        with pytest.raises(ValueError, match="task NER does not match the model, which was built for POS"):
+            trainer.train(model, sents, sents, h, "NER")
+
     def test_unknown_gold_label_rejected(self):
         sents = synthetic.separable_corpus(5, seed=1)
         h = HyperParams(epochs=1)
@@ -449,6 +457,42 @@ class TestGradientCheck:
         trainable = {name for name, _ in model.named_arrays(trainable_only=True)}
         registry = {name for name, _ in model.named_arrays()}
         assert trainable <= set(bundle) <= registry
+
+    @pytest.mark.parametrize(
+        "setting,message",
+        [({"eps": 0.0}, "eps must be finite and positive"),
+         ({"eps": -1e-4}, "eps must be finite and positive"),
+         ({"eps": math.nan}, "eps must be finite and positive"),
+         ({"eps": math.inf}, "eps must be finite and positive"),
+         ({"tolerance": -1.0}, "tolerance must be finite and non-negative"),
+         ({"tolerance": math.nan}, "tolerance must be finite and non-negative"),
+         ({"tolerance": math.inf}, "tolerance must be finite and non-negative")],
+    )
+    def test_bad_step_or_tolerance_names_the_argument(self, setting, message):
+        model, sent = trainer.make_gradcheck_instance("neural", seed=1)
+        before = [arr.copy() for _, arr in model.named_arrays()]
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            trainer.gradient_check(model, sent, **setting)
+        for (name, arr), old in zip(model.named_arrays(), before):
+            np.testing.assert_array_equal(arr, old, err_msg=name)
+        assert trainer.gradient_check(model, sent).passed
+
+    def test_a_failed_forward_pass_puts_the_perturbed_entry_back(self, monkeypatch):
+        model, sent = trainer.make_gradcheck_instance("discrete", seed=1)
+        before = [arr.copy() for _, arr in model.named_arrays()]
+        calls, build_forward = [], crf.build_forward
+
+        def failing_third(*args, **kwargs):  # the unperturbed pass, then +eps, then -eps
+            calls.append(None)
+            if len(calls) == 3:
+                raise FloatingPointError("forward pass failed")
+            return build_forward(*args, **kwargs)
+
+        monkeypatch.setattr(crf, "build_forward", failing_third)
+        with pytest.raises(FloatingPointError, match="forward pass failed"):
+            trainer.gradient_check(model, sent)
+        for (name, arr), old in zip(model.named_arrays(), before):
+            np.testing.assert_array_equal(arr, old, err_msg=name)
 
     def test_instance_size_guard(self):
         model, _ = trainer.make_gradcheck_instance("discrete", seed=1)
