@@ -228,3 +228,7 @@ def _check_value_types(path, header, discrete, neural) -> None:
             need(_is_strings(spec.get("symbols")), f"tables[{k}].symbols", "a list of strings")
             for key in ("fine_tune", "lowercase"):
                 need(isinstance(spec.get(key), bool), f"tables[{k}].{key}", "a boolean")
+        task, tasks = header["composer_task"], sorted(InputComposer.REQUIRED)
+        need(task in tasks, "composer_task", f"one of {tasks}")
+        keys, required = [spec.get("key") for spec in tables], list(InputComposer.REQUIRED[task])
+        need(keys == required, "tables keys", f"the {task} tables {required}, not {keys}")

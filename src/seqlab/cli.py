@@ -1,9 +1,10 @@
 """Command-line entry points: train, predict, eval, compare, gradcheck.
 
 Runs are described by a key=value config file plus ``--set key=value``
-overrides; each command accepts only the keys it reads (``COMMAND_KEYS``,
-documented in the README).  All validation happens before any work starts,
-and every command exits nonzero with a message on bad input.
+overrides; each command accepts only the keys it reads (``COMMAND_KEYS``), and a
+train only those its model reads (``trainer.model_inputs``).  All validation
+happens before any work starts, and every command exits nonzero with a message
+on bad input.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ TASK_COLUMNS = {
     "NER": ("token", "aux", "label"),
 }
 
-# The keys each command reads.  Only the neural scorer has the sizes,
-# dropout and tables that NEURAL_TRAIN_KEYS set, so a discrete train reads none.
-NEURAL_TRAIN_KEYS = (
-    "dropout", "word_hidden", "char_emb", "word_emb", "pos_emb",
-    "fine_tune_words", "fine_tune_chars", "embeddings_lowercase",
-)
+# A hyperparameter key sets the HyperParams field of its name (``dropout``:
+# ``dropout_p``) and has its default's type; a key not in _KEY_TYPES is a string.
+_HYPER_FIELDS = {f.name.removesuffix("_p"): f for f in dataclasses.fields(trainer.HyperParams)}
+_KEY_TYPES = {key: type(f.default) for key, f in _HYPER_FIELDS.items()}
+_KEY_TYPES |= {"embeddings_lowercase": bool, "gc_tolerance": float, "gc_eps": float}
+# The keys each command reads; a train of one model reads fewer (``RunConfig.load``).
 COMMAND_KEYS = {
     "train": (
         "task", "language", "mode", "scheme", "train", "dev", "model_out", "report_summary",
         "report_log", "word_embeddings", "char_embeddings", "bigram_embeddings", "cluster_lexicon",
-        "radical_lexicon", "eta", "l2", "epochs", "seed", "shuffle", *NEURAL_TRAIN_KEYS,
+        "radical_lexicon", "embeddings_lowercase", *_HYPER_FIELDS,
     ),
     "predict": ("task", "model_in", "input", "output"),
     "eval": ("task", "scheme", "gold", "predictions"),
@@ -48,11 +49,6 @@ COMMAND_KEYS = {
     "gradcheck": ("mode", "seed", "gc_tolerance", "gc_eps"),
 }
 KNOWN_KEYS = frozenset(chain.from_iterable(COMMAND_KEYS.values()))
-# A hyperparameter key sets the HyperParams field of its name (``dropout``:
-# ``dropout_p``) and has its default's type; a key not in _KEY_TYPES is a string.
-_HYPER_FIELDS = {f.name.removesuffix("_p"): f for f in dataclasses.fields(trainer.HyperParams)}
-_KEY_TYPES = {key: type(f.default) for key, f in _HYPER_FIELDS.items()}
-_KEY_TYPES |= {"embeddings_lowercase": bool, "gc_tolerance": float, "gc_eps": float}
 
 
 class ConfigError(ValueError):
@@ -84,36 +80,45 @@ class RunConfig:
         unread = set(raw) - set(COMMAND_KEYS[command])
         if unread:
             raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
-        values: dict = {}
-        for key, text in raw.items():
-            kind = _KEY_TYPES.get(key, str)
-            if kind is bool:
-                if text.lower() not in ("true", "false", "1", "0"):
-                    raise ConfigError(f"{key} must be a boolean, got {text!r}")
-                values[key] = text.lower() in ("true", "1")
-            else:
-                try:
-                    values[key] = kind(text)
-                except ValueError:
-                    raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
-        config = cls(values=values)
-        config.task = values.pop("task", config.task).upper()
-        config.language = values.pop("language", config.language).upper()
-        config.mode = values.pop("mode", config.mode).lower()
-        config.scheme = values.pop("scheme", config.scheme).upper()
+        config = cls()
+        config.task = raw.pop("task", config.task).upper()
+        config.language = raw.pop("language", config.language).upper()
+        config.mode = raw.pop("mode", config.mode).lower()
         if config.task not in TASK_COLUMNS:
             raise ConfigError(f"task must be one of {sorted(TASK_COLUMNS)}")
         if config.language not in LANGUAGES:
             raise ConfigError(f"language must be {' or '.join(LANGUAGES)}")
         if config.mode not in crf.MODES:
             raise ConfigError(f"mode must be one of {crf.MODES}")
+        # only NER reads scheme; a train reads the tables, lexicons and sizes of its model
+        unread = set() if config.task == "NER" else {"scheme"}
+        what = f"task {config.task}"
+        if command == "train":
+            tables, lexicons, fields = trainer.model_inputs(config.mode, config.task, config.language)
+            unread |= {f"{key}_embeddings" for key in trainer.TABLE_FIELDS if key not in tables}
+            unread |= {f"{name}_lexicon" for name in ("cluster", "radical") if name not in lexicons}
+            unread |= {key for key, f in _HYPER_FIELDS.items() if f.name not in fields}
+            unread |= set() if "word" in tables else {"embeddings_lowercase"}
+            what = f"a {config.mode} {config.task}-{config.language} model"
+        unread = sorted(unread & set(raw))
+        if unread:
+            raise ConfigError(f"{command} of {what} does not read config keys {unread}")
+        config.scheme = raw.pop("scheme", config.scheme).upper()
         if config.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be {' or '.join(SCHEMES)}")
-        neural = sorted(set(values) & set(NEURAL_TRAIN_KEYS))
-        if command == "train" and config.mode == "discrete" and neural:
-            raise ConfigError(f"train in discrete mode does not read config keys {neural}")
-        if "embeddings_lowercase" in values and "word_embeddings" not in values:
+        if "embeddings_lowercase" in raw and "word_embeddings" not in raw:
             raise ConfigError("embeddings_lowercase: no word_embeddings file to lowercase")
+        for key, text in raw.items():
+            kind = _KEY_TYPES.get(key, str)
+            if kind is bool:
+                if text.lower() not in ("true", "false", "1", "0"):
+                    raise ConfigError(f"{key} must be a boolean, got {text!r}")
+                config.values[key] = text.lower() in ("true", "1")
+            else:
+                try:
+                    config.values[key] = kind(text)
+                except ValueError:
+                    raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
         return config
 
     def get(self, key, default=None):
@@ -159,33 +164,33 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def read_task_corpus(path, task, *, require_labels) -> list[Sentence]:
-    """Read a corpus with the task's column layout.
+    """Read a corpus with the task's column layout; a SEG token must be one character.
 
     The label column may be absent on prediction inputs; the layout is
     inferred from the first non-blank line's column count.
     """
     columns = TASK_COLUMNS[task]
-    if require_labels:
-        return read_column_corpus(path, columns)
-    ncols = None
-    with open_text(path) as fh:
-        for line in fh:
-            line = strip_line(line)
-            if line:
-                ncols = len(line.split("\t"))
-                break
-    if ncols is None:
-        return []
-    if ncols == len(columns):
-        return read_column_corpus(path, columns)
-    if ncols == len(columns) - 1:
-        return read_column_corpus(path, columns[:-1])
-    raise ConfigError(f"{path}: cannot map {ncols} columns onto task {task}")
+    if not require_labels:
+        with open_text(path) as fh:
+            first = next((line for line in map(strip_line, fh) if line), None)
+        if first is None:
+            return []
+        ncols = len(first.split("\t"))
+        if ncols == len(columns) - 1:
+            columns = columns[:-1]
+        elif ncols != len(columns):
+            raise ConfigError(f"{path}: cannot map {ncols} columns onto task {task}")
+    sentences = read_column_corpus(path, columns)
+    for k, sent in enumerate(sentences if task == "SEG" else ()):
+        for token in sent.tokens:
+            if len(token) != 1:
+                raise ConfigError(f"{path}: sentence {k}: SEG token {token!r} is not one character")
+    return sentences
 
 
 def _load_tables(config: RunConfig, hypers: trainer.HyperParams):
-    """Every pretrained table the config names by ``<key>_embeddings``;
-    ``trainer.build_model`` refuses one the model does not compose."""
+    """Every pretrained table the config names by ``<key>_embeddings``, each
+    one the model composes (``RunConfig.load`` refused any other)."""
     tables = {}
     for key, (dim, fine_tune) in trainer.table_specs(hypers).items():
         p = config.path(f"{key}_embeddings")
@@ -193,15 +198,6 @@ def _load_tables(config: RunConfig, hypers: trainer.HyperParams):
             lowercase = key == "word" and config.get("embeddings_lowercase", False)
             tables[key] = load_text_embeddings(p, dim, name=key, fine_tune=fine_tune, lowercase=lowercase)
     return tables
-
-
-def _checkpoint_meta(config: RunConfig, hypers: trainer.HyperParams) -> dict:
-    return {
-        "task": config.task,
-        "language": config.language,
-        "scheme": config.scheme,
-        "hypers": dataclasses.asdict(hypers),
-    }
 
 
 def cmd_train(config: RunConfig) -> int:
@@ -225,7 +221,8 @@ def cmd_train(config: RunConfig) -> int:
     best, report = trainer.train(
         model, train_sents, dev_sents, hypers, config.task, config.scheme
     )
-    checkpoint.save_model(config.path("model_out"), best, _checkpoint_meta(config, hypers))
+    meta = {"task": config.task, "language": config.language, "scheme": config.scheme}
+    checkpoint.save_model(config.path("model_out"), best, meta | {"hypers": dataclasses.asdict(hypers)})
     if config.path("report_summary") is not None:
         report.write_summary(config.path("report_summary"))
     if config.path("report_log") is not None:
@@ -246,11 +243,9 @@ def cmd_train(config: RunConfig) -> int:
 
 
 def _load_task_model(config: RunConfig, key) -> crf.ModelParams:
-    model, meta = checkpoint.load_model(config.path(key))
-    if "task" not in meta:
-        raise ConfigError(f"{key}: checkpoint meta lacks 'task'")
-    if meta["task"] != config.task:
-        raise ConfigError(f"{key} was trained for task {meta['task']}, not {config.task}")
+    model, _ = checkpoint.load_model(config.path(key))
+    if model.task != config.task:
+        raise ConfigError(f"{key} was trained for task {model.task}, not {config.task}")
     return model
 
 

@@ -244,6 +244,10 @@ class ModelParams:
     def uses_neural(self):
         return self.mode in ("neural", "joint")
 
+    @property
+    def task(self) -> str:  # the task of its templates, else of its composer
+        return (self.templates or self.composer).task
+
     def validate(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -270,6 +274,9 @@ class ModelParams:
                 raise ValueError(f"tau must be ({L + 1}, {L})")
         if self.mode == "joint" and (self.tau_weight is None or self.tau_weight.shape != (1,)):
             raise ValueError("joint mode requires a (1,) tau_weight")
+        if self.mode == "joint" and self.templates.task != self.composer.task:
+            tasks = f"{self.templates.task} and {self.composer.task}"
+            raise ValueError(f"joint mode requires templates and a composer of one task, got {tasks}")
 
     @classmethod
     def create(

@@ -125,14 +125,36 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: dict
 # ---------------------------------------------------------------------------
 
 
+# Each embedding table's size and fine-tuning fields in HyperParams (None: always fine-tuned).
+TABLE_FIELDS = {
+    "char": ("char_emb", "fine_tune_chars"),
+    "bigram": ("char_emb", "fine_tune_chars"),
+    "word": ("word_emb", "fine_tune_words"),
+    "pos": ("pos_emb", None),
+}
+
+
 def table_specs(hypers: HyperParams) -> dict[str, tuple[int, bool]]:
     """Each table key's ``(dim, fine_tune)``, for random-init and pretrained tables alike."""
     return {
-        "char": (hypers.char_emb, hypers.fine_tune_chars),
-        "bigram": (hypers.char_emb, hypers.fine_tune_chars),
-        "word": (hypers.word_emb, hypers.fine_tune_words),
-        "pos": (hypers.pos_emb, True),
+        key: (getattr(hypers, size), tune is None or getattr(hypers, tune))
+        for key, (size, tune) in TABLE_FIELDS.items()
     }
+
+
+def model_inputs(mode: str, task: str, language: str) -> tuple[tuple, tuple, tuple]:
+    """What a (mode, task, language) model reads: the embedding tables it composes,
+    the lexicons its templates read and the ``HyperParams`` fields its ``train``
+    reads.  ``build_model`` refuses other inputs, and the command line other keys."""
+    tables = InputComposer.REQUIRED[task] if mode in ("neural", "joint") else ()
+    kinds = TemplateSet(task, language).kinds if mode in ("discrete", "joint") else ()
+    names = {kind if isinstance(kind, str) else kind[0] for kind in kinds}
+    lexicons = tuple(name for name in ("cluster", "radical") if name in names)
+    fields = ("eta", "l2", "epochs", "seed", "shuffle")
+    if tables:
+        sized = dict.fromkeys(f for key in tables for f in TABLE_FIELDS[key] if f)
+        fields += ("dropout_p", "word_hidden", *sized)
+    return tables, lexicons, fields
 
 
 def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict[str, EmbeddingTable]:
@@ -182,16 +204,22 @@ def build_model(
 ) -> crf.ModelParams:
     """Assemble a zero-initialized model with alphabets built from the corpus.
 
-    The one place that decides what a model reads: a ``tables`` entry it does
-    not compose (any, in discrete mode) and a non-empty lexicon no template
-    reads (either, in neural mode) raise a ``ValueError`` naming the input,
-    the mode and the task.  Tables not given are random-init.
+    A ``tables`` entry the model does not compose and a non-empty lexicon no
+    template of it reads (``model_inputs``) raise a ``ValueError`` naming the
+    input, the mode and the task.  Tables not given are random-init.
     """
     if not train_sentences:
         raise ValueError("training corpus is empty")
     if any(sent.gold_labels is None for sent in train_sentences):
         raise ValueError("training sentences must carry gold labels")
+    composed, lexicons, _ = model_inputs(mode, task, language)
     labels = Alphabet(chain.from_iterable(sent.gold_labels for sent in train_sentences))
+    for name, lexicon in (("cluster", cluster_lexicon), ("radical", radical_lexicon)):
+        if lexicon and name not in lexicons:
+            raise ValueError(f"{name}_lexicon: no template of a {mode} {task}-{language} model reads it")
+    for key in tables or {}:
+        if key not in composed:
+            raise ValueError(f"{key}_embeddings: a {mode} {task} model composes no {key} embedding table")
     templates = out_alpha = train_ids = composer = None
     if mode in ("discrete", "joint"):
         templates = TemplateSet(
@@ -200,15 +228,6 @@ def build_model(
             cluster_lexicon=dict(cluster_lexicon or {}),
             radical_lexicon=dict(radical_lexicon or {}),
         )
-    kinds = {kind if isinstance(kind, str) else kind[0] for kind in templates.kinds} if templates else ()
-    for name, lexicon in (("cluster", cluster_lexicon), ("radical", radical_lexicon)):
-        if lexicon and name not in kinds:
-            raise ValueError(f"{name}_lexicon: no template of a {mode} {task}-{language} model reads it")
-    composed = InputComposer.REQUIRED[task] if mode in ("neural", "joint") else ()
-    for key in tables or {}:
-        if key not in composed:
-            raise ValueError(f"{key}_embeddings: a {mode} {task} model composes no {key} embedding table")
-    if templates is not None:
         out_alpha, train_ids = build_output_alphabet(templates, train_sentences)
     if composed:
         composer = InputComposer(task, default_tables(task, train_sentences, hypers, tables))
@@ -318,9 +337,8 @@ def train(
     if not train_sentences or not dev_sentences:
         raise ValueError("train and dev corpora must be non-empty")
     model.validate()
-    built_for = (model.templates or model.composer).task
-    if task != built_for:
-        raise ValueError(f"task {task} does not match the model, which was built for {built_for}")
+    if task != model.task:
+        raise ValueError(f"task {task} does not match the model, which was built for {model.task}")
     gold_indices, train_ids = [], []
     for sent in train_sentences:
         if sent.gold_labels is None:

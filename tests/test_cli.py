@@ -35,6 +35,31 @@ def run_cli(args):
     return cli.main(args)
 
 
+SEG_SENTS = [
+    Sentence(tokens=list("中国人"), gold_labels=["B", "E", "S"]),
+    Sentence(tokens=list("人民"), gold_labels=["B", "E"]),
+]
+MODELS = [(mode, task, lang) for mode in crf.MODES for task in ("SEG", "POS", "NER") for lang in ("EN", "ZH")]
+# the train keys that name the run rather than an input of its model
+RUN_KEYS = {"task", "language", "mode", "train", "dev", "model_out", "report_summary", "report_log"}
+
+
+def readme_model_keys(mode, task, language) -> set:
+    """The train keys README's "What a run reads" table lists for a model."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    header = "\n| Model | Every mode | Discrete and joint | Neural and joint |\n"
+    table = readme.partition(header)[2].partition("\n\n")[0]
+    rows = [line.split("|")[1:-1] for line in table.splitlines()[1:]]
+    assert [row[0].strip() for row in rows] == ["every model", "SEG", "POS", "NER-EN", "NER-ZH"]
+    columns = (True, mode in ("discrete", "joint"), mode in ("neural", "joint"))
+    keys = set()
+    for label, *cells in rows:
+        if label.strip() in ("every model", task, f"{task}-{language}"):
+            read = [cell for cell, wanted in zip(cells, columns) if wanted]
+            keys |= {key for cell in read for key in re.findall(r"`([^`]+)`", cell)}
+    return keys
+
+
 TRAIN_ARGS = [
     "--set", "task=POS", "--set", "language=EN", "--set", "mode=discrete",
     "--set", "epochs=4", "--set", "seed=3",
@@ -96,7 +121,7 @@ class TestConfig:
         overrides = ["dropout=0.5", "word_hidden=8", "char_emb=3", "word_emb=4", "pos_emb=2",
                      "fine_tune_words=false", "fine_tune_chars=false", "eta=0.5", "l2=0.25",
                      "epochs=7", "seed=11", "shuffle=false"]
-        h = cli.RunConfig.load("train", None, ["mode=joint", *overrides]).hypers()
+        h = cli.RunConfig.load("train", None, ["mode=joint", "task=NER", *overrides]).hypers()
         assert h == HyperParams(dropout_p=0.5, word_hidden=8, char_emb=3, word_emb=4, pos_emb=2,
                                 fine_tune_words=False, fine_tune_chars=False, eta=0.5, l2=0.25,
                                 epochs=7, seed=11, shuffle=False)
@@ -126,12 +151,41 @@ class TestConfig:
             for key in re.findall(r"`([^`]+)`", row[1]):
                 read_by = [command for command, keys in cli.COMMAND_KEYS.items() if key in keys]
                 assert re.findall(r"`([^`]+)`", row[3]) == read_by, key
-                assert ("(neural, joint)" in row[3]) == (key in cli.NEURAL_TRAIN_KEYS), key
+
+    @pytest.mark.parametrize("mode,task,language", MODELS)
+    def test_readme_model_table_is_model_inputs(self, mode, task, language):
+        # the README's keys of a model against what trainer.model_inputs says it reads
+        tables, lexicons, fields = trainer.model_inputs(mode, task, language)
+        hyper = {"dropout_p": "dropout"}
+        expected = RUN_KEYS | {f"{key}_embeddings" for key in tables} & cli.KNOWN_KEYS
+        expected |= {f"{name}_lexicon" for name in lexicons}
+        expected |= {hyper.get(name, name) for name in fields}
+        expected |= {"embeddings_lowercase"} if "word" in tables else set()
+        expected |= {"scheme"} if task == "NER" else set()
+        assert readme_model_keys(mode, task, language) == expected
+
+    @pytest.mark.parametrize("mode,task,language", MODELS)
+    def test_train_accepts_exactly_the_readme_keys_of_its_model(self, mode, task, language):
+        model = {"mode": mode, "task": task, "language": language}
+        reads = readme_model_keys(mode, task, language)
+        given = {key: {"scheme": "BIOES", **model}.get(key, "1") for key in reads}
+        config = cli.RunConfig.load("train", None, [f"{key}={value}" for key, value in given.items()])
+        assert set(config.values) == reads - {"mode", "task", "language", "scheme"}
+        assert reads >= RUN_KEYS
+        model = [f"{key}={value}" for key, value in model.items()]
+        for key in sorted(set(cli.COMMAND_KEYS["train"]) - reads):
+            message = rf"^train of a {mode} {task}-{language} model does not read config keys \['{key}'\]$"
+            with pytest.raises(cli.ConfigError, match=message):
+                cli.RunConfig.load("train", None, [*model, f"{key}=1"])
+        for key in sorted(cli.KNOWN_KEYS - set(cli.COMMAND_KEYS["train"])):
+            with pytest.raises(cli.ConfigError, match=rf"^train does not read config keys \['{key}'\]$"):
+                cli.RunConfig.load("train", None, [*model, f"{key}=1"])
 
     @pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
     def test_each_command_accepts_every_key_it_reads(self, command):
-        fixed = {"task": "POS", "language": "EN", "mode": "joint", "scheme": "BIO"}
-        keys = cli.COMMAND_KEYS[command]
+        # a joint NER-ZH train reads every train key but bigram_embeddings, which only SEG composes
+        fixed = {"task": "NER", "language": "ZH", "mode": "joint", "scheme": "BIO"}
+        keys = [key for key in cli.COMMAND_KEYS[command] if key != "bigram_embeddings"]
         config = cli.RunConfig.load(command, None, [f"{key}={fixed.get(key, '1')}" for key in keys])
         assert set(config.values) == set(keys) - set(fixed)
 
@@ -146,10 +200,12 @@ class TestConfig:
     @pytest.mark.parametrize("mode", [None, "discrete"])
     def test_a_discrete_train_refuses_the_neural_keys(self, mode):
         chosen = [] if mode is None else [f"mode={mode}"]  # discrete is the default mode
-        for key in cli.NEURAL_TRAIN_KEYS:
-            message = rf"^train in discrete mode does not read config keys \['{key}'\]$"
+        neural = readme_model_keys("neural", "NER", "EN") - readme_model_keys("discrete", "NER", "EN")
+        assert len(neural) == 10
+        for key in sorted(neural):
+            message = rf"^train of a discrete NER-EN model does not read config keys \['{key}'\]$"
             with pytest.raises(cli.ConfigError, match=message):
-                cli.RunConfig.load("train", None, [*chosen, f"{key}=1", "word_embeddings=w.txt"])
+                cli.RunConfig.load("train", None, [*chosen, "task=NER", "language=EN", f"{key}=1"])
 
     @pytest.mark.parametrize(
         "args,named",
@@ -163,12 +219,29 @@ class TestConfig:
             (["gradcheck", "--set", "train=/nonexistent", "--set", "task=NER"],
              "gradcheck does not read config keys ['task', 'train']"),
             (["train", "--set", "mode=discrete", "--set", "word_hidden=6", "--set", "fine_tune_words=false"],
-             "train in discrete mode does not read config keys ['fine_tune_words', 'word_hidden']"),
+             "train of a discrete SEG-ZH model does not read config keys ['fine_tune_words', 'word_hidden']"),
             (["train", "--set", "mode=neural", "--set", "embeddings_lowercase=true"],
+             "train of a neural SEG-ZH model does not read config keys ['embeddings_lowercase']"),
+            (["train", "--set", "task=POS", "--set", "mode=neural", "--set", "embeddings_lowercase=true"],
              "embeddings_lowercase: no word_embeddings file to lowercase"),
+            (["train", "--set", "task=POS", "--set", "mode=neural", "--set", "pos_emb=7"],
+             "train of a neural POS-ZH model does not read config keys ['pos_emb']"),
+            (["train", "--set", "task=SEG", "--set", "mode=joint", "--set", "word_emb=9",
+              "--set", "fine_tune_words=false"],
+             "train of a joint SEG-ZH model does not read config keys ['fine_tune_words', 'word_emb']"),
+            (["eval", "--set", "task=POS", "--set", "scheme=BIOES"],
+             "eval of task POS does not read config keys ['scheme']"),
+            (["compare", "--set", "task=SEG", "--set", "scheme=BIO"],
+             "compare of task SEG does not read config keys ['scheme']"),
+            (["train", "--set", "task=POS", "--set", "language=EN", "--set", "mode=discrete",
+              "--set", "scheme=BIO", "--set", "cluster_lexicon=c.txt", "--set", "char_embeddings=e.txt"],
+             "train of a discrete POS-EN model does not read config keys "
+             "['char_embeddings', 'cluster_lexicon', 'scheme']"),
         ],
         ids=["predict_lexicon_epochs", "predict_lexicon", "gradcheck_train_task",
-             "discrete_train_sizes", "lowercase_without_words"],
+             "discrete_train_sizes", "lowercase_without_words", "lowercase_without_word_file",
+             "neural_pos_pos_emb", "joint_seg_word_sizes", "eval_pos_scheme", "compare_seg_scheme",
+             "discrete_pos_files_and_scheme"],
     )
     def test_a_key_the_command_does_not_read_exits_2(self, args, named, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # the relative paths name no file
@@ -261,15 +334,16 @@ class TestTrainCommand:
         )
         assert status == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key}: ") and f" a {mode} {task}" in err
+        assert err == f"error: train of a {mode} {task}-ZH model does not read config keys ['{key}']\n"
         assert not model_out.exists()
 
-    def test_missing_lexicon_file_exits_2_naming_it(self, pos_setup, capsys):
-        tmp_path, train, dev, _ = pos_setup
+    def test_missing_lexicon_file_exits_2_naming_it(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.col"
+        write_column_corpus(corpus, NER_SENTS, cli.TASK_COLUMNS["NER"])
         absent = tmp_path / "absent.txt"
         status = run_cli(
-            ["train", *TRAIN_ARGS, "--set", f"radical_lexicon={absent}", "--set", f"train={train}",
-             "--set", f"dev={dev}", "--set", f"model_out={tmp_path / 'm.bin'}"]
+            ["train", "--set", "task=NER", "--set", "language=ZH", "--set", f"radical_lexicon={absent}",
+             "--set", f"train={corpus}", "--set", f"dev={corpus}", "--set", f"model_out={tmp_path / 'm.bin'}"]
         )
         assert status == 2
         assert str(absent) in capsys.readouterr().err
@@ -419,6 +493,56 @@ class TestReadTaskCorpus:
         got = cli.read_task_corpus(bom, "POS", require_labels=False)
         assert got == cli.read_task_corpus(plain, "POS", require_labels=False)
         assert [s.tokens[0] for s in got[:1]] == (["The"] if text else [])
+
+
+class TestSegTokens:
+    """Every SEG read goes through ``read_task_corpus``, which refuses a token of
+    more than one character; the templates and the bigram table read characters."""
+
+    def write_corpora(self, tmp_path):
+        good, bad = tmp_path / "good.col", tmp_path / "bad.col"
+        write_column_corpus(good, SEG_SENTS, ("token", "label"))
+        bad.write_text("人\tS\n\n中国\tB\n民\tE\n", encoding="utf-8")
+        return good, bad, f"error: {bad}: sentence 1: SEG token '中国' is not one character\n"
+
+    @pytest.mark.parametrize("mode", crf.MODES)
+    @pytest.mark.parametrize("corpus", ["train", "dev"])
+    def test_train_exits_2_naming_file_sentence_and_token(self, tmp_path, capsys, mode, corpus):
+        good, bad, message = self.write_corpora(tmp_path)
+        paths = {"train": good, "dev": good, corpus: bad}
+        status = run_cli(
+            ["train", "--set", "task=SEG", "--set", f"mode={mode}", "--set", f"train={paths['train']}",
+             "--set", f"dev={paths['dev']}", "--set", f"model_out={tmp_path / 'm.bin'}"]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_predict_with_a_discrete_model_exits_2(self, tmp_path, capsys, labeled):
+        good, bad, message = self.write_corpora(tmp_path)
+        if not labeled:
+            bad.write_text("人\n\n中国\n民\n", encoding="utf-8")
+        model = trainer.build_model("discrete", "SEG", "ZH", SEG_SENTS, HyperParams())
+        checkpoint.save_model(tmp_path / "m.bin", model, {"task": "SEG"})
+        status = run_cli(
+            ["predict", "--set", "task=SEG", "--set", f"model_in={tmp_path / 'm.bin'}",
+             "--set", f"input={bad}", "--set", f"output={tmp_path / 'p.col'}"]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "p.col").exists()
+
+    def test_eval_exits_2(self, tmp_path, capsys):
+        _, bad, message = self.write_corpora(tmp_path)
+        status = run_cli(["eval", "--set", "task=SEG", "--set", f"gold={bad}", "--set", f"predictions={bad}"])
+        assert status == 2
+        assert capsys.readouterr().err == message
+
+    def test_other_tasks_read_longer_tokens(self, tmp_path):
+        _, bad, _ = self.write_corpora(tmp_path)
+        sentences = cli.read_task_corpus(bad, "POS", require_labels=True)
+        assert [s.tokens for s in sentences] == [("人",), ("中国", "民")]
 
 
 class TestPredictCommand:
@@ -604,12 +728,13 @@ class TestCheckpointMeta:
     @pytest.mark.parametrize("command", ["predict", "compare"])
     @pytest.mark.parametrize(
         "meta,message",
-        [({}, "lacks 'task'"), (5, "meta is not a JSON object")],
-        ids=["no_task", "int"],
+        [({"task": "POS"}, "was trained for task SEG, not POS"), (5, "meta is not a JSON object")],
+        ids=["mismatched_task", "int"],
     )
     def test_bad_meta_exits_2(self, pos_setup, tmp_path, capsys, command, meta, message):
-        _, train, _, sents = pos_setup
-        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        # a SEG model: the task comes from the model, never from the meta
+        _, train, _, _ = pos_setup
+        model = trainer.build_model("discrete", "SEG", "ZH", SEG_SENTS, HyperParams())
         path = tmp_path / "m.bin"
         checkpoint.save_model(path, model, {})
         blob = path.read_bytes()
@@ -626,6 +751,18 @@ class TestCheckpointMeta:
         assert run_cli(args) == 2
         assert message in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("mode", crf.MODES)
+    def test_a_meta_without_task_loads_by_the_models_task(self, tmp_path, mode):
+        model = untrained_ner(mode)
+        path = tmp_path / "m.bin"
+        checkpoint.save_model(path, model, {})
+        write_column_corpus(tmp_path / "in.col", NER_SENTS, ("token", "aux", "label"))
+        assert run_cli(
+            ["predict", "--set", "task=NER", "--set", f"model_in={path}",
+             "--set", f"input={tmp_path / 'in.col'}", "--set", f"output={tmp_path / 'p.col'}"]
+        ) == 0
+        assert len(read_column_corpus(tmp_path / "p.col", ("token", "aux", "label"))) == len(NER_SENTS)
 
     @pytest.mark.parametrize("meta", [5, None, ["task", "POS"], "POS"])
     def test_save_refuses_meta_that_is_not_an_object(self, pos_setup, tmp_path, meta):
@@ -1035,6 +1172,7 @@ class TestCheckpointHeaderTypes:
             ("contexts", lambda h: h.update(contexts=list(range(len(h["contexts"]))))),
             ("tables[0].lowercase", lambda h: h["tables"][0].update(lowercase="no")),
             ("dropout_p", lambda h: h.update(dropout_p=1.0)),
+            ("composer_task", lambda h: h.update(composer_task=["NER"])),
         ],
     )
     def test_predict_names_the_key(self, tmp_path, capsys, key, edit):
@@ -1050,3 +1188,44 @@ class TestCheckpointHeaderTypes:
         )
         assert status == 2
         assert f"header {key} must be" in capsys.readouterr().err
+
+
+class TestCheckpointTables:
+    """A header's ``tables`` keys are exactly its composer task's tables, in order."""
+
+    @pytest.mark.parametrize("mode", ["neural", "joint"])
+    @pytest.mark.parametrize(
+        "edit,keys",
+        [
+            (lambda t: t.append({**t[0], "key": "bigram"}), ["word", "char", "pos", "bigram"]),
+            (lambda t: t.append(dict(t[0])), ["word", "char", "pos", "word"]),
+            (lambda t: t.reverse(), ["pos", "char", "word"]),
+            (lambda t: t.pop(), ["word", "char"]),
+        ],
+        ids=["extra_bigram", "repeated_word", "reordered", "missing_pos"],
+    )
+    def test_load_names_both_key_lists(self, tmp_path, capsys, mode, edit, keys):
+        blob = ner_checkpoint(mode, tmp_path)
+        header = json.loads(blob[16 : header_end(blob)])
+        edit(header["tables"])
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, header))
+        message = f"header tables keys must be the NER tables ['word', 'char', 'pos'], not {keys}"
+        with pytest.raises(checkpoint.CheckpointError, match=re.escape(f"{bad}: {message}")):
+            checkpoint.load_model(bad)
+        write_column_corpus(tmp_path / "in.col", NER_SENTS, ("token", "aux", "label"))
+        status = run_cli(
+            ["predict", "--set", "task=NER", "--set", f"model_in={bad}",
+             "--set", f"input={tmp_path/'in.col'}", "--set", f"output={tmp_path/'p.col'}"]
+        )
+        assert status == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_joint_templates_and_composer_of_two_tasks_rejected(self, tmp_path):
+        blob = ner_checkpoint("joint", tmp_path)
+        header = json.loads(blob[16 : header_end(blob)])
+        header["templates"]["task"] = "POS"
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, header))
+        with pytest.raises(checkpoint.CheckpointError, match="one task, got POS and NER"):
+            checkpoint.load_model(bad)

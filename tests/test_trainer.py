@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import logging
 import math
 
@@ -592,6 +594,17 @@ class TestBuildModel:
             assert model.templates.cluster_lexicon == inputs.get("cluster_lexicon", {})
             assert model.templates.radical_lexicon == inputs.get("radical_lexicon", {})
 
+    @pytest.mark.parametrize("mode", crf.MODES)
+    @pytest.mark.parametrize("task", ["SEG", "POS", "NER"])
+    def test_a_model_knows_its_task(self, mode, task):
+        assert trainer.build_model(mode, task, "EN", TABLE_CORPORA[task], SMALL).task == task
+
+    def test_joint_templates_and_composer_of_two_tasks_rejected(self):
+        model = trainer.build_model("joint", "NER", "EN", TABLE_CORPORA["NER"], SMALL)
+        model.templates = TemplateSet("POS", "EN")
+        with pytest.raises(ValueError, match="a composer of one task, got POS and NER"):
+            model.validate()
+
     def test_alphabet_frozen_after_build(self):
         sents = synthetic.separable_corpus(5, seed=1)
         model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
@@ -624,3 +637,56 @@ class TestBuildModel:
                 np.testing.assert_array_equal(arr, before[name] + 7.0, err_msg=f"{mode} {name}")
             for name, arr in clone.named_arrays():
                 np.testing.assert_array_equal(arr, before[name], err_msg=f"{mode} {name}")
+
+
+LOOP_FIELDS = ("eta", "l2", "epochs", "seed", "shuffle")
+NEURAL_FIELDS = LOOP_FIELDS + ("dropout_p", "word_hidden")
+CHAR_FIELDS = ("char_emb", "fine_tune_chars")
+WORD_FIELDS = ("word_emb", "fine_tune_words")
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize(
+        "mode,task,language,expected",
+        [
+            ("discrete", "SEG", "ZH", ((), (), LOOP_FIELDS)),
+            ("discrete", "NER", "EN", ((), ("cluster",), LOOP_FIELDS)),
+            ("neural", "NER", "ZH",
+             (("word", "char", "pos"), (), NEURAL_FIELDS + WORD_FIELDS + CHAR_FIELDS + ("pos_emb",))),
+            ("joint", "SEG", "EN", (("char", "bigram"), (), NEURAL_FIELDS + CHAR_FIELDS)),
+            ("joint", "POS", "ZH", (("word", "char"), (), NEURAL_FIELDS + WORD_FIELDS + CHAR_FIELDS)),
+            ("joint", "NER", "ZH",
+             (("word", "char", "pos"), ("cluster", "radical"),
+              NEURAL_FIELDS + WORD_FIELDS + CHAR_FIELDS + ("pos_emb",))),
+        ],
+    )
+    def test_pinned(self, mode, task, language, expected):
+        assert trainer.model_inputs(mode, task, language) == expected
+
+    @pytest.mark.parametrize("mode", crf.MODES)
+    @pytest.mark.parametrize("task", ["SEG", "POS", "NER"])
+    @pytest.mark.parametrize("language", ["EN", "ZH"])
+    def test_build_model_takes_exactly_the_inputs_listed(self, mode, task, language):
+        tables, lexicons, fields = trainer.model_inputs(mode, task, language)
+        assert set(fields) <= {f.name for f in dataclasses.fields(HyperParams)}
+        build = functools.partial(trainer.build_model, mode, task, language, TABLE_CORPORA[task], SMALL)
+        for key in trainer.TABLE_FIELDS:
+            if key in tables:
+                model = build(tables=pretrained([key]))
+                assert model.composer.tables[key].symbols.strings() == ["Paris", "<UNK>"]
+            else:
+                with pytest.raises(ValueError, match=f"^{key}_embeddings: "):
+                    build(tables=pretrained([key]))
+        for name in ("cluster", "radical"):
+            lexicon = {f"{name}_lexicon": {"中": "x"}}
+            if name in lexicons:
+                assert getattr(build(**lexicon).templates, f"{name}_lexicon") == {"中": "x"}
+            else:
+                with pytest.raises(ValueError, match=f"^{name}_lexicon: "):
+                    build(**lexicon)
+
+    def test_table_specs_follow_the_declaration(self):
+        specs = trainer.table_specs(HyperParams(char_emb=3, word_emb=4, pos_emb=2, fine_tune_words=False))
+        assert specs == {"char": (3, True), "bigram": (3, True), "word": (4, False), "pos": (2, True)}
+        specs = trainer.table_specs(HyperParams(fine_tune_chars=False))
+        assert specs == {"char": (30, False), "bigram": (30, False), "word": (50, True), "pos": (20, True)}
