@@ -52,7 +52,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Alphabet, Sentence
-from .embeddings import InputComposer, bag_sum, members, pad
+from .embeddings import InputComposer, bag_sum, members
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
 from .features import TemplateSet
 
@@ -365,24 +365,20 @@ class ForwardPass:
 
 
 def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
-    """The bag of ``sent``'s context ids (int32), each position's in instantiation
-    order.  ``index`` maps a context string to its id, or to None to leave it
-    out.  Token values are computed once per sentence, templates once per position."""
-    values = templates.token_values(sent)
-    flat, counts = [], []
-    for i in range(len(sent)):
-        known = [c for c in map(index, templates.instantiate(values, i)) if c is not None]
-        flat += known
-        counts.append(len(known))
-    return pad(np.array(flat, dtype=np.int32), counts)
+    """The bag of ``sent``'s context ids: an ``(n, groups)`` int32 matrix, one
+    column per template group, -1 where the group skips or ``index``, which
+    maps a context string to its id or to None, leaves it out.  The templates
+    run once per sentence; ``index`` sees the strings position first, then group."""
+    known = (None if c is None else index(c) for row in templates.instantiate(sent) for c in row)
+    ids = np.fromiter((-1 if k is None else k for k in known), np.int32).reshape(len(sent), -1)
+    return ids, (ids >= 0).sum(1)
 
 
 def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
     """``sent``'s ids for every scorer of ``params``, made once and handed to
-    every ``build_forward`` over it.  Contexts outside ``out_alphabet`` are
-    left out, and it never grows; ``contexts``, when given, is the bag made
-    elsewhere (by ``trainer.build_output_alphabet`` for the training
-    sentences)."""
+    every ``build_forward`` over it.  A context outside ``out_alphabet``, which
+    never grows, is a -1; ``contexts``, when given, is the bag made elsewhere
+    (by ``trainer.build_output_alphabet`` for the training sentences)."""
     if contexts is None and params.uses_discrete:
         contexts = index_contexts(params.templates, params.out_alphabet.get, sent)
     rows = params.composer.row_ids(sent) if params.uses_neural else None

@@ -22,9 +22,10 @@ each table: the vocabulary build of random-init tables
 to ``<UNK>``.  ``row_ids`` looks the symbols up once, into bags.
 
 A bag ``(ids, counts)`` is the one id form of table reads, here and for
-``crf``'s template contexts: an ``(n, m)`` matrix holding position i's rows
-in its first ``counts[i]`` columns and -1 after them; a table read once per
-position is a bag of one.  ``bag_sum`` sums a matrix's rows over each bag
+``crf``'s template contexts: an ``(n, m)`` matrix whose row i holds position
+i's ``counts[i]`` rows in column order, with -1 anywhere among them (``pad``
+packs them to the left; a template bag has a column per template group).  A
+table read once per position is a bag of one.  ``bag_sum`` sums a matrix's rows over each bag
 (the discrete emission, and ``compose_all`` as ``bag_sum / counts``), and
 ``members`` lists each id with its position (the discrete gradient, and
 ``backward``'s scatter).

@@ -4,14 +4,14 @@ Each task/language pair has a closed template table.  ``TemplateSet``
 compiles each row once into offset groups with finished ``T<row>[<offsets>]=``
 prefixes.  ``token_values`` computes each per-token value the groups read
 once per sentence (character equality, affixes and radicals included),
-padded with the boundary sentinels ``<S>`` / ``</S>``; ``instantiate`` reads
-them by index, each group appending its value to its prefix, multi-part
-values joined with ``~``.  Only the affix groups of one offset share a
-prefix, one group per affix length, so the strings at one position are
-distinct by construction.  Contexts carry no label: the discrete scorer
-crosses each context with every output label by indexing a (contexts x
-labels) weight matrix with the context's id in the model's context
-``corpus.Alphabet``.
+padded with the boundary sentinels ``<S>`` / ``</S>``; ``instantiate`` makes
+one pass per group over its offsets' slices of them, appending each value
+to the prefix (multi-part values joined with ``~``).  Only the affix groups
+of one offset share a prefix, one group per affix length, so the strings at
+one position are distinct by construction.  Contexts carry no label: the
+discrete scorer crosses each context with every output label by indexing a
+(contexts x labels) weight matrix with the context's id in the model's
+context ``corpus.Alphabet``.
 """
 
 from __future__ import annotations
@@ -290,22 +290,15 @@ class TemplateSet:
             lists.append([head] * PAD + [*values] + [tail] * PAD)
         return lists
 
-    def instantiate(self, values: list[list], i: int) -> list[str]:
-        """Unlabeled context strings at position ``i`` of the sentence with
-        these ``token_values``, in table order."""
-        n = len(values[0]) - 2 * PAD
-        if not 0 <= i < n:
-            raise IndexError(f"position {i} outside sentence of length {n}")
-        at = i + PAD  # position i in the padded lists
-        out: list[str] = []
+    def instantiate(self, sent: Sentence) -> list[tuple]:
+        """``sent``'s unlabeled context strings, one group at a time: a tuple per
+        position of each group's string in table order, None where it skips."""
+        values, n = self.token_values(sent), len(sent)
+        columns = []
         for how, prefix, reads in self.groups:
+            parts = [values[slot][PAD + off : PAD + off + n] for slot, off in reads]
             if how == "one":
-                ((slot, off),) = reads
-                value = values[slot][at + off]
-                if value is not None:
-                    out.append(prefix + value)
+                columns.append([None if v is None else prefix + v for v in parts[0]])
             else:  # join
-                parts = [values[slot][at + off] for slot, off in reads]
-                if None not in parts:
-                    out.append(prefix + "~".join(parts))
-        return out
+                columns.append([None if None in vs else prefix + "~".join(vs) for vs in zip(*parts)])
+        return list(zip(*columns))

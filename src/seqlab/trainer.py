@@ -180,9 +180,10 @@ def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[Alphabet, 
     """The alphabet of template contexts seen in the training corpus, and
     each sentence's ``crf.index_contexts`` bag, keyed by sentence.
 
-    Ids follow first appearance; each id is one row of ``theta_out``, which
-    holds a weight for that context under every label.  The bags are made
-    in the same pass, so the templates run once per training position;
+    Ids follow first appearance, position first and then template group;
+    each id is one row of ``theta_out``, which holds a weight for that
+    context under every label.  The bags are made in the same pass, so the
+    templates run once per training sentence;
     every context is in the alphabet, so they equal the ``contexts`` of
     ``crf.sentence_ids`` on the finished model, which only reads it.
     """

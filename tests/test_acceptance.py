@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import synthetic
+from template_grid import contexts_at
 from seqlab import cli, crf, evaluator, trainer
 from seqlab.corpus import Sentence, write_column_corpus
 from seqlab.features import TemplateSet
@@ -220,15 +221,15 @@ NER_ZH_GOLDEN = [
 
 def test_criterion_7_template_goldens():
     seg = TemplateSet("SEG", "ZH")
-    assert seg.instantiate(seg.token_values(Sentence(tokens=list("中国人"))), 1) == SEG_GOLDEN
+    assert contexts_at(seg, Sentence(tokens=list("中国人")), 1) == SEG_GOLDEN
 
     pos_en = TemplateSet("POS", "EN")
     sent = Sentence(tokens=["Unions", "that", "represent"])
-    assert pos_en.instantiate(pos_en.token_values(sent), 0) == POS_EN_GOLDEN
+    assert contexts_at(pos_en, sent, 0) == POS_EN_GOLDEN
 
     pos_zh = TemplateSet("POS", "ZH")
     sent = Sentence(tokens=["中国人民", "爱", "和平"])
-    assert pos_zh.instantiate(pos_zh.token_values(sent), 0) == POS_ZH_GOLDEN
+    assert contexts_at(pos_zh, sent, 0) == POS_ZH_GOLDEN
 
     ner_en = TemplateSet(
         "NER", "EN", cluster_lexicon={"EU": "0110", "German": "1011"}
@@ -237,7 +238,7 @@ def test_criterion_7_template_goldens():
         tokens=["EU", "rejects", "German", "call"],
         aux_tags=["NNP", "VBZ", "JJ", "NN"],
     )
-    assert ner_en.instantiate(ner_en.token_values(sent), 0) == NER_EN_GOLDEN
+    assert contexts_at(ner_en, sent, 0) == NER_EN_GOLDEN
 
     ner_zh = TemplateSet(
         "NER", "ZH",
@@ -248,7 +249,7 @@ def test_criterion_7_template_goldens():
         tokens=["江泽民", "主席", "访问", "美国"],
         aux_tags=["NR", "NN", "VV", "NR"],
     )
-    assert ner_zh.instantiate(ner_zh.token_values(sent), 0) == NER_ZH_GOLDEN
+    assert contexts_at(ner_zh, sent, 0) == NER_ZH_GOLDEN
 
     rows_covered = {s.split("[")[0] for s in SEG_GOLDEN} | {
         s.split("[")[0] for s in NER_EN_GOLDEN

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import synthetic
+from template_grid import contexts_at
 from seqlab import crf, trainer
 from seqlab.corpus import Alphabet, Sentence
 from seqlab.embeddings import EmbeddingTable, InputComposer, UNK
@@ -278,7 +279,7 @@ class TestDiscreteLayout:
         ]
         model = trainer.build_model("discrete", "POS", "EN", sents, trainer.HyperParams())
         t = model.templates
-        contexts = {s for sent in sents for s in t.instantiate(t.token_values(sent), 0)}
+        contexts = {s for sent in sents for s in contexts_at(t, sent, 0)}
         assert model.theta_out.shape == (len(contexts), 2)
         c = model.out_alphabet.get("T1[0]=a|B")
         model.theta_out[c, model.labels.to_index("C")] = 1.0
@@ -315,15 +316,14 @@ class TestLossGradients:
         B, E, S = (model.labels.to_index(l) for l in "BES")
         out_cells = cell_dict(model, bundle["theta_out"])
         edge_cells = cell_dict(model, bundle["theta_edge"])
-        values = model.templates.token_values(sent)
-        for s in model.templates.instantiate(values, 1):
+        for s in contexts_at(model.templates, sent, 1):
             c = model.out_alphabet.get(s)
             assert out_cells[(c, S)] == 1.0
             assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
-        for s in model.templates.instantiate(values, 0):
+        for s in contexts_at(model.templates, sent, 0):
             assert (model.out_alphabet.get(s), B) not in out_cells
-        assert len(out_cells) == 2 * len(model.templates.instantiate(values, 1))
+        assert len(out_cells) == 2 * len(contexts_at(model.templates, sent, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
         assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
 
@@ -395,29 +395,30 @@ def cell_dict(model, pair):
 
 
 class TestContextIds:
+    # a bag row holds a position's known ids in instantiation order, with -1
+    # anywhere among them
     def test_bag_rows_follow_instantiation(self):
         model, sents = tiny_discrete_model()
         sent = sents[0]
         ids, counts = crf.sentence_ids(model, sent).contexts
         assert ids.dtype == np.int32
-        assert ids.shape == (len(sent), counts.max())
-        values = model.templates.token_values(sent)
+        assert ids.shape == (len(sent), len(model.templates.groups))
         for i in range(len(sent)):
-            expected = [model.out_alphabet.get(s) for s in model.templates.instantiate(values, i)]
+            expected = [model.out_alphabet.get(s) for s in contexts_at(model.templates, sent, i)]
             assert counts[i] == len(expected)
-            assert ids[i].tolist() == expected + [-1] * (ids.shape[1] - len(expected))
+            assert ids[i][ids[i] != -1].tolist() == expected
 
     def test_unseen_contexts_left_out(self):
         model, _ = tiny_discrete_model()
         sent = Sentence(tokens=list("国外"))
         ids, counts = crf.sentence_ids(model, sent).contexts
-        values = model.templates.token_values(sent)
         for i in range(len(sent)):
-            contexts = model.templates.instantiate(values, i)
+            contexts = contexts_at(model.templates, sent, i)
             known = [c for c in map(model.out_alphabet.get, contexts) if c is not None]
             assert 0 < len(known) < len(contexts)
-            assert ids[i, : counts[i]].tolist() == known
-            assert np.all(ids[i, counts[i] :] == -1)
+            assert counts[i] == len(known)
+            assert ids[i][ids[i] != -1].tolist() == known
+            assert np.count_nonzero(ids[i] == -1) == ids.shape[1] - len(known)
 
     def test_neural_model_has_no_ids(self):
         model, sent = trainer.make_gradcheck_instance("neural", seed=1)
@@ -466,9 +467,8 @@ EMISSION_CORPORA = {
 def loop_emission(model, sent):
     """The discrete emission by a per-position loop over the known contexts."""
     emission = np.zeros((len(sent), len(model.labels)))
-    values = model.templates.token_values(sent)
     for i in range(len(sent)):
-        found = map(model.out_alphabet.get, model.templates.instantiate(values, i))
+        found = map(model.out_alphabet.get, contexts_at(model.templates, sent, i))
         emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
     return emission
 
@@ -501,6 +501,6 @@ class TestDiscreteEmission:
         )
         model.theta_out[:] = 1.0
         ids, counts = crf.sentence_ids(model, sents[0]).contexts
-        assert ids.shape == (len(sents[0]), 0) and not np.any(counts)
+        assert ids.shape[0] == len(sents[0]) and np.all(ids == -1) and not np.any(counts)
         emission = crf.build_lattice(model, sents[0]).emission
         assert emission.tobytes() == np.zeros(emission.shape).tobytes()

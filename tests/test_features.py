@@ -3,13 +3,16 @@ import logging
 import random
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_templates
-from seqlab import features
+from template_grid import contexts_at
+from seqlab import crf, features
 from seqlab.corpus import Alphabet, Sentence
+from seqlab.embeddings import bag_sum, members, pad
 from seqlab.features import (
     LANGUAGES,
     TASKS,
@@ -117,7 +120,7 @@ class TestSegTemplates:
     def test_pinned_row1_strings(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("中国人"))
-        feats = t.instantiate(t.token_values(s), 1)
+        feats = contexts_at(t, s, 1)
         for expected in (
             "T1[-1]=中",
             "T1[0]=国",
@@ -130,13 +133,13 @@ class TestSegTemplates:
     def test_equality_row_with_boundary(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("AAB"))
-        feats = [f for f in t.instantiate(t.token_values(s), 2) if f.startswith("T3")]
+        feats = [f for f in contexts_at(t, s, 2) if f.startswith("T3")]
         assert feats == ["T3[0,-2]=F", "T3[0,1]=</S>"]
 
     def test_equality_row_true_case(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("ABA"))
-        feats = [f for f in t.instantiate(t.token_values(s), 2) if f.startswith("T3")]
+        feats = [f for f in contexts_at(t, s, 2) if f.startswith("T3")]
         assert feats == ["T3[0,-2]=T", "T3[0,1]=</S>"]
 
     def test_reference_extractor_row1(self):
@@ -154,7 +157,7 @@ class TestSegTemplates:
                 else:
                     val = s.tokens[j]
                 expected.append(f"T1[{off}]={val}")
-            got = [f for f in t.instantiate(t.token_values(s), i) if f.startswith("T1[")]
+            got = [f for f in contexts_at(t, s, i) if f.startswith("T1[")]
             assert got == expected
 
 
@@ -162,7 +165,7 @@ class TestPosTemplates:
     def test_prefixes_of_running(self):
         t = TemplateSet("POS", "EN")
         s = Sentence(tokens=["running"])
-        prefixes = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T3")]
+        prefixes = [f for f in contexts_at(t, s, 0) if f.startswith("T3")]
         assert prefixes == [
             "T3[0]=r",
             "T3[0]=ru",
@@ -174,38 +177,38 @@ class TestPosTemplates:
     def test_chinese_affix_length_three(self):
         t = TemplateSet("POS", "ZH")
         s = Sentence(tokens=["中国人民"])
-        prefixes = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T3")]
+        prefixes = [f for f in contexts_at(t, s, 0) if f.startswith("T3")]
         assert prefixes == ["T3[0]=中", "T3[0]=中国", "T3[0]=中国人"]
 
     def test_length_capped_at_six(self):
         t = TemplateSet("POS", "ZH")
         for word, val in (("abc", "3"), ("abcdef", "6"), ("abcdefgh", "6")):
-            feats = t.instantiate(t.token_values(Sentence(tokens=[word])), 0)
+            feats = contexts_at(t, Sentence(tokens=[word]), 0)
             assert f"T5[0]={val}" in feats
 
     def test_length_absent_for_english(self):
         t = TemplateSet("POS", "EN")
-        assert not [f for f in t.instantiate(t.token_values(Sentence(tokens=["abc"])), 0) if f.startswith("T5")]
+        assert not [f for f in contexts_at(t, Sentence(tokens=["abc"]), 0) if f.startswith("T5")]
 
 
 class TestNerTemplates:
     def test_cluster_miss_is_skipped(self):
         t = TemplateSet("NER", "EN", cluster_lexicon={"EU": "0110"})
         s = Sentence(tokens=["EU", "rejects"], aux_tags=["NNP", "VBZ"])
-        feats_eu = t.instantiate(t.token_values(s), 0)
+        feats_eu = contexts_at(t, s, 0)
         assert "T9[0]=0110" in feats_eu
-        assert not [f for f in t.instantiate(t.token_values(s), 1) if f.startswith("T9[0]")]
+        assert not [f for f in contexts_at(t, s, 1) if f.startswith("T9[0]")]
 
     def test_out_of_range_cluster_uses_sentinel(self):
         t = TemplateSet("NER", "EN", cluster_lexicon={"EU": "0110"})
         s = Sentence(tokens=["EU"], aux_tags=["NNP"])
-        feats = t.instantiate(t.token_values(s), 0)
+        feats = contexts_at(t, s, 0)
         assert "T9[-1]=<S>" in feats and "T9[1]=</S>" in feats
 
     def test_radical_positions(self):
         t = TemplateSet("NER", "ZH", radical_lexicon={"江": "氵", "河": "氵", "明": "日"})
         s = Sentence(tokens=["江河明月"], aux_tags=["NN"])
-        feats = [f for f in t.instantiate(t.token_values(s), 0) if f.startswith("T10")]
+        feats = [f for f in contexts_at(t, s, 0) if f.startswith("T10")]
         # lexicon miss at k=3 (月) emits nothing; word shorter than 5 stops early
         assert feats == ["T10[0,0]=氵", "T10[0,1]=氵", "T10[0,2]=日"]
 
@@ -219,13 +222,13 @@ class TestExtraction:
     def test_determinism(self):
         t = TemplateSet("SEG", "ZH")
         s = Sentence(tokens=list("中国人民"))
-        assert t.instantiate(t.token_values(s), 2) == t.instantiate(t.token_values(s), 2)
+        assert t.instantiate(s) == t.instantiate(s)
 
     def test_frozen_alphabet_never_grows(self):
         t = TemplateSet("SEG", "ZH")
-        alpha = Alphabet(t.instantiate(t.token_values(Sentence(tokens=list("中国"))), 0))
+        alpha = Alphabet(contexts_at(t, Sentence(tokens=list("中国")), 0))
         size = alpha.size
-        for s in t.instantiate(t.token_values(Sentence(tokens=list("日本"))), 0):
+        for s in contexts_at(t, Sentence(tokens=list("日本")), 0):
             alpha.get(s)
         assert alpha.size == size
 
@@ -242,8 +245,8 @@ class TestExtraction:
             t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
                             radical_lexicon=GOLDEN_RADICALS)
             s = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens) if task == "NER" else None)
-            for i in range(len(s)):
-                feats = t.instantiate(t.token_values(s), i)
+            for row in t.instantiate(s):
+                feats = [f for f in row if f is not None]
                 assert len(feats) == len(set(feats))
 
 
@@ -284,7 +287,7 @@ def golden_corpus(task, language):
 def corpus_contexts(task, language):
     t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
                     radical_lexicon=GOLDEN_RADICALS)
-    return [t.instantiate(t.token_values(s), i) for s in golden_corpus(task, language) for i in range(len(s))]
+    return [contexts_at(t, s, i) for s in golden_corpus(task, language) for i in range(len(s))]
 
 
 class TestCorpusGoldens:
@@ -319,25 +322,38 @@ CHAR_POOL = tuple("~<>S/=中国人年一〇3３ａZx，-")
 LEXICON_VALUES = ("0110", "11", "<S>", "</S>", "~", "氵")
 
 
+def draw_templates(data) -> tuple[TemplateSet, tuple]:
+    """One of the six tables, with lexicons drawn over the pools, and its token pool."""
+    task, language = data.draw(st.sampled_from([(t, l) for t in TASKS for l in LANGUAGES]))
+    pool = CHAR_POOL if task == "SEG" else WORD_POOL
+    t = TemplateSet(
+        task, language,
+        cluster_lexicon=data.draw(st.dictionaries(st.sampled_from(pool), st.sampled_from(LEXICON_VALUES))),
+        radical_lexicon=data.draw(st.dictionaries(st.sampled_from(CHAR_POOL + tuple("江泽民美")),
+                                                  st.sampled_from(LEXICON_VALUES))),
+    )
+    return t, pool
+
+
+def draw_sentence(data, pool) -> Sentence:
+    tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8), label="tokens")
+    tags = data.draw(st.lists(st.sampled_from(GOLDEN_TAGS + LEXICON_VALUES),
+                              min_size=len(tokens), max_size=len(tokens)), label="tags")
+    return Sentence(tokens=tokens, aux_tags=tags)
+
+
 class TestTokenValues:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_instantiate_equals_the_per_offset_oracle(self, data):
-        task, language = data.draw(st.sampled_from([(t, l) for t in TASKS for l in LANGUAGES]))
-        pool = CHAR_POOL if task == "SEG" else WORD_POOL
-        tokens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8), label="tokens")
-        tags = data.draw(st.lists(st.sampled_from(GOLDEN_TAGS + LEXICON_VALUES),
-                                  min_size=len(tokens), max_size=len(tokens)), label="tags")
-        t = TemplateSet(
-            task, language,
-            cluster_lexicon=data.draw(st.dictionaries(st.sampled_from(pool), st.sampled_from(LEXICON_VALUES))),
-            radical_lexicon=data.draw(st.dictionaries(st.sampled_from(CHAR_POOL + tuple("江泽民美")),
-                                                      st.sampled_from(LEXICON_VALUES))),
-        )
-        sent = Sentence(tokens=tokens, aux_tags=tags)
-        values = t.token_values(sent)
-        for i in range(len(sent)):
-            assert t.instantiate(values, i) == reference_templates.instantiate(t, sent, i)
+        # every position of the grid, one column per group
+        t, pool = draw_templates(data)
+        sent = draw_sentence(data, pool)
+        grid = t.instantiate(sent)
+        assert len(grid) == len(sent)
+        for i, row in enumerate(grid):
+            assert len(row) == len(t.groups)
+            assert [c for c in row if c is not None] == reference_templates.instantiate(t, sent, i)
 
     @pytest.mark.parametrize(
         "task,language,kind,tokens",
@@ -345,15 +361,12 @@ class TestTokenValues:
          ("SEG", "ZH", "char_type", list("中国人民１月"))],
     )
     def test_each_token_value_is_computed_once(self, monkeypatch, task, language, kind, tokens):
-        # read per offset, word_shape ran up to 7 times per NER-EN position
-        # and char_type 9 times per SEG position
+        # one instantiate call per sentence; read per offset, word_shape ran up
+        # to 7 times per NER-EN position and char_type 9 times per SEG position
         compute, seen = features._TOKEN_VALUE[kind], []
         monkeypatch.setitem(features._TOKEN_VALUE, kind, lambda tok: seen.append(tok) or compute(tok))
         t = TemplateSet(task, language)
-        sent = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens))
-        values = t.token_values(sent)
-        for i in range(len(sent)):
-            t.instantiate(values, i)
+        t.instantiate(Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens)))
         assert seen == tokens
 
     def test_only_the_kinds_the_table_reads(self):
@@ -362,6 +375,34 @@ class TestTokenValues:
         assert "postag" not in pos_en.kinds
         # no aux tag column: a postag list would raise
         assert len(pos_en.token_values(Sentence(tokens=["a"]))) == len(pos_en.kinds)
+
+
+class TestContextBags:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_holes_anywhere_read_like_the_compacted_bag(self, data):
+        # a group that skips, or a context the alphabet does not know, leaves
+        # its -1 in place; the bag reads like the one ``pad`` compacts
+        t, pool = draw_templates(data)
+        sents = [draw_sentence(data, pool) for _ in range(data.draw(st.integers(2, 5), label="sentences"))]
+        grown = data.draw(st.integers(1, len(sents) - 1), label="grown")
+        seen, unseen = sents[:grown], sents[grown:]
+        alpha = Alphabet()
+        bags = [crf.index_contexts(t, alpha.add, s) for s in seen]
+        bags += [crf.index_contexts(t, alpha.get, s) for s in unseen]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        matrix = rng.normal(size=(alpha.size, 3))
+        matrix[rng.random(alpha.size) < 0.3] = -0.0
+        for sent, (ids, counts) in zip(seen + unseen, bags):
+            assert ids.shape == (len(sent), len(t.groups))
+            reference = [[k for k in map(alpha.get, reference_templates.instantiate(t, sent, i)) if k is not None]
+                         for i in range(len(sent))]
+            flat = np.array([k for row in reference for k in row], dtype=np.int32)
+            in_members, at = members((ids, counts))
+            assert in_members.tolist() == flat.tolist()
+            assert at.tolist() == [i for i, row in enumerate(reference) for _ in row]
+            compact = pad(flat, [len(row) for row in reference])
+            assert bag_sum(matrix, (ids, counts)).tobytes() == bag_sum(matrix, compact).tobytes()
 
 
 class TestLexiconLoading:
