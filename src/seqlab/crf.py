@@ -22,14 +22,19 @@ joint
     enters the edge clique as one real-valued feature with its own learned
     weight.
 
-Every decode goes through ``_viterbi_path``, a numpy loop over positions;
-``log_partition`` is the forward recursion.  Decoding breaks ties toward
-the lowest label index at every backpointer decision, so results are
+Every decode goes through ``_viterbi_path``, a numpy loop over positions:
+each adds alpha into an (L, L) score buffer, writes the row-wise ``argmax``
+into its backpointers, ``take``s the winners from the buffer's flat view
+and adds its emission to them in place.  ``log_partition`` is the forward
+recursion.  Decoding breaks ties toward the lowest label index at every
+backpointer decision (``argmax`` returns the first maximum), so results are
 deterministic.  ``sequence_score`` fixes the summation order (start
-transition, emission 0, then transition/emission per position); the
-Viterbi recursion and the brute-force oracles sum in the same order, so a
-decode's score is its labels' ``sequence_score`` and agreement checks can
-be exact rather than approximate.
+transition, emission 0, then transition/emission per position): it gathers
+those 2n terms in that order and sums them left to right with
+``np.add.accumulate``.  The Viterbi recursion and the brute-force oracles
+sum in the same order, so a decode's score is its labels' ``sequence_score``
+and agreement checks can be exact rather than approximate.  A lattice has
+at least one position and one label.
 
 ``sentence_ids`` is the one indexer: it maps a sentence to its template
 context ids and its embedding row ids (``SentenceIds``), all ``embeddings``
@@ -72,11 +77,13 @@ class ScoreLattice:
         self.emission = np.ascontiguousarray(self.emission, dtype=np.float64)
         self.transition = np.ascontiguousarray(self.transition, dtype=np.float64)
         n, L = self.emission.shape
+        if n == 0 or L == 0:
+            raise ValueError(f"emission shape {(n, L)}: a lattice needs a position and a label")
         if self.transition.shape != (L + 1, L):
             raise ValueError(
                 f"transition shape {self.transition.shape} does not match {L} labels"
             )
-        if not (np.all(np.isfinite(self.emission)) and np.all(np.isfinite(self.transition))):
+        if not (np.isfinite(self.emission).all() and np.isfinite(self.transition).all()):
             raise ValueError("lattice scores must be finite")
 
 
@@ -90,19 +97,21 @@ def _viterbi_path(emission, transition) -> tuple[np.ndarray, float]:
     """The best labels and their score, summed in ``sequence_score``'s order."""
     n, L = emission.shape
     # scores[y, y'] = alpha[y'] + transition[y', y]: one contiguous row per label
-    into, labels = np.ascontiguousarray(transition[:L].T), np.arange(L)
+    into, rows = np.ascontiguousarray(transition[:L].T), np.arange(0, L * L, L)
     scores = np.empty((L, L))
+    flat = scores.reshape(-1)
     alpha = transition[L] + emission[0]
     back = np.zeros((n, L), dtype=np.int64)
     for i in range(1, n):
         np.add(into, alpha, scores)
-        best_prev = np.argmax(scores, axis=1, out=back[i])
-        alpha = scores[labels, best_prev] + emission[i]
+        alpha = flat.take(rows + scores.argmax(1, back[i]))  # scores[y, best_prev[y]]
+        alpha += emission[i]
     labels = np.zeros(n, dtype=np.int64)
-    labels[n - 1] = int(np.argmax(alpha))
+    y = labels[n - 1] = alpha.argmax()
+    score = float(alpha[y])
     for i in range(n - 1, 0, -1):
-        labels[i - 1] = back[i, labels[i]]
-    return labels, float(alpha[labels[-1]])
+        y = labels[i - 1] = back[i, y]
+    return labels, score
 
 
 def sequence_score(lattice: ScoreLattice, labels) -> float:
@@ -114,11 +123,12 @@ def sequence_score(lattice: ScoreLattice, labels) -> float:
         raise ValueError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= L:
         raise ValueError("label index out of range")
-    score = transition[L, labels[0]] + emission[0, labels[0]]
-    for i in range(1, n):
-        score = score + transition[labels[i - 1], labels[i]]
-        score = score + emission[i, labels[i]]
-    return float(score)
+    # position i's transition into it, then its emission: summed left to right
+    terms = np.empty((n, 2))
+    terms[0, 0] = transition[L, labels[0]]
+    terms[1:, 0] = transition[labels[:-1], labels[1:]]
+    terms[:, 1] = emission[np.arange(n), labels]
+    return float(np.add.accumulate(terms.reshape(-1))[-1])
 
 
 def viterbi(lattice: ScoreLattice) -> DecodeResult:
@@ -434,9 +444,16 @@ class GradientBundle(dict):
 def _cell_counts(plus, minus) -> tuple[np.ndarray, np.ndarray]:
     """Distinct cells with their counts, +1 per ``plus`` and -1 per ``minus``
     entry; cancelled cells are dropped.  Small integer sums are exact."""
-    cells, inverse = np.unique(np.concatenate([plus, minus]), return_inverse=True)
-    counts = np.bincount(inverse, np.repeat([1.0, -1.0], [len(plus), len(minus)]), len(cells))
-    return cells[counts != 0.0], counts[counts != 0.0]
+    # one sort: cell c is key 2c for a +1 and 2c + 1 for a -1
+    keys = np.concatenate([plus * 2, minus * 2 + 1])
+    if not len(keys):
+        return keys, np.zeros(0)
+    keys.sort()
+    cells = keys >> 1
+    starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+    counts = np.add.reduceat(np.where(keys & 1, -1.0, 1.0), starts)
+    kept = counts != 0.0
+    return cells[starts[kept]], counts[kept]
 
 
 def loss_gradients(

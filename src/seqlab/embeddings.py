@@ -25,10 +25,13 @@ A bag ``(ids, counts)`` is the one id form of table reads, here and for
 ``crf``'s template contexts: an ``(n, m)`` matrix whose row i holds position
 i's ``counts[i]`` rows in column order, with -1 anywhere among them (``pad``
 packs them to the left; a template bag has a column per template group).  A
-table read once per position is a bag of one.  ``bag_sum`` sums a matrix's rows over each bag
+table read once per position is a bag of one: a single column, which
+``row_ids`` leaves without -1.  ``bag_sum`` sums a matrix's rows over each bag
 (the discrete emission, and ``compose_all`` as ``bag_sum / counts``), and
 ``members`` lists each id with its position (the discrete gradient, and
-``backward``'s scatter).
+``backward``'s scatter).  ``bag_sum``, ``compose_all`` and ``backward`` read a
+bag of one as a plain gather: bitwise its sum from -0.0 over one row,
+divided by a count of 1.
 """
 
 from __future__ import annotations
@@ -61,15 +64,17 @@ def bag_sum(matrix, bag) -> np.ndarray:
     row, and any other bitwise ``.sum(axis=0)`` over its rows unless every
     term is -0.0 (which that sum, starting at +0.0, makes +0.0)."""
     ids = bag[0]
+    if ids.shape[1] == 1:  # a bag of one: its row
+        ids = ids[:, 0]
     gathered = matrix[ids]
     gathered[ids < 0] = -0.0
-    return gathered.sum(axis=1, initial=-0.0)
+    return gathered if ids.ndim == 1 else gathered.sum(axis=1, initial=-0.0)
 
 
 def members(bag) -> tuple[np.ndarray, np.ndarray]:
     """Every id of ``bag`` and its position, in position then column order."""
     ids, counts = bag
-    return ids[ids >= 0], np.repeat(np.arange(len(counts)), counts)
+    return ids[ids >= 0], np.arange(len(counts)).repeat(counts)
 
 
 class EmbeddingTable:
@@ -242,8 +247,11 @@ class InputComposer:
         ``.mean(axis=0)`` over the word's rows unless every term is -0.0."""
         pieces = []
         for key in self.table_order():
-            bag = rows[key]
-            pieces.append(bag_sum(self.tables[key].matrix, bag) / bag[1][:, None])
+            (ids, counts), matrix = rows[key], self.tables[key].matrix
+            if ids.shape[1] == 1:  # a bag of one
+                pieces.append(matrix[ids[:, 0]])
+            else:
+                pieces.append(bag_sum(matrix, (ids, counts)) / counts[:, None])
         return np.concatenate(pieces, axis=1)
 
     def backward(self, grads: np.ndarray, rows: dict) -> dict:
@@ -257,10 +265,14 @@ class InputComposer:
         out = {}
         offset = 0
         for key in self.table_order():
-            dim, bag = self.tables[key].dim, rows[key]
-            ids, pos = members(bag)
-            piece = (grads[:, offset : offset + dim] / bag[1][:, None])[pos]
+            dim, (ids, counts) = self.tables[key].dim, rows[key]
+            piece = grads[:, offset : offset + dim]
             offset += dim
+            if ids.shape[1] == 1:  # a bag of one: every position, undivided
+                ids = ids[:, 0]
+            else:
+                ids, pos = members((ids, counts))
+                piece = (piece / counts[:, None])[pos]
             distinct, inverse = np.unique(ids, return_inverse=True)
             cols = np.arange(dim)
             # bincount adds each cell's values in input order, i.e. position order

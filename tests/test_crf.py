@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_crf
 import synthetic
 from template_grid import contexts_at
 from seqlab import crf, trainer
@@ -49,6 +54,11 @@ class TestSequenceScore:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             crf.ScoreLattice(np.array([[np.nan, 0.0]]), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["no_position", "no_label"])
+    def test_empty_lattice_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"emission shape {shape}")):
+            crf.ScoreLattice(np.zeros(shape), np.zeros((shape[1] + 1, shape[1])))
 
 
 class TestViterbi:
@@ -186,6 +196,88 @@ class TestPartition:
         lat = crf.ScoreLattice(np.zeros((30, 4)), np.zeros((5, 4)))
         with pytest.raises(ValueError):
             crf.brute_force_best(lat)
+
+
+def reference_lattice(data):
+    """A lattice of L in {1, 2, 4, 17, 45} labels and 1 to 60 positions, its
+    entries random, integer-valued (ties at every step) or signed zeros."""
+    L = data.draw(st.sampled_from([1, 2, 4, 17, 45]), label="L")
+    n = data.draw(st.integers(1, 60), label="n")
+    kind = data.draw(st.sampled_from(["random", "integer", "signed_zero"]), label="kind")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = ((n, L), (L + 1, L))
+    if kind == "random":
+        emission, transition = (rng.uniform(-2, 2, shape) for shape in shapes)
+    elif kind == "integer":
+        emission, transition = (rng.integers(-1, 2, shape).astype(np.float64) for shape in shapes)
+    else:
+        emission, transition = (np.where(rng.random(shape) < 0.5, -0.0, 0.0) for shape in shapes)
+    return crf.ScoreLattice(emission, transition), rng
+
+
+def same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestAgainstReference:
+    """The decode, the gold score and the cell counts are bitwise the
+    straight-line ones of ``reference_crf``."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_viterbi_path_is_bitwise_the_reference(self, data):
+        lat, rng = reference_lattice(data)
+        n, L = lat.emission.shape
+        gold = rng.integers(0, L, n)
+        for emission in (lat.emission, crf._augmented_emission(lat, gold)):
+            labels, score = crf._viterbi_path(emission, lat.transition)
+            expected_labels, expected_score = reference_crf.viterbi_path(emission, lat.transition)
+            assert labels.dtype == expected_labels.dtype
+            assert labels.tolist() == expected_labels.tolist()
+            assert same_float(score, expected_score)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sequence_score_is_bitwise_the_reference(self, data):
+        lat, rng = reference_lattice(data)
+        n, L = lat.emission.shape
+        for labels in (rng.integers(0, L, n), crf.viterbi(lat).labels, [L - 1] * n):
+            expected = reference_crf.sequence_score(lat.emission, lat.transition, np.asarray(labels))
+            assert same_float(crf.sequence_score(lat, labels), expected)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cell_counts_are_bitwise_the_reference(self, data):
+        # few distinct cells, so repeats and full cancellations are common;
+        # ids reach past 2**31, and the keys (2 * cell + 1) still fit int64
+        pool = data.draw(st.lists(st.integers(0, 2**61), min_size=1, max_size=6), label="pool")
+        cells = st.lists(st.sampled_from(pool), max_size=40)
+        plus = np.array(data.draw(cells, label="plus"), dtype=np.int64)
+        minus = data.draw(st.one_of(cells, st.permutations(plus.tolist())), label="minus")
+        minus = np.array(minus, dtype=np.int64)
+        got, expected = crf._cell_counts(plus, minus), reference_crf.cell_counts(plus, minus)
+        assert got[0].dtype == expected[0].dtype == np.int64
+        assert got[1].dtype == np.float64
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "plus, minus, cells, counts",
+        [
+            ([], [], [], []),
+            ([7, 3], [3, 7], [], []),
+            ([5, 5, 2, 5], [2, 9], [5, 9], [3.0, -1.0]),
+            ([2**40, 3], [2**40 + 1, 2**40 + 1], [3, 2**40, 2**40 + 1], [1.0, 1.0, -2.0]),
+        ],
+        ids=["empty", "cancel_fully", "repeated", "above_2_31"],
+    )
+    def test_cell_counts_cases(self, plus, minus, cells, counts):
+        plus, minus = np.array(plus, dtype=np.int64), np.array(minus, dtype=np.int64)
+        got = crf._cell_counts(plus, minus)
+        assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+        assert got[0].tolist() == cells and got[1].tolist() == counts
+        expected = reference_crf.cell_counts(plus, minus)
+        assert got[0].tolist() == expected[0].tolist() and got[1].tolist() == expected[1].tolist()
 
 
 # ---------------------------------------------------------------------------

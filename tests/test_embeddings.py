@@ -9,6 +9,7 @@ from seqlab.embeddings import (
     UNK,
     EmbeddingTable,
     InputComposer,
+    bag_sum,
     init_random_table,
     load_text_embeddings,
 )
@@ -357,6 +358,26 @@ class TestComposer:
         vec = compose(composer, Sentence(tokens=["ab"]))[0]
         assert vec.tolist() == [0.0, 1.0, 0.0, 0.0, 3.0]
         assert np.signbit(vec).tolist() == [True, False, True, True, False]
+
+
+class TestBagOfOne:
+    def test_bag_sum_is_bitwise_the_masked_sum(self):
+        # a one-column bag, -1 holes and signed-zero rows included, reads as
+        # the gather masked to -0.0 and summed from -0.0 over its one column
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(-1, 1, (8, 6))
+        matrix[0] = -0.0
+        matrix[1] = 0.0
+        matrix[2, ::2] = -0.0
+        ids = rng.integers(-1, 8, (40, 1))
+        ids[:4, 0] = [-1, 0, 1, 2]
+        gathered = matrix[ids]
+        gathered[ids < 0] = -0.0
+        expected = gathered.sum(axis=1, initial=-0.0)
+        got = bag_sum(matrix, (ids, (ids >= 0).sum(1)))
+        assert got.shape == (40, 6)
+        assert got.tobytes() == expected.tobytes()
+        assert np.signbit(got[0]).all() and np.signbit(got[1]).all() and not np.signbit(got[2]).any()
 
 
 class TestCharMeanIdentity:
