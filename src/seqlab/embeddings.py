@@ -29,9 +29,9 @@ table read once per position is a bag of one: a single column, which
 ``row_ids`` leaves without -1.  ``bag_sum`` sums a matrix's rows over each bag
 (the discrete emission, and ``compose_all`` as ``bag_sum / counts``), and
 ``members`` lists each id with its position (the discrete gradient, and
-``backward``'s scatter).  ``bag_sum``, ``compose_all`` and ``backward`` read a
-bag of one as a plain gather: bitwise its sum from -0.0 over one row,
-divided by a count of 1.
+``backward``'s scatter).  ``bag_sum`` reads a bag of one as a plain gather,
+bitwise its sum from -0.0 over one row, and ``compose_all`` leaves it
+undivided, bitwise its division by a count of 1.
 """
 
 from __future__ import annotations
@@ -243,15 +243,13 @@ class InputComposer:
 
     def compose_all(self, rows: dict) -> np.ndarray:
         """The ``(n, dim)`` input vectors of a sentence with ``row_ids`` ``rows``:
-        each table's ``bag_sum / counts``, so a char mean is bitwise
+        each table's ``bag_sum / counts`` (a bag of one's undivided), so a char mean is bitwise
         ``.mean(axis=0)`` over the word's rows unless every term is -0.0."""
         pieces = []
         for key in self.table_order():
-            (ids, counts), matrix = rows[key], self.tables[key].matrix
-            if ids.shape[1] == 1:  # a bag of one
-                pieces.append(matrix[ids[:, 0]])
-            else:
-                pieces.append(bag_sum(matrix, (ids, counts)) / counts[:, None])
+            bag = rows[key]
+            summed = bag_sum(self.tables[key].matrix, bag)
+            pieces.append(summed if bag[0].shape[1] == 1 else summed / bag[1][:, None])
         return np.concatenate(pieces, axis=1)
 
     def backward(self, grads: np.ndarray, rows: dict) -> dict:
@@ -265,14 +263,10 @@ class InputComposer:
         out = {}
         offset = 0
         for key in self.table_order():
-            dim, (ids, counts) = self.tables[key].dim, rows[key]
-            piece = grads[:, offset : offset + dim]
+            dim, bag = self.tables[key].dim, rows[key]
+            ids, pos = members(bag)
+            piece = (grads[:, offset : offset + dim] / bag[1][:, None])[pos]
             offset += dim
-            if ids.shape[1] == 1:  # a bag of one: every position, undivided
-                ids = ids[:, 0]
-            else:
-                ids, pos = members((ids, counts))
-                piece = (piece / counts[:, None])[pos]
             distinct, inverse = np.unique(ids, return_inverse=True)
             cols = np.arange(dim)
             # bincount adds each cell's values in input order, i.e. position order
