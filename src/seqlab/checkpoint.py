@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from .corpus import Alphabet
-from .crf import MODES, ModelParams
+from .crf import DISCRETE_MODES, MODES, NEURAL_MODES, ModelParams
 from .embeddings import EmbeddingTable, InputComposer
 from .features import TemplateSet
 
@@ -140,8 +140,7 @@ def _model_from_header(path, header) -> ModelParams:
     mode = header.get("mode")
     if mode not in MODES:
         raise CheckpointError(f"{path}: unknown mode {mode!r}")
-    discrete = mode in ("discrete", "joint")
-    neural = mode in ("neural", "joint")
+    discrete, neural = mode in DISCRETE_MODES, mode in NEURAL_MODES
     required = HEADER_KEYS + (DISCRETE_KEYS if discrete else ()) + (NEURAL_KEYS if neural else ())
     missing = [key for key in required if key not in header]
     if missing:

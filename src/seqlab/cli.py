@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -35,7 +34,7 @@ TASK_COLUMNS = {
 # ``dropout_p``) and has its default's type; a key not in _KEY_TYPES is a string.
 _HYPER_FIELDS = {f.name.removesuffix("_p"): f for f in dataclasses.fields(trainer.HyperParams)}
 _KEY_TYPES = {key: type(f.default) for key, f in _HYPER_FIELDS.items()}
-_KEY_TYPES |= {"embeddings_lowercase": bool, "gc_tolerance": float, "gc_eps": float}
+_KEY_TYPES["embeddings_lowercase"] = bool
 # The keys each command reads; a train of one model reads fewer (``RunConfig.load``).
 COMMAND_KEYS = {
     "train": (
@@ -46,7 +45,7 @@ COMMAND_KEYS = {
     "predict": ("task", "model_in", "input", "output"),
     "eval": ("task", "scheme", "gold", "predictions"),
     "compare": ("task", "scheme", "model_a", "model_b", "input", "compare_out"),
-    "gradcheck": ("mode", "seed", "gc_tolerance", "gc_eps"),
+    "gradcheck": ("mode", "seed"),
 }
 KNOWN_KEYS = frozenset(chain.from_iterable(COMMAND_KEYS.values()))
 
@@ -90,8 +89,8 @@ class RunConfig:
             raise ConfigError(f"language must be {' or '.join(LANGUAGES)}")
         if config.mode not in crf.MODES:
             raise ConfigError(f"mode must be one of {crf.MODES}")
-        # only NER reads scheme; a train reads the tables, lexicons and sizes of its model
-        unread = set() if config.task == "NER" else {"scheme"}
+        # a train reads the tables, lexicons and sizes of its model
+        unread = set() if config.reads_scheme else {"scheme"}
         what = f"task {config.task}"
         if command == "train":
             tables, lexicons, fields = trainer.model_inputs(config.mode, config.task, config.language)
@@ -120,6 +119,11 @@ class RunConfig:
                 except ValueError:
                     raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
         return config
+
+    @property
+    def reads_scheme(self) -> bool:
+        """Only NER reads a tag scheme: SEG counts BIES words, POS tokens."""
+        return self.task == "NER"
 
     def get(self, key, default=None):
         return self.values.get(key, default)
@@ -221,8 +225,10 @@ def cmd_train(config: RunConfig) -> int:
     best, report = trainer.train(
         model, train_sents, dev_sents, hypers, config.task, config.scheme
     )
-    meta = {"task": config.task, "language": config.language, "scheme": config.scheme}
-    checkpoint.save_model(config.path("model_out"), best, meta | {"hypers": dataclasses.asdict(hypers)})
+    meta = {"task": config.task, "language": config.language, "hypers": dataclasses.asdict(hypers)}
+    if config.reads_scheme:
+        meta["scheme"] = config.scheme
+    checkpoint.save_model(config.path("model_out"), best, meta)
     if config.path("report_summary") is not None:
         report.write_summary(config.path("report_summary"))
     if config.path("report_log") is not None:
@@ -297,19 +303,12 @@ def cmd_compare(config: RunConfig) -> int:
 
 
 def cmd_gradcheck(config: RunConfig) -> int:
-    tolerance = config.get("gc_tolerance", 1e-4)
-    eps = config.get("gc_eps", 1e-4)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ConfigError(f"gc_eps must be finite and positive, got {eps}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ConfigError(f"gc_tolerance must be finite and non-negative, got {tolerance}")
-    seed = config.get("seed", 1)
-    model, sentence = trainer.make_gradcheck_instance(config.mode, seed=seed)
-    report = trainer.gradient_check(model, sentence, tolerance=tolerance, eps=eps)
+    model, sentence = trainer.make_gradcheck_instance(config.mode, seed=config.get("seed", 1))
+    report = trainer.gradient_check(model, sentence)
     record = {
         "command": "gradcheck",
         "mode": config.mode,
-        "tolerance": tolerance,
+        "tolerance": report.tolerance,
         "skipped": report.skipped,
         "score_gap": report.score_gap,
         "max_rel_err": {k: v for k, v in sorted(report.max_rel_err.items())},

@@ -62,6 +62,9 @@ from .encoder import BiLSTMParams, backward as encoder_backward, encode
 from .features import TemplateSet
 
 MODES = ("discrete", "neural", "joint")
+# the modes whose models score template features, and those whose models run the BiLSTM
+DISCRETE_MODES = ("discrete", "joint")
+NEURAL_MODES = ("neural", "joint")
 
 BRUTE_FORCE_LIMIT = 1_000_000
 
@@ -248,11 +251,11 @@ class ModelParams:
 
     @property
     def uses_discrete(self):
-        return self.mode in ("discrete", "joint")
+        return self.mode in DISCRETE_MODES
 
     @property
     def uses_neural(self):
-        return self.mode in ("neural", "joint")
+        return self.mode in NEURAL_MODES
 
     @property
     def task(self) -> str:  # the task of its templates, else of its composer
@@ -311,14 +314,14 @@ class ModelParams:
         """
         L = len(labels)
         params = cls(mode=mode, labels=labels, dropout_p=dropout_p)
-        if mode in ("discrete", "joint"):
+        if params.uses_discrete:
             if templates is None or out_alphabet is None:
                 raise ValueError(f"{mode} mode needs templates and an output alphabet")
             params.templates = templates
             params.out_alphabet = out_alphabet
             params.theta_out = np.zeros((out_alphabet.size, L))
             params.theta_edge = np.zeros((L + 1, L))
-        if mode in ("neural", "joint"):
+        if params.uses_neural:
             if composer is None:
                 raise ValueError(f"{mode} mode needs an input composer")
             params.composer = composer

@@ -64,7 +64,6 @@ class HyperParams:
     l2: float = 1e-8
     epochs: int = 30
     seed: int = 1
-    shuffle: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.dropout_p < 1.0:
@@ -146,11 +145,11 @@ def model_inputs(mode: str, task: str, language: str) -> tuple[tuple, tuple, tup
     """What a (mode, task, language) model reads: the embedding tables it composes,
     the lexicons its templates read and the ``HyperParams`` fields its ``train``
     reads.  ``build_model`` refuses other inputs, and the command line other keys."""
-    tables = InputComposer.REQUIRED[task] if mode in ("neural", "joint") else ()
-    kinds = TemplateSet(task, language).kinds if mode in ("discrete", "joint") else ()
+    tables = InputComposer.REQUIRED[task] if mode in crf.NEURAL_MODES else ()
+    kinds = TemplateSet(task, language).kinds if mode in crf.DISCRETE_MODES else ()
     names = {kind if isinstance(kind, str) else kind[0] for kind in kinds}
     lexicons = tuple(name for name in ("cluster", "radical") if name in names)
-    fields = ("eta", "l2", "epochs", "seed", "shuffle")
+    fields = ("eta", "l2", "epochs", "seed")
     if tables:
         sized = dict.fromkeys(f for key in tables for f in TABLE_FIELDS[key] if f)
         fields += ("dropout_p", "word_hidden", *sized)
@@ -222,7 +221,7 @@ def build_model(
         if key not in composed:
             raise ValueError(f"{key}_embeddings: a {mode} {task} model composes no {key} embedding table")
     templates = out_alpha = train_ids = composer = None
-    if mode in ("discrete", "joint"):
+    if mode in crf.DISCRETE_MODES:
         templates = TemplateSet(
             task,
             language,
@@ -328,11 +327,11 @@ def train(
 ) -> tuple[crf.ModelParams, TrainReport]:
     """Run the online margin trainer; returns the best-dev snapshot.
 
-    Reads only ``eta``, ``l2``, ``epochs``, ``seed`` and ``shuffle`` from
-    ``hypers``: ``build_model`` fixed the dropout, the sizes and the
-    fine-tuning flags, so a different ``dropout_p`` here is ignored.  Takes
-    the training ids ``build_model`` left on ``model``, if any.  ``task``
-    must be the one the model was built for.
+    Reads only ``eta``, ``l2``, ``epochs`` and ``seed`` from ``hypers``:
+    ``build_model`` fixed the dropout, the sizes and the fine-tuning flags,
+    so a different ``dropout_p`` here is ignored.  Takes the training ids
+    ``build_model`` left on ``model``, if any.  ``task`` must be the one
+    the model was built for.
     """
     handoff, model._train_ids = model._train_ids or {}, None
     if not train_sentences or not dev_sentences:
@@ -365,12 +364,8 @@ def train(
     started = time.perf_counter()
 
     for epoch in range(hypers.epochs):
-        if hypers.shuffle:
-            order = shuffle_rng.permutation(len(train_sentences))
-        else:
-            order = np.arange(len(train_sentences))
         total_loss = 0.0
-        for k in order:
+        for k in shuffle_rng.permutation(len(train_sentences)):
             sent = train_sentences[k]
             gold = gold_indices[k]
             fp = crf.build_forward(model, sent, train=True, rng=dropout_rng, ids=train_ids[k])
@@ -435,6 +430,7 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
 
 
 GRADCHECK_MASK_SEED = 0
+GRADCHECK_EPS = GRADCHECK_TOLERANCE = 1e-4  # central-difference step; pooled relative error bound
 TIE_GAP = 1e-6
 
 
@@ -496,14 +492,9 @@ def _gradcheck_class(name: str) -> str:
     return name
 
 
-def gradient_check(
-    model: crf.ModelParams,
-    sentence: Sentence,
-    *,
-    tolerance: float = 1e-4,
-    eps: float = 1e-4,
-) -> GradientCheckReport:
-    """Compare analytic subgradients with central finite differences.
+def gradient_check(model: crf.ModelParams, sentence: Sentence) -> GradientCheckReport:
+    """Compare analytic subgradients with central finite differences of step
+    ``GRADCHECK_EPS``; a class passes below ``GRADCHECK_TOLERANCE``.
 
     Runs with a fixed dropout mask so the loss is a deterministic function
     of the parameters.  Points where the cost-augmented argmax is not unique
@@ -511,10 +502,6 @@ def gradient_check(
     the loss is non-differentiable there.  Each perturbed entry is put back,
     even when a forward pass raises.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not (math.isfinite(tolerance) and tolerance >= 0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance}")
     model.validate()
     if sentence.gold_labels is None:
         raise ValueError("gradient check needs a labeled sentence")
@@ -530,7 +517,7 @@ def gradient_check(
         return loss, fp, result
 
     loss0, fp0, result0 = forward()
-    report = GradientCheckReport(tolerance=tolerance)
+    report = GradientCheckReport(tolerance=GRADCHECK_TOLERANCE)
 
     report.score_gap = _score_gap(fp0.lattice, gold)
     if report.score_gap < TIE_GAP:
@@ -542,13 +529,13 @@ def gradient_check(
     def fd_for(array, index):
         orig = array[index]
         try:
-            array[index] = orig + eps
+            array[index] = orig + GRADCHECK_EPS
             lp, _, _ = forward()
-            array[index] = orig - eps
+            array[index] = orig - GRADCHECK_EPS
             lm, _, _ = forward()
         finally:
             array[index] = orig
-        return (lp - lm) / (2 * eps)
+        return (lp - lm) / (2 * GRADCHECK_EPS)
 
     pooled: dict[str, _ClassError] = {}
     for name, array in model.named_arrays():

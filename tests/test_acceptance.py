@@ -67,9 +67,9 @@ def test_criterion_3_gradient_fidelity():
     started = time.perf_counter()
     model, sentence = trainer.make_gradcheck_instance("joint", seed=1)
     assert model.lstm.hidden == 4 and len(model.labels) == 3 and len(sentence) == 3
-    report = trainer.gradient_check(model, sentence, tolerance=1e-4)
+    report = trainer.gradient_check(model, sentence)
     elapsed = time.perf_counter() - started
-    assert not report.skipped
+    assert report.tolerance == 1e-4 and not report.skipped
     expected_classes = {
         "theta_out", "theta_edge", "theta_dense", "tau", "tau_weight",
         "lstm_weights", "lstm_biases", "embeddings",

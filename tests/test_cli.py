@@ -1,9 +1,11 @@
+import dataclasses
 import functools
 import hashlib
 import json
 import logging
 import math
 import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -80,16 +82,16 @@ class TestConfig:
             cli.RunConfig.load("train", None, ["no_such_key=1"])
 
     def test_bad_value_types(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(cli.ConfigError, match="^epochs must be int, got 'three'$"):
             cli.RunConfig.load("train", None, ["epochs=three"])
-        with pytest.raises(cli.ConfigError):
-            cli.RunConfig.load("train", None, ["shuffle=maybe"])
+        with pytest.raises(cli.ConfigError, match="^fine_tune_words must be a boolean, got 'maybe'$"):
+            cli.RunConfig.load("train", None, ["mode=neural", "task=POS", "fine_tune_words=maybe"])
 
-    @pytest.mark.parametrize("item,key", [("seed=x", "seed"), ("gc_eps=fast", "gc_eps")])
+    @pytest.mark.parametrize("item,key", [("seed=x", "seed"), ("eta=fast", "eta")])
     def test_bad_number_names_its_key(self, item, key, capsys):
-        assert run_cli(["gradcheck", "--set", item]) == 2
+        assert run_cli(["train", "--set", item]) == 2
         err = capsys.readouterr().err
-        assert key in err and "invalid literal" not in err
+        assert err.startswith(f"error: {key} must be ") and "invalid literal" not in err
 
     def test_repeated_key_in_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -120,11 +122,16 @@ class TestConfig:
     def test_every_hyperparameter_key_reaches_hypers(self):
         overrides = ["dropout=0.5", "word_hidden=8", "char_emb=3", "word_emb=4", "pos_emb=2",
                      "fine_tune_words=false", "fine_tune_chars=false", "eta=0.5", "l2=0.25",
-                     "epochs=7", "seed=11", "shuffle=false"]
+                     "epochs=7", "seed=11"]
         h = cli.RunConfig.load("train", None, ["mode=joint", "task=NER", *overrides]).hypers()
         assert h == HyperParams(dropout_p=0.5, word_hidden=8, char_emb=3, word_emb=4, pos_emb=2,
                                 fine_tune_words=False, fine_tune_chars=False, eta=0.5, l2=0.25,
-                                epochs=7, seed=11, shuffle=False)
+                                epochs=7, seed=11)
+
+    def test_shuffle_is_an_unknown_key(self):
+        # training always visits the corpus in a fresh shuffled order each epoch
+        with pytest.raises(cli.ConfigError, match=r"^unknown config keys: \['shuffle'\]$"):
+            cli.RunConfig.load("train", None, ["shuffle=false"])
 
     def test_char_hidden_is_an_unknown_key(self):
         with pytest.raises(cli.ConfigError, match="unknown config keys"):
@@ -267,6 +274,25 @@ class TestConfig:
         assert run_cli(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["train", "--set", "epochs"], "override 'epochs' is not of the form key=value"),
+            (["train", "--set", "task=CHUNK"], "task must be one of ['NER', 'POS', 'SEG']"),
+            (["train", "--set", "language=FR"], "language must be EN or ZH"),
+            (["gradcheck", "--set", "mode=crf"], "mode must be one of ('discrete', 'neural', 'joint')"),
+            (["eval", "--set", "task=NER", "--set", "scheme=IOB"], "scheme must be BIO or BIOES"),
+            (["train", "--config", "missing.cfg"], "config file missing.cfg does not exist"),
+        ],
+        ids=["override_without_equals", "task", "language", "mode", "scheme", "missing_config"],
+    )
+    def test_a_bad_setting_exits_2_naming_it(self, args, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(args) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {message}\n" and out.out == ""
+        assert not list(tmp_path.iterdir())
+
 
 class TestTrainCommand:
     def test_invalid_utf8_corpus_exits_2_naming_file_and_line(self, pos_setup, capsys):
@@ -308,6 +334,34 @@ class TestTrainCommand:
         )
         assert status == 2
         assert not model_out.exists()
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_an_empty_corpus_exits_2(self, pos_setup, capsys, empty):
+        tmp_path, *paths, _ = pos_setup
+        corpora = dict(zip(["train", "dev"], paths))
+        corpora[empty] = tmp_path / "empty.col"
+        corpora[empty].write_text("", encoding="utf-8")
+        model_out = tmp_path / "m.bin"
+        args = [f"{key}={path}" for key, path in corpora.items()] + [f"model_out={model_out}"]
+        assert run_cli(["train", *TRAIN_ARGS, *chain.from_iterable(("--set", a) for a in args)]) == 2
+        assert capsys.readouterr().err == "error: train and dev corpora must be non-empty\n"
+        assert not model_out.exists()
+
+    def test_report_log_has_a_line_per_epoch_and_the_best_one(self, pos_setup):
+        tmp_path, train, dev, _ = pos_setup
+        summary, log_path = tmp_path / "summary.tsv", tmp_path / "train.log"
+        assert run_cli(
+            ["train", *TRAIN_ARGS, "--set", f"train={train}", "--set", f"dev={dev}",
+             "--set", f"model_out={tmp_path / 'm.bin'}", "--set", f"report_summary={summary}",
+             "--set", f"report_log={log_path}"]
+        ) == 0
+        metrics = [float(line.split("\t")[2]) for line in summary.read_text().splitlines()]
+        *epochs, best, wall = log_path.read_text(encoding="utf-8").splitlines()
+        assert len(epochs) == len(metrics) == 4
+        for k, (line, metric) in enumerate(zip(epochs, metrics)):
+            assert re.fullmatch(rf"epoch {k}: mean_loss=\S+ dev_metric={metric:.6f} param_norm=\S+", line)
+        assert best == f"best epoch: {metrics.index(max(metrics))}"
+        assert re.fullmatch(r"wall clock: \d+\.\d\ds", wall)
 
     @pytest.mark.parametrize(
         "task,mode,key,content",
@@ -591,6 +645,20 @@ class TestPredictCommand:
         ) == 0
         assert out.read_text() == ""
 
+    def test_input_of_another_column_count_exits_2(self, pos_setup, tmp_path, capsys):
+        _, _, _, sents = pos_setup
+        model_in = tmp_path / "m.bin"
+        checkpoint.save_model(model_in, trainer.build_model("discrete", "POS", "EN", sents, HyperParams()), {})
+        wide = tmp_path / "wide.col"
+        write_column_corpus(wide, NER_SENTS, ("token", "aux", "label"))
+        out = tmp_path / "pred.col"
+        assert run_cli(
+            ["predict", "--set", "task=POS", "--set", f"model_in={model_in}",
+             "--set", f"input={wide}", "--set", f"output={out}"]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {wide}: cannot map 3 columns onto task POS\n"
+        assert not out.exists()
+
     def test_task_mismatch_rejected(self, pos_setup, capsys):
         tmp_path, train, model_out, _ = self.train_once(pos_setup)
         out = tmp_path / "pred.col"
@@ -752,6 +820,24 @@ class TestCheckpointMeta:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "task,settings,scheme",
+        [("SEG", [], None), ("POS", [], None), ("NER", [], "BIO"), ("NER", ["--set", "scheme=BIOES"], "BIOES")],
+        ids=["SEG", "POS", "NER", "NER-BIOES"],
+    )
+    def test_train_writes_the_scheme_for_NER_only(self, tmp_path, task, settings, scheme):
+        path = tmp_path / "data.col"
+        write_column_corpus(path, NER_SENTS if task == "NER" else SEG_SENTS, cli.TASK_COLUMNS[task])
+        model_out = tmp_path / "m.bin"
+        assert run_cli(
+            ["train", "--set", f"task={task}", "--set", "epochs=1", *settings,
+             "--set", f"train={path}", "--set", f"dev={path}", "--set", f"model_out={model_out}"]
+        ) == 0
+        _, meta = checkpoint.load_model(model_out)
+        assert meta.get("scheme") == scheme
+        assert set(meta) == {"task", "language", "hypers"} | ({"scheme"} if scheme else set())
+        assert meta["hypers"] == dataclasses.asdict(HyperParams(epochs=1))
+
     @pytest.mark.parametrize("mode", crf.MODES)
     def test_a_meta_without_task_loads_by_the_models_task(self, tmp_path, mode):
         model = untrained_ner(mode)
@@ -796,9 +882,10 @@ class TestGradcheckCommand:
          "gc_tolerance=-1", "gc_tolerance=nan", "gc_tolerance=inf"],
     )
     def test_bad_step_or_tolerance_exits_2(self, item, capsys):
+        # the step and the tolerance are fixed at 1e-4: no value of either key is read
         assert run_cli(["gradcheck", "--set", "mode=neural", "--set", item]) == 2
         out = capsys.readouterr()
-        assert f"error: {item.partition('=')[0]} must be finite" in out.err
+        assert out.err == f"error: unknown config keys: ['{item.partition('=')[0]}']\n"
         assert out.out == ""
 
 

@@ -235,6 +235,13 @@ class TestMetricRecord:
         record = metric_record("NER", "BIO", sents, [["O"]])
         assert "no_predictions" in record["flags"]
 
+    def test_zero_gold_spans_flagged(self):
+        sents = [Sentence(tokens=["a", "b"], gold_labels=["O", "O"])]
+        record = metric_record("NER", "BIO", sents, [["B-PER", "O"]])
+        assert (record["flags"], record["recall"], record["f1"]) == (["no_gold_spans"], 0.0, 0.0)
+        record = metric_record("NER", "BIO", sents, [["O", "O"]])
+        assert record["flags"] == ["no_predictions", "no_gold_spans"]
+
     def test_json_round_trip(self):
         sents = [Sentence(tokens=["a"], gold_labels=["B-PER"])]
         record = metric_record("NER", "BIO", sents, [["B-PER"]])
