@@ -6,7 +6,9 @@ array in manifest order as C-contiguous little-endian float64.  The
 manifest is ``ModelParams.named_arrays()``: loading rebuilds the model from
 the header and fills those arrays in place.  A discrete or joint header
 lists the template contexts in id order: context k owns row k of the
-``(contexts, L)`` ``theta_out``.  Loading a saved model
+``(contexts, L)`` ``theta_out``; loading parses them once into the
+``features.ContextAlphabet`` that prediction looks keys up in, and keeps a
+string no template renders at its id.  Loading a saved model
 reproduces decoding behavior bitwise, and saving the same model twice
 produces identical bytes, which is what the reproducibility tests compare.
 Anything else, down to a stray trailing byte or a NaN weight, is a
@@ -25,7 +27,7 @@ import numpy as np
 from .corpus import Alphabet
 from .crf import DISCRETE_MODES, MODES, NEURAL_MODES, ModelParams
 from .embeddings import EmbeddingTable, InputComposer
-from .features import TemplateSet
+from .features import ContextAlphabet, TemplateSet
 
 MAGIC = b"SQLB"
 FORMAT_VERSION = 2
@@ -158,7 +160,7 @@ def _model_from_header(path, header) -> ModelParams:
                 cluster_lexicon=t["cluster_lexicon"],
                 radical_lexicon=t["radical_lexicon"],
             )
-            out_alphabet = Alphabet.distinct(header["contexts"], "header contexts")
+            out_alphabet = ContextAlphabet(templates, header["contexts"], "header contexts")
         if neural:
             tables = {
                 spec["key"]: EmbeddingTable(

@@ -1,5 +1,5 @@
 """Data model and file IO for labeled token sequences, and ``Alphabet``,
-the one string-to-id map.
+the string-to-id map of labels and embedding symbols.
 
 The on-disk corpus format is the same for every task: UTF-8 text with one
 token per line as ``token<TAB>[aux<TAB>]label``, a blank line closing each
@@ -63,8 +63,9 @@ class Sentence:
 
 
 class Alphabet:
-    """Strings to dense ids in [0, size), in first-appearance order: the one
-    map for labels, template contexts and embedding symbols."""
+    """Strings to dense ids in [0, size), in first-appearance order: the map
+    for labels and embedding symbols (template contexts have
+    ``features.ContextAlphabet``, keyed by the values the templates read)."""
 
     def __init__(self, strings=()):
         # a dict keeps its keys in first-insertion order; built in one
@@ -73,7 +74,7 @@ class Alphabet:
         self._strings: list[str] = list({s: None for s in strings})
         self._index: dict[str, int] = {s: i for i, s in enumerate(self._strings)}
         # get(s, default=None): the id of ``s``, or ``default``; never adds.
-        # The dict's own method saves a frame per template context looked up.
+        # The dict's own method saves a frame per symbol looked up.
         self.get = self._index.get
 
     def __reduce__(self):  # so a copy's ``get`` reads the copy's dict

@@ -59,7 +59,7 @@ import numpy as np
 from .corpus import Alphabet, Sentence
 from .embeddings import InputComposer, bag_sum, members
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
-from .features import TemplateSet
+from .features import ContextAlphabet, TemplateSet
 
 MODES = ("discrete", "neural", "joint")
 # the modes whose models score template features, and those whose models run the BiLSTM
@@ -235,7 +235,7 @@ class ModelParams:
     labels: Alphabet
     dropout_p: float = 0.25
     templates: TemplateSet | None = None
-    out_alphabet: Alphabet | None = None
+    out_alphabet: ContextAlphabet | None = None
     theta_out: np.ndarray | None = None
     theta_edge: np.ndarray | None = None
     composer: InputComposer | None = None
@@ -298,7 +298,7 @@ class ModelParams:
         labels: Alphabet,
         *,
         templates: TemplateSet | None = None,
-        out_alphabet: Alphabet | None = None,
+        out_alphabet: ContextAlphabet | None = None,
         composer: InputComposer | None = None,
         hidden: int = 50,
         rng=None,
@@ -377,13 +377,15 @@ class ForwardPass:
     encoder_output: object | None = None
 
 
-def index_contexts(templates: TemplateSet, index, sent: Sentence) -> tuple[np.ndarray, np.ndarray]:
+def index_contexts(
+    templates: TemplateSet, contexts: ContextAlphabet, sent: Sentence, *, grow: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """The bag of ``sent``'s context ids: an ``(n, groups)`` int32 matrix, one
-    column per template group, -1 where the group skips or ``index``, which
-    maps a context string to its id or to None, leaves it out.  The templates
-    run once per sentence; ``index`` sees the strings position first, then group."""
-    known = (None if c is None else index(c) for row in templates.instantiate(sent) for c in row)
-    ids = np.fromiter((-1 if k is None else k for k in known), np.int32).reshape(len(sent), -1)
+    column per template group, -1 where the group skips or its context is
+    not in ``contexts``, which only ``grow`` adds to (position first, then
+    group).  The templates run once per sentence."""
+    columns = templates.instantiate(sent)
+    ids = (contexts.grow if grow else contexts.find)(columns, len(sent))
     return ids, (ids >= 0).sum(1)
 
 
@@ -393,7 +395,7 @@ def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> Sentence
     never grows, is a -1; ``contexts``, when given, is the bag made elsewhere
     (by ``trainer.build_output_alphabet`` for the training sentences)."""
     if contexts is None and params.uses_discrete:
-        contexts = index_contexts(params.templates, params.out_alphabet.get, sent)
+        contexts = index_contexts(params.templates, params.out_alphabet, sent)
     rows = params.composer.row_ids(sent) if params.uses_neural else None
     return SentenceIds(contexts, rows)
 

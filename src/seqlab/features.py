@@ -5,13 +5,15 @@ compiles each row once into offset groups with finished ``T<row>[<offsets>]=``
 prefixes.  ``token_values`` computes each per-token value the groups read
 once per sentence (character equality, affixes and radicals included),
 padded with the boundary sentinels ``<S>`` / ``</S>``; ``instantiate`` makes
-one pass per group over its offsets' slices of them, appending each value
-to the prefix (multi-part values joined with ``~``).  Only the affix groups
-of one offset share a prefix, one group per affix length, so the strings at
-one position are distinct by construction.  Contexts carry no label: the
+one pass per group over its offsets' slices of them and yields each
+position's key: the value a ``one`` group reads, or the tuple of values a
+``join`` group reads.  A key's context string is the group's prefix plus the
+value (multi-part values joined with ``~``); only the affix groups of one
+offset share a prefix, one group per affix length, so the strings at one
+position are distinct by construction.  Contexts carry no label: the
 discrete scorer crosses each context with every output label by indexing a
 (contexts x labels) weight matrix with the context's id in the model's
-context ``corpus.Alphabet``.
+``ContextAlphabet``, which maps keys to ids without rendering the strings.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import enum
 import logging
 import unicodedata
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import Sentence, open_text, strip_line
 
@@ -290,15 +296,134 @@ class TemplateSet:
             lists.append([head] * PAD + [*values] + [tail] * PAD)
         return lists
 
-    def instantiate(self, sent: Sentence) -> list[tuple]:
-        """``sent``'s unlabeled context strings, one group at a time: a tuple per
-        position of each group's string in table order, None where it skips."""
+    def instantiate(self, sent: Sentence) -> list[list]:
+        """``sent``'s unlabeled context keys, one list per group in table order
+        with each position's key: the value a ``one`` group reads, or the tuple
+        of values a ``join`` group reads.  A None value skips the group there."""
         values, n = self.token_values(sent), len(sent)
         columns = []
-        for how, prefix, reads in self.groups:
+        for how, _, reads in self.groups:
             parts = [values[slot][PAD + off : PAD + off + n] for slot, off in reads]
+            columns.append(parts[0] if how == "one" else list(zip(*parts)))
+        return columns
+
+
+class _Prefix(NamedTuple):
+    """The groups of one ``T<row>[<offsets>]=`` prefix: how they read, how many
+    values a join reads, and the prefix's key-to-id dicts."""
+
+    prefix: str
+    how: str
+    arity: int
+    known: dict
+    fallback: dict
+
+
+class ContextAlphabet:
+    """A model's template contexts as dense ids in [0, size), in
+    first-appearance order, looked up by ``TemplateSet.instantiate``'s keys.
+
+    Each ``T<row>[<offsets>]=`` prefix owns one dict from key to id, which
+    the affix groups of one offset share, so an affix spelled like a
+    sentinel reaches the sentinel's id.  A join key holding a ``~`` renders
+    like other keys (``("", "~")`` and ``("~", "")`` are both ``~~``), so
+    such keys go in the prefix's fallback dict, keyed by their joined
+    values.  The map holds no context string: ``strings`` renders them for
+    the checkpoint, keeping each string the templates cannot render at its
+    id, where no key reaches it.
+    """
+
+    def __init__(self, templates: TemplateSet, strings: Sequence[str] = (), what: str = "contexts"):
+        """The alphabet of ``strings``, in order; a repeat, which would shift
+        later ids, raises ``ValueError``."""
+        prefixes = {}  # keyed without the prefix's "="
+        for how, prefix, reads in templates.groups:
+            prefixes.setdefault(prefix[:-1], _Prefix(prefix, how, len(reads), {}, {}))
+        self._prefixes = list(prefixes.values())
+        self._groups = [prefixes[prefix[:-1]] for _, prefix, _ in templates.groups]
+        self._foreign = {}  # strings no template renders
+        self.size = len(strings)
+        canon = {}.setdefault  # one object per distinct value
+        for k, s in enumerate(strings):
+            head, sep, rest = s.partition("=")
+            p = prefixes.get(head) if sep else None
+            if p is None:
+                table, key = self._foreign, s
+            else:
+                _, how, arity, table, fallback = p
+                if how == "one":
+                    key = canon(rest, rest)
+                else:
+                    split = rest.split("~")
+                    if len(split) == arity:
+                        key = tuple(map(canon, split, split))
+                    elif len(split) > arity:
+                        table, key = fallback, rest
+                    else:
+                        table, key = self._foreign, s
+            if table.setdefault(key, k) != k:
+                raise ValueError(f"{what} has duplicate symbols: {s!r} repeats")
+
+    def __len__(self):
+        return self.size
+
+    def strings(self) -> list[str]:
+        """Every context string in id order."""
+        out = [""] * self.size
+        for s, k in self._foreign.items():
+            out[k] = s
+        for prefix, how, _, known, fallback in self._prefixes:
+            for rest, k in fallback.items():
+                out[k] = prefix + rest
             if how == "one":
-                columns.append([None if v is None else prefix + v for v in parts[0]])
-            else:  # join
-                columns.append([None if None in vs else prefix + "~".join(vs) for vs in zip(*parts)])
-        return list(zip(*columns))
+                for key, k in known.items():
+                    out[k] = prefix + key
+            else:
+                for key, k in known.items():
+                    out[k] = prefix + "~".join(key)
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, ContextAlphabet):
+            return False
+        return self.size == other.size and self.strings() == other.strings()
+
+    def find(self, columns: list[list], n: int) -> np.ndarray:
+        """The ``(n, groups)`` int32 ids of ``instantiate``'s ``columns`` for a
+        sentence of ``n`` tokens, -1 where a group skips or its key is
+        unknown; adds nothing."""
+        groups = self._groups
+        ids = np.fromiter(
+            chain.from_iterable(map(p.known.get, keys, repeat(-1, n)) for p, keys in zip(groups, columns)),
+            np.int32,
+            len(groups) * n,
+        ).reshape(len(groups), n)
+        for p, keys, row in zip(groups, columns, ids):
+            if p.fallback:  # only a join key holding a ``~`` can reach it
+                for j in np.flatnonzero(row < 0).tolist():
+                    if None not in keys[j]:
+                        row[j] = p.fallback.get("~".join(keys[j]), -1)
+        return np.ascontiguousarray(ids.T)
+
+    def grow(self, columns: list[list], n: int) -> np.ndarray:
+        """``find``, adding each unknown key first: position first, then group."""
+        ids, size = self.find(columns, n), self.size
+        misses = np.nonzero(ids < 0)
+        found = []
+        for i, g in zip(*(m.tolist() for m in misses)):
+            key = columns[g][i]
+            _, how, arity, table, fallback = self._groups[g]
+            if key is None or how == "join" and None in key:
+                found.append(-1)
+                continue
+            if how == "join":
+                rest = "~".join(key)
+                if rest.count("~") != arity - 1:
+                    table, key = fallback, rest
+            k = table.setdefault(key, size)
+            if k == size:
+                size += 1
+            found.append(k)
+        ids[misses] = found
+        self.size = size
+        return ids

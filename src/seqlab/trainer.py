@@ -38,7 +38,7 @@ import numpy as np
 from . import crf, evaluator
 from .corpus import Alphabet, Sentence
 from .embeddings import EmbeddingTable, InputComposer, init_random_table, table_symbols
-from .features import TemplateSet
+from .features import ContextAlphabet, TemplateSet
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +175,7 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
     return tables
 
 
-def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[Alphabet, dict]:
+def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[ContextAlphabet, dict]:
     """The alphabet of template contexts seen in the training corpus, and
     each sentence's ``crf.index_contexts`` bag, keyed by sentence.
 
@@ -186,8 +186,8 @@ def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[Alphabet, 
     every context is in the alphabet, so they equal the ``contexts`` of
     ``crf.sentence_ids`` on the finished model, which only reads it.
     """
-    alpha = Alphabet()
-    ids = {sent: crf.index_contexts(templates, alpha.add, sent) for sent in sentences}
+    alpha = ContextAlphabet(templates)
+    ids = {sent: crf.index_contexts(templates, alpha, sent, grow=True) for sent in sentences}
     return alpha, ids
 
 

@@ -51,8 +51,10 @@ def value(templates, kind, sent, j):
     raise AssertionError(kind)
 
 
-def instantiate(templates, sent, i):
-    """Unlabeled context strings at position ``i``, in table order."""
+def instantiate(templates, sent, i, holes=False):
+    """Unlabeled context strings at position ``i``, in table order; with
+    ``holes``, a None stands in for each one a template skips, one per
+    affix length of an affix template."""
     tokens = sent.tokens
     n = len(tokens)
     if not 0 <= i < n:
@@ -63,6 +65,8 @@ def instantiate(templates, sent, i):
     def emit(row, offsets, values):
         if None not in values:
             out.append(f"T{row}[{','.join(map(str, offsets))}]=" + "~".join(values))
+        elif holes:
+            out.append(None)
 
     for row, kind, args in _TABLES[(templates.task, templates.language)]:
         if kind == "char_eq":
@@ -77,12 +81,15 @@ def instantiate(templates, sent, i):
         elif kind in ("prefix", "suffix"):
             for off in args:
                 j = i + off
-                if not 0 <= j < n:
+                if not 0 <= j < n:  # one sentinel, at the first length
                     emit(row, (off,), [value(templates, "word", sent, j)])
+                    for _ in range(affix_len - 1):
+                        emit(row, (off,), [None])
                     continue
                 tok = tokens[j]
-                for length in range(1, min(affix_len, len(tok)) + 1):
-                    emit(row, (off,), [tok[:length] if kind == "prefix" else tok[-length:]])
+                for length in range(1, affix_len + 1):
+                    affix = tok[:length] if kind == "prefix" else tok[-length:]
+                    emit(row, (off,), [affix if length <= len(tok) else None])
         elif kind == "radical":
             tok = tokens[i]
             for k in range(RADICAL_POSITIONS):

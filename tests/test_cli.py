@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import synthetic
 from seqlab import checkpoint, cli, crf, trainer
 from seqlab.corpus import Sentence, read_column_corpus, write_column_corpus
+from seqlab.features import ContextAlphabet
 from seqlab.trainer import HyperParams
 
 
@@ -1222,6 +1223,73 @@ class TestCheckpointHeaderRepeats:
         assert status == 2
         err = capsys.readouterr().err
         assert "bad.bin" in err and f"header {key} has duplicate symbols: {repeat!r} repeats" in err
+
+
+# a POS-EN word bigram context, renderable from ("a~b", "c") and ("a", "b~c")
+EXTRA_SEPARATOR = "T2[-1,0]=a~b~c"
+
+
+class TestCheckpointForeignContexts:
+    """Header contexts that no template renders (no ``=``, an unknown prefix,
+    too few ``~`` for the join) load at their ids, keep their rows and match
+    nothing; one with more ``~`` than the join has parts is reached only by
+    the values that render it."""
+
+    ADDED = [(0, "no equals sign"), (3, "T99[0]=x"), (7, "T2[-1,0]=a"), (9, EXTRA_SEPARATOR)]
+    FOREIGN_IDS = {0, 3, 7}
+
+    @classmethod
+    def saved(cls, path):
+        sents = synthetic.separable_corpus(5, seed=1)
+        built = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        strings = built.out_alphabet.strings()
+        for k, s in cls.ADDED:
+            strings.insert(k, s)
+        model = crf.ModelParams.create(
+            "discrete", built.labels, templates=built.templates,
+            out_alphabet=ContextAlphabet(built.templates, strings),
+        )
+        rng = np.random.default_rng(3)
+        for _, arr in model.named_arrays():
+            arr[...] = rng.normal(size=arr.shape)
+        checkpoint.save_model(path, model, {"task": "POS"})
+        return model
+
+    def test_load_keeps_ids_and_rows_and_saves_the_same_bytes(self, tmp_path):
+        model = self.saved(tmp_path / "a.bin")
+        loaded, _ = checkpoint.load_model(tmp_path / "a.bin")
+        strings = loaded.out_alphabet.strings()
+        assert strings == model.out_alphabet.strings()
+        assert [strings[k] for k, _ in self.ADDED] == [s for _, s in self.ADDED]
+        assert loaded.theta_out.tobytes() == model.theta_out.tobytes()
+        checkpoint.save_model(tmp_path / "b.bin", loaded, {"task": "POS"})
+        assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+
+    def test_foreign_contexts_match_nothing(self, tmp_path):
+        model = self.saved(tmp_path / "a.bin")
+        loaded, _ = checkpoint.load_model(tmp_path / "a.bin")
+        column = [prefix for _, prefix, _ in model.templates.groups].index("T2[-1,0]=")
+        probes = {
+            ("a~b", "c"): 9, ("a", "b~c"): 9, ("a", "b"): -1, ("a~b~c", "x"): -1,
+            ("no", "equals", "sign"): -1, ("x", "a"): -1, ("T99[0]=x", "a"): -1,
+        }
+        for m in (model, loaded):
+            for tokens, extra in probes.items():
+                ids, _ = crf.sentence_ids(m, Sentence(tokens=tokens)).contexts
+                assert not self.FOREIGN_IDS & set(ids.ravel().tolist()), tokens
+                assert ids[1, column] == extra, tokens
+
+    @pytest.mark.parametrize("repeat", ["no equals sign", "T99[0]=x", "T2[-1,0]=a", EXTRA_SEPARATOR])
+    def test_a_repeat_is_refused(self, tmp_path, repeat):
+        self.saved(tmp_path / "a.bin")
+        blob = (tmp_path / "a.bin").read_bytes()
+        header = json.loads(blob[16 : header_end(blob)])
+        header["contexts"].insert(12, repeat)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(with_header(blob, header))
+        with pytest.raises(checkpoint.CheckpointError) as err:
+            checkpoint.load_model(bad)
+        assert f"header contexts has duplicate symbols: {repeat!r} repeats" in str(err.value)
 
 
 class TestCheckpointHeaderTypes:

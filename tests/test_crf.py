@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 import reference_crf
 import synthetic
-from template_grid import contexts_at
+from template_grid import contexts_at, string_ids
 from seqlab import crf, trainer
 from seqlab.corpus import Alphabet, Sentence
 from seqlab.embeddings import EmbeddingTable, InputComposer, UNK
 from seqlab.encoder import backward as encoder_backward
-from seqlab.features import TemplateSet
+from seqlab.features import ContextAlphabet, TemplateSet
 
 
 def random_lattice(rng, n=None, L=None):
@@ -373,7 +373,7 @@ class TestDiscreteLayout:
         t = model.templates
         contexts = {s for sent in sents for s in contexts_at(t, sent, 0)}
         assert model.theta_out.shape == (len(contexts), 2)
-        c = model.out_alphabet.get("T1[0]=a|B")
+        c = string_ids(model.out_alphabet)["T1[0]=a|B"]
         model.theta_out[c, model.labels.to_index("C")] = 1.0
         assert crf.build_lattice(model, sents[0]).emission[0, 0] == 1.0
         assert not np.any(crf.build_lattice(model, sents[1]).emission)
@@ -408,13 +408,14 @@ class TestLossGradients:
         B, E, S = (model.labels.to_index(l) for l in "BES")
         out_cells = cell_dict(model, bundle["theta_out"])
         edge_cells = cell_dict(model, bundle["theta_edge"])
+        index = string_ids(model.out_alphabet)
         for s in contexts_at(model.templates, sent, 1):
-            c = model.out_alphabet.get(s)
+            c = index[s]
             assert out_cells[(c, S)] == 1.0
             assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
         for s in contexts_at(model.templates, sent, 0):
-            assert (model.out_alphabet.get(s), B) not in out_cells
+            assert (index[s], B) not in out_cells
         assert len(out_cells) == 2 * len(contexts_at(model.templates, sent, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
         assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
@@ -496,7 +497,7 @@ class TestContextIds:
         assert ids.dtype == np.int32
         assert ids.shape == (len(sent), len(model.templates.groups))
         for i in range(len(sent)):
-            expected = [model.out_alphabet.get(s) for s in contexts_at(model.templates, sent, i)]
+            expected = [string_ids(model.out_alphabet)[s] for s in contexts_at(model.templates, sent, i)]
             assert counts[i] == len(expected)
             assert ids[i][ids[i] != -1].tolist() == expected
 
@@ -506,7 +507,7 @@ class TestContextIds:
         ids, counts = crf.sentence_ids(model, sent).contexts
         for i in range(len(sent)):
             contexts = contexts_at(model.templates, sent, i)
-            known = [c for c in map(model.out_alphabet.get, contexts) if c is not None]
+            known = [c for c in map(string_ids(model.out_alphabet).get, contexts) if c is not None]
             assert 0 < len(known) < len(contexts)
             assert counts[i] == len(known)
             assert ids[i][ids[i] != -1].tolist() == known
@@ -560,7 +561,7 @@ def loop_emission(model, sent):
     """The discrete emission by a per-position loop over the known contexts."""
     emission = np.zeros((len(sent), len(model.labels)))
     for i in range(len(sent)):
-        found = map(model.out_alphabet.get, contexts_at(model.templates, sent, i))
+        found = map(string_ids(model.out_alphabet).get, contexts_at(model.templates, sent, i))
         emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
     return emission
 
@@ -587,7 +588,7 @@ class TestDiscreteEmission:
 
     def test_alphabet_that_knows_no_context(self):
         model, sents = tiny_discrete_model()
-        alpha = Alphabet(["T0[0]=never"])
+        alpha = ContextAlphabet(model.templates, ["T0[0]=never"])
         model = crf.ModelParams.create(
             "discrete", model.labels, templates=model.templates, out_alphabet=alpha
         )

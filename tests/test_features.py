@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_templates
-from template_grid import contexts_at
-from seqlab import crf, features
+from template_grid import contexts_at, grid, map_entries, string_ids
+from seqlab import checkpoint, crf, features, trainer
 from seqlab.corpus import Alphabet, Sentence
 from seqlab.embeddings import bag_sum, members, pad
 from seqlab.features import (
     LANGUAGES,
     TASKS,
     CharType,
+    ContextAlphabet,
     TemplateSet,
     char_type,
     connect_class,
@@ -99,21 +100,26 @@ class TestConnectAndCapital:
 
 
 class TestFeatureAlphabet:
-    """The context alphabet of a model is an ``Alphabet`` over the contexts."""
+    """The context alphabet of a model is a ``ContextAlphabet`` over the
+    template keys."""
 
     def test_dense_ids(self):
-        alpha = Alphabet()
-        ids = [alpha.add(s) for s in ("a", "b", "a", "c")]
-        assert ids == [0, 1, 0, 2]
-        assert alpha.size == 3
+        t = TemplateSet("SEG", "ZH")
+        sent = Sentence(tokens=list("中中国中"))
+        alpha = ContextAlphabet(t)
+        ids, _ = crf.index_contexts(t, alpha, sent, grow=True)
+        assert sorted(set(ids.ravel().tolist())) == list(range(alpha.size))
+        first_seen = dict.fromkeys(c for i in range(len(sent)) for c in contexts_at(t, sent, i))
+        assert alpha.strings() == list(first_seen) and alpha.size == len(alpha) == len(first_seen)
 
     def test_get_never_grows(self):
-        alpha = Alphabet()
-        alpha.add("a")
-        assert alpha.get("a") == 0
-        assert alpha.get("b") is None and alpha.get("b", -1) == -1
-        assert "b" not in alpha and "a" in alpha
-        assert alpha.size == 1
+        t = TemplateSet("SEG", "ZH")
+        alpha = ContextAlphabet(t)
+        crf.index_contexts(t, alpha, Sentence(tokens=list("中国")), grow=True)
+        size, entries = alpha.size, map_entries(alpha)
+        ids, counts = crf.index_contexts(t, alpha, Sentence(tokens=list("日本人")))
+        assert (alpha.size, map_entries(alpha)) == (size, entries)
+        assert np.any(ids == -1) and counts.tolist() == (ids >= 0).sum(1).tolist()
 
 
 class TestSegTemplates:
@@ -226,10 +232,9 @@ class TestExtraction:
 
     def test_frozen_alphabet_never_grows(self):
         t = TemplateSet("SEG", "ZH")
-        alpha = Alphabet(contexts_at(t, Sentence(tokens=list("中国")), 0))
+        alpha = ContextAlphabet(t, contexts_at(t, Sentence(tokens=list("中国")), 0))
         size = alpha.size
-        for s in contexts_at(t, Sentence(tokens=list("日本")), 0):
-            alpha.get(s)
+        crf.index_contexts(t, alpha, Sentence(tokens=list("日本")))
         assert alpha.size == size
 
     def test_contexts_deduped(self):
@@ -245,7 +250,7 @@ class TestExtraction:
             t = TemplateSet(task, language, cluster_lexicon=GOLDEN_CLUSTERS,
                             radical_lexicon=GOLDEN_RADICALS)
             s = Sentence(tokens=tokens, aux_tags=["NN"] * len(tokens) if task == "NER" else None)
-            for row in t.instantiate(s):
+            for row in grid(t, s):
                 feats = [f for f in row if f is not None]
                 assert len(feats) == len(set(feats))
 
@@ -316,10 +321,13 @@ class TestCorpusGoldens:
 # Tokens that read like sentinels, the join separator or a context prefix,
 # beside capitalised, digit, CJK and fullwidth ones.  SEG tokens are single
 # characters.
-WORD_POOL = ("<S>", "</S>", "~", "a~b", "T1[0]=", "EU", "German", "of", "And", "-", "1999",
-             "U.S.", "x", "江泽民", "美国", "二〇〇八年", "Ｚｅｎ", "３月")
+# An affix of "<S>ab", "ab<S>" or "</S>x" reads like an outside offset's
+# sentinel.  Lexicon and tag values include the empty string and ``~``, whose
+# join parts render alike: ("", "~") and ("~", "") are both "~~".
+WORD_POOL = ("<S>", "</S>", "~", "a~b", "=", "T1[0]=", "<S>ab", "ab<S>", "</S>x", "EU", "German",
+             "of", "And", "-", "1999", "U.S.", "x", "江泽民", "美国", "二〇〇八年", "Ｚｅｎ", "３月")
 CHAR_POOL = tuple("~<>S/=中国人年一〇3３ａZx，-")
-LEXICON_VALUES = ("0110", "11", "<S>", "</S>", "~", "氵")
+LEXICON_VALUES = ("0110", "11", "<S>", "</S>", "~", "", "x~y", "氵")
 
 
 def draw_templates(data) -> tuple[TemplateSet, tuple]:
@@ -349,9 +357,9 @@ class TestTokenValues:
         # every position of the grid, one column per group
         t, pool = draw_templates(data)
         sent = draw_sentence(data, pool)
-        grid = t.instantiate(sent)
-        assert len(grid) == len(sent)
-        for i, row in enumerate(grid):
+        rows = grid(t, sent)
+        assert len(rows) == len(sent)
+        for i, row in enumerate(rows):
             assert len(row) == len(t.groups)
             assert [c for c in row if c is not None] == reference_templates.instantiate(t, sent, i)
 
@@ -387,15 +395,16 @@ class TestContextBags:
         sents = [draw_sentence(data, pool) for _ in range(data.draw(st.integers(2, 5), label="sentences"))]
         grown = data.draw(st.integers(1, len(sents) - 1), label="grown")
         seen, unseen = sents[:grown], sents[grown:]
-        alpha = Alphabet()
-        bags = [crf.index_contexts(t, alpha.add, s) for s in seen]
-        bags += [crf.index_contexts(t, alpha.get, s) for s in unseen]
+        alpha = ContextAlphabet(t)
+        bags = [crf.index_contexts(t, alpha, s, grow=True) for s in seen]
+        bags += [crf.index_contexts(t, alpha, s) for s in unseen]
+        index = string_ids(alpha)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         matrix = rng.normal(size=(alpha.size, 3))
         matrix[rng.random(alpha.size) < 0.3] = -0.0
         for sent, (ids, counts) in zip(seen + unseen, bags):
             assert ids.shape == (len(sent), len(t.groups))
-            reference = [[k for k in map(alpha.get, reference_templates.instantiate(t, sent, i)) if k is not None]
+            reference = [[k for k in map(index.get, reference_templates.instantiate(t, sent, i)) if k is not None]
                          for i in range(len(sent))]
             flat = np.array([k for row in reference for k in row], dtype=np.int32)
             in_members, at = members((ids, counts))
@@ -403,6 +412,79 @@ class TestContextBags:
             assert at.tolist() == [i for i, row in enumerate(reference) for _ in row]
             compact = pad(flat, [len(row) for row in reference])
             assert bag_sum(matrix, (ids, counts)).tobytes() == bag_sum(matrix, compact).tobytes()
+
+
+def oracle_bags(t, sents, index, grow):
+    """Each sentence's ``(n, groups)`` int32 ids through the per-offset
+    oracle: its context strings, holes included, looked up in the string
+    dict ``index``, which ``grow`` adds to in order."""
+    def lookup(c):
+        if c is None:
+            return -1
+        return index.setdefault(c, len(index)) if grow else index.get(c, -1)
+
+    return [np.array([[lookup(c) for c in reference_templates.instantiate(t, sent, i, holes=True)]
+                      for i in range(len(sent))], dtype=np.int32).reshape(len(sent), len(t.groups))
+            for sent in sents]
+
+
+def assert_three_paths_agree(t, build, probes, path):
+    """Build a context alphabet from ``build``, then index ``probes`` on the
+    built model, on its checkpoint round trip and through the oracle with a
+    string dict: the alphabets and every bag, holes included, are identical."""
+    alpha, built_bags = trainer.build_output_alphabet(t, build)
+    model = crf.ModelParams.create("discrete", Alphabet(["A"]), templates=t, out_alphabet=alpha)
+    checkpoint.save_model(path, model, {})
+    loaded, _ = checkpoint.load_model(path)
+    index = {}
+    assert alpha.strings() == loaded.out_alphabet.strings()
+    for sent, oracle in zip(build, oracle_bags(t, build, index, grow=True)):
+        ids, counts = built_bags[sent]
+        assert ids.dtype == np.int32 and ids.tobytes() == oracle.tobytes()
+        assert counts.tolist() == (oracle >= 0).sum(1).tolist()
+    assert alpha.strings() == list(index)
+    for sent, oracle in zip(probes, oracle_bags(t, probes, index, grow=False)):
+        for m in (model, loaded):
+            ids, counts = crf.sentence_ids(m, sent).contexts
+            assert ids.dtype == np.int32 and ids.shape == oracle.shape
+            assert ids.tobytes() == oracle.tobytes()
+            assert counts.tolist() == (oracle >= 0).sum(1).tolist()
+
+
+def sentences(task, token_lists, tags=None):
+    return [Sentence(tokens=tokens, aux_tags=tags or ["NN"] * len(tokens) if task == "NER" else None)
+            for tokens in token_lists]
+
+
+class TestContextAlphabet:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_built_loaded_and_string_dict_paths_agree(self, tmp_path_factory, data):
+        t, pool = draw_templates(data)
+        build = [draw_sentence(data, pool) for _ in range(data.draw(st.integers(1, 4), label="built"))]
+        probes = [draw_sentence(data, pool) for _ in range(data.draw(st.integers(1, 4), label="probes"))]
+        assert_three_paths_agree(t, build, probes, tmp_path_factory.getbasetemp() / "contexts.bin")
+
+    @pytest.mark.parametrize(
+        "task,language,clusters,build,probes",
+        [
+            # ("", "~") and ("~", "") render one cluster and one tag bigram
+            ("NER", "EN", {"p": "", "q": "~"}, [["p", "q"]], [["q", "p"], ["p", "p", "q"]]),
+            # "<S>ab"'s 3-character prefix at offset -1 is the offset's head sentinel
+            ("NER", "ZH", {}, [["<S>ab", "x"], ["y"]], [["z"], ["<S>ab", "w"]]),
+            # "</S>x"'s 4-character prefix at offset 1 and "ab<S>"'s suffix at -1
+            ("NER", "EN", {}, [["a", "</S>x"], ["ab<S>", "b"]], [["c"], ["</S>x"]]),
+            # joined characters that hold the separator
+            ("SEG", "ZH", {}, [list("~a~")], [list("a~~a"), list("~~")]),
+        ],
+    )
+    def test_keys_that_render_alike_share_an_id(self, tmp_path, task, language, clusters, build, probes):
+        t = TemplateSet(task, language, cluster_lexicon=clusters)
+        build, probes = sentences(task, build), sentences(task, probes)
+        if clusters:  # the tags collide like the clusters
+            build = [Sentence(tokens=s.tokens, aux_tags=["", "~"][: len(s)]) for s in build]
+            probes = [Sentence(tokens=s.tokens, aux_tags=(["~", ""] * 2)[: len(s)]) for s in probes]
+        assert_three_paths_agree(t, build, probes, tmp_path / "contexts.bin")
 
 
 class TestLexiconLoading:

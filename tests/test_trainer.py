@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import synthetic
+from template_grid import map_entries
 from seqlab import checkpoint, crf, trainer
 from seqlab.corpus import Sentence
 from seqlab.embeddings import init_random_table
@@ -594,6 +595,36 @@ class TestBuildModel:
         unseen = Sentence(tokens=["brandnew"], gold_labels=["A"])
         crf.build_lattice(model, unseen)
         assert model.out_alphabet.size == size
+
+    def test_lookups_never_grow_the_built_or_loaded_map(self, tmp_path):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        checkpoint.save_model(tmp_path / "m.bin", model, {})
+        loaded, _ = checkpoint.load_model(tmp_path / "m.bin")
+        assert map_entries(loaded.out_alphabet) == map_entries(model.out_alphabet) == model.out_alphabet.size
+        unseen = synthetic.separable_corpus(6, seed=9) + [
+            Sentence(tokens=["~", "a~b", "<S>ab", "brandnew", "</S>"]),
+            Sentence(tokens=["zzzzzz"] * 7),
+        ]
+        for m in (model, loaded):
+            size, entries = m.out_alphabet.size, map_entries(m.out_alphabet)
+            for sent in unseen:
+                crf.sentence_ids(m, sent)
+            trainer.predict_labels(m, unseen)
+            assert (m.out_alphabet.size, map_entries(m.out_alphabet)) == (size, entries)
+
+    def test_clone_shares_the_map_and_nothing_else_sees_it(self, tmp_path):
+        sents = synthetic.separable_corpus(5, seed=1)
+        model = trainer.build_model("discrete", "POS", "EN", sents, HyperParams())
+        assert trainer.clone_model(model).out_alphabet is model.out_alphabet
+        assert [name for name, _ in model.named_arrays()] == ["theta_out", "theta_edge"]
+        checkpoint.save_model(tmp_path / "built.bin", model, {})
+        loaded, _ = checkpoint.load_model(tmp_path / "built.bin")
+        # the loaded map holds other key objects than the built one
+        assert loaded.out_alphabet is not model.out_alphabet
+        assert loaded.out_alphabet == model.out_alphabet
+        checkpoint.save_model(tmp_path / "loaded.bin", loaded, {})
+        assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
