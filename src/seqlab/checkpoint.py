@@ -7,8 +7,8 @@ manifest is ``ModelParams.named_arrays()``: loading rebuilds the model from
 the header and fills those arrays in place.  A discrete or joint header
 lists the template contexts in id order: context k owns row k of the
 ``(contexts, L)`` ``theta_out``; loading parses them once into the
-``features.ContextAlphabet`` that prediction looks keys up in, and keeps a
-string no template renders at its id.  Loading a saved model
+``features.ContextAlphabet`` that prediction looks keys up in, and refuses
+a string no template renders.  Loading a saved model
 reproduces decoding behavior bitwise, and saving the same model twice
 produces identical bytes, which is what the reproducibility tests compare.
 Anything else, down to a stray trailing byte or a NaN weight, is a
@@ -76,7 +76,6 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
                 "key": key,
                 "name": t.name,
                 "dim": t.dim,
-                "fine_tune": t.fine_tune,
                 "lowercase": t.lowercase,
                 "symbols": t.symbols.strings(),
             }
@@ -168,7 +167,6 @@ def _model_from_header(path, header) -> ModelParams:
                     spec["dim"],
                     spec["symbols"],
                     np.zeros((len(spec["symbols"]), spec["dim"])),
-                    fine_tune=spec["fine_tune"],
                     lowercase=spec["lowercase"],
                 )
                 for spec in header["tables"]
@@ -227,8 +225,7 @@ def _check_value_types(path, header, discrete, neural) -> None:
         for k, spec in enumerate(tables):
             need(isinstance(spec, dict), f"tables[{k}]", "an object")
             need(_is_strings(spec.get("symbols")), f"tables[{k}].symbols", "a list of strings")
-            for key in ("fine_tune", "lowercase"):
-                need(isinstance(spec.get(key), bool), f"tables[{k}].{key}", "a boolean")
+            need(isinstance(spec.get("lowercase"), bool), f"tables[{k}].lowercase", "a boolean")
         task, tasks = header["composer_task"], sorted(InputComposer.REQUIRED)
         need(task in tasks, "composer_task", f"one of {tasks}")
         keys, required = [spec.get("key") for spec in tables], list(InputComposer.REQUIRED[task])

@@ -196,11 +196,11 @@ def _load_tables(config: RunConfig, hypers: trainer.HyperParams):
     """Every pretrained table the config names by ``<key>_embeddings``, each
     one the model composes (``RunConfig.load`` refused any other)."""
     tables = {}
-    for key, (dim, fine_tune) in trainer.table_specs(hypers).items():
+    for key, size in trainer.TABLE_FIELDS.items():
         p = config.path(f"{key}_embeddings")
         if p is not None:
             lowercase = key == "word" and config.get("embeddings_lowercase", False)
-            tables[key] = load_text_embeddings(p, dim, name=key, fine_tune=fine_tune, lowercase=lowercase)
+            tables[key] = load_text_embeddings(p, getattr(hypers, size), name=key, lowercase=lowercase)
     return tables
 
 

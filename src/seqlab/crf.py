@@ -227,9 +227,13 @@ def brute_force_log_partition(lattice: ScoreLattice) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
-    """Everything trainable, plus the alphabets that give the weights meaning."""
+    """Everything trainable, plus the alphabets that give the weights meaning.
+
+    Models compare by identity; compare their ``named_arrays()`` or their
+    checkpoint bytes instead.
+    """
 
     mode: str
     labels: Alphabet
@@ -336,12 +340,12 @@ class ModelParams:
         params.validate()
         return params
 
-    def named_arrays(self, trainable_only: bool = False):
+    def named_arrays(self):
         """Yield ``(name, array)`` for every stored parameter array.
 
-        This order is the checkpoint's manifest order.  ``trainable_only``
-        leaves out embedding tables whose fine-tuning is off: they are
-        saved, but neither updated nor counted in the parameter norm.
+        This order is the checkpoint's manifest order.  Every array,
+        embedding tables included, is what AdaGrad steps, the parameter
+        norm counts and the gradient check perturbs.
         """
         if self.uses_discrete:
             yield "theta_out", self.theta_out
@@ -352,9 +356,7 @@ class ModelParams:
             yield "theta_dense", self.theta_dense
             yield "tau", self.tau
             for key in self.composer.table_order():
-                table = self.composer.tables[key]
-                if table.fine_tune or not trainable_only:
-                    yield f"emb.{key}", table.matrix
+                yield f"emb.{key}", self.composer.tables[key].matrix
         if self.mode == "joint":
             yield "tau_weight", self.tau_weight
 

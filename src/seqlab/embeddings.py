@@ -78,12 +78,11 @@ def members(bag) -> tuple[np.ndarray, np.ndarray]:
 
 
 class EmbeddingTable:
-    def __init__(self, name, dim, symbols, matrix, fine_tune=True, lowercase=False):
+    def __init__(self, name, dim, symbols, matrix, lowercase=False):
         self.name = name
         self.dim = int(dim)
         self.symbols = Alphabet.distinct(symbols, f"table {name!r}")
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-        self.fine_tune = bool(fine_tune)
         self.lowercase = bool(lowercase)
         if self.matrix.shape != (len(self.symbols), self.dim):
             raise ValueError(
@@ -98,7 +97,7 @@ class EmbeddingTable:
         return len(self.symbols)
 
 
-def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> EmbeddingTable:
+def init_random_table(vocab, dim, seed, *, name="table") -> EmbeddingTable:
     """Fresh table with entries uniform in [-0.01, 0.01]; deterministic in ``seed``."""
     if dim <= 0:
         raise ValueError("dim must be positive")
@@ -106,12 +105,10 @@ def init_random_table(vocab, dim, seed, *, name="table", fine_tune=True) -> Embe
     symbols.add(UNK)
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(len(symbols), dim))
-    return EmbeddingTable(name, dim, symbols.strings(), matrix, fine_tune=fine_tune)
+    return EmbeddingTable(name, dim, symbols.strings(), matrix)
 
 
-def load_text_embeddings(
-    path, dim_expected, *, name="table", fine_tune=True, lowercase=False
-) -> EmbeddingTable:
+def load_text_embeddings(path, dim_expected, *, name="table", lowercase=False) -> EmbeddingTable:
     """Load a text-format embedding file.
 
     A first line consisting of exactly two integers is taken as a
@@ -177,9 +174,7 @@ def load_text_embeddings(
         symbols.add(UNK)
         rows.append(np.random.default_rng(0).uniform(-INIT_SCALE, INIT_SCALE, size=dim_expected))
     matrix = np.vstack(rows)
-    return EmbeddingTable(
-        name, dim_expected, symbols.strings(), matrix, fine_tune=fine_tune, lowercase=lowercase
-    )
+    return EmbeddingTable(name, dim_expected, symbols.strings(), matrix, lowercase=lowercase)
 
 
 def table_symbols(task: str, sent: Sentence) -> dict:

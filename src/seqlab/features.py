@@ -329,38 +329,36 @@ class ContextAlphabet:
     like other keys (``("", "~")`` and ``("~", "")`` are both ``~~``), so
     such keys go in the prefix's fallback dict, keyed by their joined
     values.  The map holds no context string: ``strings`` renders them for
-    the checkpoint, keeping each string the templates cannot render at its
-    id, where no key reaches it.
+    the checkpoint.
     """
 
     def __init__(self, templates: TemplateSet, strings: Sequence[str] = (), what: str = "contexts"):
-        """The alphabet of ``strings``, in order; a repeat, which would shift
-        later ids, raises ``ValueError``."""
+        """The alphabet of ``strings``, in order.  A repeat, which would shift
+        later ids, and a string no template renders, which no key would
+        reach, raise ``ValueError``."""
         prefixes = {}  # keyed without the prefix's "="
         for how, prefix, reads in templates.groups:
             prefixes.setdefault(prefix[:-1], _Prefix(prefix, how, len(reads), {}, {}))
         self._prefixes = list(prefixes.values())
         self._groups = [prefixes[prefix[:-1]] for _, prefix, _ in templates.groups]
-        self._foreign = {}  # strings no template renders
         self.size = len(strings)
         canon = {}.setdefault  # one object per distinct value
         for k, s in enumerate(strings):
             head, sep, rest = s.partition("=")
             p = prefixes.get(head) if sep else None
             if p is None:
-                table, key = self._foreign, s
+                raise ValueError(f"{what}: no template renders {s!r}")
+            _, how, arity, table, fallback = p
+            if how == "one":
+                key = canon(rest, rest)
             else:
-                _, how, arity, table, fallback = p
-                if how == "one":
-                    key = canon(rest, rest)
+                split = rest.split("~")
+                if len(split) == arity:
+                    key = tuple(map(canon, split, split))
+                elif len(split) > arity:
+                    table, key = fallback, rest
                 else:
-                    split = rest.split("~")
-                    if len(split) == arity:
-                        key = tuple(map(canon, split, split))
-                    elif len(split) > arity:
-                        table, key = fallback, rest
-                    else:
-                        table, key = self._foreign, s
+                    raise ValueError(f"{what}: no template renders {s!r}")
             if table.setdefault(key, k) != k:
                 raise ValueError(f"{what} has duplicate symbols: {s!r} repeats")
 
@@ -370,8 +368,6 @@ class ContextAlphabet:
     def strings(self) -> list[str]:
         """Every context string in id order."""
         out = [""] * self.size
-        for s, k in self._foreign.items():
-            out[k] = s
         for prefix, how, _, known, fallback in self._prefixes:
             for rest, k in fallback.items():
                 out[k] = prefix + rest

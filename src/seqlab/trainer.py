@@ -58,8 +58,6 @@ class HyperParams:
     char_emb: int = 30
     word_emb: int = 50
     pos_emb: int = 20
-    fine_tune_words: bool = True
-    fine_tune_chars: bool = True
     eta: float = 0.01
     l2: float = 1e-8
     epochs: int = 30
@@ -94,13 +92,13 @@ def adagrad_step(param, grad, accum, eta, l2, name="the parameter"):
 
 
 def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: dict, eta, l2):
-    """One AdaGrad step for every trainable array that has a gradient.
+    """One AdaGrad step for every array that has a gradient.
 
     ``state`` maps a ``named_arrays`` name to its accumulator, made on first
     use.  A ``(cell ids, values)`` gradient steps the gathered cells and
     scatters them back, so a failed step writes nothing.
     """
-    for name, param in model.named_arrays(trainable_only=True):
+    for name, param in model.named_arrays():
         grad = bundle.get(name)
         if grad is None:
             continue
@@ -124,21 +122,8 @@ def apply_bundle(model: crf.ModelParams, bundle: crf.GradientBundle, state: dict
 # ---------------------------------------------------------------------------
 
 
-# Each embedding table's size and fine-tuning fields in HyperParams (None: always fine-tuned).
-TABLE_FIELDS = {
-    "char": ("char_emb", "fine_tune_chars"),
-    "bigram": ("char_emb", "fine_tune_chars"),
-    "word": ("word_emb", "fine_tune_words"),
-    "pos": ("pos_emb", None),
-}
-
-
-def table_specs(hypers: HyperParams) -> dict[str, tuple[int, bool]]:
-    """Each table key's ``(dim, fine_tune)``, for random-init and pretrained tables alike."""
-    return {
-        key: (getattr(hypers, size), tune is None or getattr(hypers, tune))
-        for key, (size, tune) in TABLE_FIELDS.items()
-    }
+# Each embedding table's size field in HyperParams, for random-init and pretrained tables alike.
+TABLE_FIELDS = {"char": "char_emb", "bigram": "char_emb", "word": "word_emb", "pos": "pos_emb"}
 
 
 def model_inputs(mode: str, task: str, language: str) -> tuple[tuple, tuple, tuple]:
@@ -151,8 +136,7 @@ def model_inputs(mode: str, task: str, language: str) -> tuple[tuple, tuple, tup
     lexicons = tuple(name for name in ("cluster", "radical") if name in names)
     fields = ("eta", "l2", "epochs", "seed")
     if tables:
-        sized = dict.fromkeys(f for key in tables for f in TABLE_FIELDS[key] if f)
-        fields += ("dropout_p", "word_hidden", *sized)
+        fields += ("dropout_p", "word_hidden", *dict.fromkeys(TABLE_FIELDS[key] for key in tables))
     return tables, lexicons, fields
 
 
@@ -161,17 +145,15 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
     the ``embeddings.table_symbols`` of ``sentences`` in first-appearance order.
     Every sentence's symbols are listed, so NER refuses one without aux tags."""
     overrides = overrides or {}
-    specs = table_specs(hypers)
     symbols = [table_symbols(task, sent) for sent in sentences]
     tables = {}
     for k, key in enumerate(InputComposer.REQUIRED[task]):
         if key in overrides:
             tables[key] = overrides[key]
         else:
-            dim, fine_tune = specs[key]
             vocab = chain.from_iterable(s[key][0] for s in symbols)
             seed = [hypers.seed, SEED_TABLE_BASE + k]
-            tables[key] = init_random_table(vocab, dim, seed, name=key, fine_tune=fine_tune)
+            tables[key] = init_random_table(vocab, getattr(hypers, TABLE_FIELDS[key]), seed, name=key)
     return tables
 
 
@@ -260,7 +242,7 @@ def clone_model(model: crf.ModelParams) -> crf.ModelParams:
 
 def parameter_norm(model: crf.ModelParams) -> float:
     total = 0.0
-    for _, arr in model.named_arrays(trainable_only=True):
+    for _, arr in model.named_arrays():
         total += float(np.sum(arr * arr))
     return float(np.sqrt(total))
 
@@ -328,8 +310,8 @@ def train(
     """Run the online margin trainer; returns the best-dev snapshot.
 
     Reads only ``eta``, ``l2``, ``epochs`` and ``seed`` from ``hypers``:
-    ``build_model`` fixed the dropout, the sizes and the fine-tuning flags,
-    so a different ``dropout_p`` here is ignored.  Takes the training ids
+    ``build_model`` fixed the dropout and the sizes, so a different
+    ``dropout_p`` here is ignored.  Takes the training ids
     ``build_model`` left on ``model``, if any.  ``task`` must be the one
     the model was built for.
     """

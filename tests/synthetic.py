@@ -79,7 +79,7 @@ def combination_data(seed):
     matrix = np.vstack(
         [vectors[s] for s in vectors] + [rng.uniform(-0.01, 0.01, COMBO_WORD_DIM)]
     )
-    word_table = EmbeddingTable("word", COMBO_WORD_DIM, symbols, matrix, fine_tune=True)
+    word_table = EmbeddingTable("word", COMBO_WORD_DIM, symbols, matrix)
 
     def draw_sentences(n_sent, use_dev_variant):
         out = []

@@ -588,7 +588,7 @@ class TestDiscreteEmission:
 
     def test_alphabet_that_knows_no_context(self):
         model, sents = tiny_discrete_model()
-        alpha = ContextAlphabet(model.templates, ["T0[0]=never"])
+        alpha = ContextAlphabet(model.templates, ["T1[0]=never"])  # a context no sentence renders
         model = crf.ModelParams.create(
             "discrete", model.labels, templates=model.templates, out_alphabet=alpha
         )

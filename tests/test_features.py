@@ -487,6 +487,32 @@ class TestContextAlphabet:
         assert_three_paths_agree(t, build, probes, tmp_path / "contexts.bin")
 
 
+class TestContextParse:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_strings_parse_back_or_are_refused(self, data):
+        # a checkpoint's contexts either load as they are or raise: a repeat,
+        # and a string no template renders, which no key would reach
+        t, pool = draw_templates(data)
+        groups = {prefix: (how, len(reads)) for how, prefix, reads in t.groups}
+        heads = st.sampled_from([*groups, "", "T99[0]=", "T1[0]"])
+        rests = st.lists(st.sampled_from(pool + LEXICON_VALUES), max_size=4).map("~".join)
+        strings = data.draw(st.lists(st.tuples(heads, rests).map("".join), max_size=8), label="strings")
+
+        def renders(s):
+            head, sep, rest = s.partition("=")
+            how, arity = groups.get(head + sep, (None, 0))
+            return how == "one" or how == "join" and rest.count("~") >= arity - 1
+
+        try:
+            alpha = ContextAlphabet(t, strings)
+        except ValueError:
+            assert len(set(strings)) < len(strings) or not all(map(renders, strings))
+        else:
+            assert alpha.strings() == strings and alpha.size == len(strings)
+            assert all(map(renders, strings))
+
+
 class TestLexiconLoading:
     def test_repeated_key_keeps_the_later_value_and_warns(self, tmp_path, caplog):
         path = tmp_path / "lex.txt"
