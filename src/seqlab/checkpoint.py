@@ -33,7 +33,7 @@ MAGIC = b"SQLB"
 FORMAT_VERSION = 2
 PREFIX = struct.Struct("<4sIQ")  # magic, format version, header length
 
-HEADER_KEYS = ("arrays", "dropout_p", "labels", "meta", "mode")
+HEADER_KEYS = ("arrays", "labels", "meta", "mode")
 DISCRETE_KEYS = ("contexts", "templates")
 NEURAL_KEYS = ("composer_task", "hidden", "tables")
 
@@ -56,7 +56,6 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
         "format_version": FORMAT_VERSION,
         "meta": meta,
         "mode": model.mode,
-        "dropout_p": model.dropout_p,
         "labels": model.labels.strings(),
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
@@ -179,7 +178,6 @@ def _model_from_header(path, header) -> ModelParams:
             out_alphabet=out_alphabet,
             composer=composer,
             hidden=header.get("hidden", 0),
-            dropout_p=header["dropout_p"],
         )
     except (KeyError, TypeError, ValueError, MemoryError) as exc:
         raise CheckpointError(f"{path}: invalid header: {exc!r}") from exc
@@ -202,12 +200,6 @@ def _check_value_types(path, header, discrete, neural) -> None:
         if not ok:
             raise CheckpointError(f"{path}: header {key} must be {what}")
 
-    p = header["dropout_p"]
-    need(
-        isinstance(p, (int, float)) and not isinstance(p, bool) and 0 <= p < 1,
-        "dropout_p",
-        "a number in [0, 1)",
-    )
     need(_is_strings(header["labels"]), "labels", "a list of strings")
     if discrete:
         need(_is_strings(header["contexts"]), "contexts", "a list of strings")

@@ -16,6 +16,8 @@ a new segment; dangling segments close at the boundary).
 
 from __future__ import annotations
 
+import codecs
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -152,6 +154,9 @@ def open_text(path):
     naming the file and the first line that holds them, counted as the
     readers count lines."""
     with open(path, encoding=READ_ENCODING) as fh:
+        # the decoder reads a file of only the first one or two bytes of a BOM as empty
+        if 0 < os.fstat(fh.fileno()).st_size < 3 and codecs.BOM_UTF8.startswith(Path(path).read_bytes()):
+            raise ValueError(f"{path}: line 1: not valid UTF-8")
         try:
             yield fh
         except UnicodeDecodeError:

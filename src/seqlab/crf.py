@@ -216,12 +216,6 @@ def brute_force_best(lattice: ScoreLattice) -> DecodeResult:
     return DecodeResult(labels=seqs[best].astype(np.int64), score=float(scores[best]))
 
 
-def brute_force_log_partition(lattice: ScoreLattice) -> float:
-    _, scores = enumerate_sequence_scores(lattice)
-    shift = scores.max()
-    return float(shift + np.log(np.exp(scores - shift).sum()))
-
-
 # ---------------------------------------------------------------------------
 # model parameters and lattice construction
 # ---------------------------------------------------------------------------
@@ -232,12 +226,12 @@ class ModelParams:
     """Everything trainable, plus the alphabets that give the weights meaning.
 
     Models compare by identity; compare their ``named_arrays()`` or their
-    checkpoint bytes instead.
+    checkpoint bytes instead.  Dropout is a setting of the training pass
+    (``build_forward``'s ``dropout_p``), not of the model.
     """
 
     mode: str
     labels: Alphabet
-    dropout_p: float = 0.25
     templates: TemplateSet | None = None
     out_alphabet: ContextAlphabet | None = None
     theta_out: np.ndarray | None = None
@@ -306,7 +300,6 @@ class ModelParams:
         composer: InputComposer | None = None,
         hidden: int = 50,
         rng=None,
-        dropout_p: float = 0.25,
     ) -> "ModelParams":
         """Zero-initialized model of the given mode.
 
@@ -317,7 +310,7 @@ class ModelParams:
         at a dead saddle).
         """
         L = len(labels)
-        params = cls(mode=mode, labels=labels, dropout_p=dropout_p)
+        params = cls(mode=mode, labels=labels)
         if params.uses_discrete:
             if templates is None or out_alphabet is None:
                 raise ValueError(f"{mode} mode needs templates and an output alphabet")
@@ -403,10 +396,11 @@ def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> Sentence
 
 
 def build_forward(
-    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, ids=None
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, dropout_p=None, ids=None
 ) -> ForwardPass:
     """Score lattice plus gradient-routing caches; ``ids``: ``sentence_ids()``, or None
-    to make them here."""
+    to make them here.  A train pass drops BiLSTM inputs (neural and joint
+    modes) at rate ``dropout_p``, with masks drawn from ``rng``."""
     n = len(sent)
     L = len(params.labels)
     emission = np.zeros((n, L))
@@ -421,15 +415,17 @@ def build_forward(
 
     if params.uses_neural:
         composed = params.composer.compose_all(ids.rows)
-        enc = encode(params.lstm, composed, train=train, rng=rng, dropout_p=params.dropout_p)
+        enc = encode(params.lstm, composed, train=train, rng=rng, dropout_p=dropout_p)
         emission += enc.h @ params.theta_dense.T
         transition += params.tau if params.mode == "neural" else params.tau_weight[0] * params.tau
 
     return ForwardPass(ScoreLattice(emission=emission, transition=transition), ids, enc)
 
 
-def build_lattice(params: ModelParams, sent: Sentence, *, train: bool = False, rng=None) -> ScoreLattice:
-    return build_forward(params, sent, train=train, rng=rng).lattice
+def build_lattice(
+    params: ModelParams, sent: Sentence, *, train: bool = False, rng=None, dropout_p=None
+) -> ScoreLattice:
+    return build_forward(params, sent, train=train, rng=rng, dropout_p=dropout_p).lattice
 
 
 # ---------------------------------------------------------------------------

@@ -242,14 +242,13 @@ def _backprop(params: BiLSTMParams, scan: _ScanCache, d_h):
     return grads, d_x
 
 
-def encode(
-    params: BiLSTMParams, inputs, train: bool, rng=None, dropout_p: float = 0.25
-) -> EncoderOutput:
+def encode(params: BiLSTMParams, inputs, train: bool, rng=None, dropout_p=None) -> EncoderOutput:
     """Run the windowed BiLSTM over composed input vectors.
 
-    ``inputs`` is (n, input_dim).  In train mode a dropout mask is drawn from
-    ``rng`` (a freshly seeded one keeps gradient checks deterministic);
-    inference applies no mask and no rescaling.
+    ``inputs`` is (n, input_dim).  Train mode needs both ``rng`` and
+    ``dropout_p``: each input cell is dropped with probability ``dropout_p``
+    by a mask drawn from ``rng`` (a freshly seeded one keeps gradient checks
+    deterministic).  Inference applies no mask and no rescaling.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 1:
@@ -261,10 +260,10 @@ def encode(
 
     if train:
         p = dropout_p
+        if rng is None or p is None:
+            raise ValueError("train-mode encode needs an rng and a dropout probability")
         if not 0.0 <= p < 1.0:
             raise ValueError(f"dropout probability {p} outside [0, 1)")
-        if rng is None:
-            raise ValueError("train-mode encode needs an rng")
         masks = (rng.random(inputs.shape) >= p).astype(np.float64)
         dropped = inputs * masks / (1.0 - p)
     else:

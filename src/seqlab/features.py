@@ -182,7 +182,8 @@ _TOKEN_VALUE = {
 def load_lexicon(path, what: str) -> dict[str, str]:
     """Read a ``key<TAB>value`` lexicon of ``what`` values (``cluster`` or
     ``radical``).  None is the empty lexicon, and a path that cannot be
-    opened raises; a repeated key keeps its later value with a warning."""
+    opened raises, as does an empty key, which no token (a non-empty corpus
+    field) could match; a repeated key keeps its later value with a warning."""
     if path is None:
         return {}
     lex = {}
@@ -192,7 +193,7 @@ def load_lexicon(path, what: str) -> dict[str, str]:
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 2:
+            if len(parts) != 2 or not parts[0]:
                 raise ValueError(f"{path}: line {lineno}: expected 'key<TAB>{what}'")
             if parts[0] in lex:
                 log.warning("%s: line %d: key %r repeats; keeping the later value", path, lineno, parts[0])
@@ -378,11 +379,6 @@ class ContextAlphabet:
                 for key, k in known.items():
                     out[k] = prefix + "~".join(key)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ContextAlphabet):
-            return False
-        return self.size == other.size and self.strings() == other.strings()
 
     def find(self, columns: list[list], n: int) -> np.ndarray:
         """The ``(n, groups)`` int32 ids of ``instantiate``'s ``columns`` for a

@@ -221,7 +221,6 @@ def build_model(
         composer=composer,
         hidden=hypers.word_hidden // 2,
         rng=np.random.default_rng([hypers.seed, SEED_INIT]),
-        dropout_p=hypers.dropout_p,
     )
     model._train_ids = train_ids
     return model
@@ -309,9 +308,8 @@ def train(
 ) -> tuple[crf.ModelParams, TrainReport]:
     """Run the online margin trainer; returns the best-dev snapshot.
 
-    Reads only ``eta``, ``l2``, ``epochs`` and ``seed`` from ``hypers``:
-    ``build_model`` fixed the dropout and the sizes, so a different
-    ``dropout_p`` here is ignored.  Takes the training ids
+    Reads ``dropout_p``, ``eta``, ``l2``, ``epochs`` and ``seed`` from
+    ``hypers``; ``build_model`` fixed the sizes.  Takes the training ids
     ``build_model`` left on ``model``, if any.  ``task`` must be the one
     the model was built for.
     """
@@ -350,7 +348,9 @@ def train(
         for k in shuffle_rng.permutation(len(train_sentences)):
             sent = train_sentences[k]
             gold = gold_indices[k]
-            fp = crf.build_forward(model, sent, train=True, rng=dropout_rng, ids=train_ids[k])
+            fp = crf.build_forward(
+                model, sent, train=True, rng=dropout_rng, dropout_p=hypers.dropout_p, ids=train_ids[k]
+            )
             loss, result = crf.margin_loss(fp.lattice, gold)
             if not np.isfinite(loss):
                 raise FloatingPointError(f"non-finite loss at epoch {epoch}")
@@ -399,7 +399,9 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
                 arr[:] = rng.uniform(-0.5, 0.5, arr.shape)
         gold = np.array([model.labels.to_index(l) for l in sents[0].gold_labels])
         # evaluate under the same fixed dropout masks the gradient check uses
-        lattice = crf.build_lattice(model, sents[0], train=True, rng=_gradcheck_rng())
+        lattice = crf.build_lattice(
+            model, sents[0], train=True, rng=_gradcheck_rng(), dropout_p=GRADCHECK_DROPOUT
+        )
         loss, _ = crf.margin_loss(lattice, gold)
         if loss > 0.05 and _score_gap(lattice, gold) > 1e-3:
             return model, sents[0]
@@ -413,6 +415,7 @@ def make_gradcheck_instance(mode: str = "joint", seed: int = 1) -> tuple[crf.Mod
 
 GRADCHECK_MASK_SEED = 0
 GRADCHECK_EPS = GRADCHECK_TOLERANCE = 1e-4  # central-difference step; pooled relative error bound
+GRADCHECK_DROPOUT = 0.25  # the rate of the fixed masks
 TIE_GAP = 1e-6
 
 
@@ -478,8 +481,8 @@ def gradient_check(model: crf.ModelParams, sentence: Sentence) -> GradientCheckR
     """Compare analytic subgradients with central finite differences of step
     ``GRADCHECK_EPS``; a class passes below ``GRADCHECK_TOLERANCE``.
 
-    Runs with a fixed dropout mask so the loss is a deterministic function
-    of the parameters.  Points where the cost-augmented argmax is not unique
+    Runs with a fixed dropout mask at rate ``GRADCHECK_DROPOUT`` so the loss
+    is a deterministic function of the parameters.  Points where the cost-augmented argmax is not unique
     (best-vs-second score gap below ``TIE_GAP``) are reported as skipped:
     the loss is non-differentiable there.  Each perturbed entry is put back,
     even when a forward pass raises.
@@ -494,7 +497,9 @@ def gradient_check(model: crf.ModelParams, sentence: Sentence) -> GradientCheckR
     ids = crf.sentence_ids(model, sentence)
 
     def forward():
-        fp = crf.build_forward(model, sentence, train=True, rng=_gradcheck_rng(), ids=ids)
+        fp = crf.build_forward(
+            model, sentence, train=True, rng=_gradcheck_rng(), dropout_p=GRADCHECK_DROPOUT, ids=ids
+        )
         loss, result = crf.margin_loss(fp.lattice, gold)
         return loss, fp, result
 

@@ -9,9 +9,15 @@ scalar per term, and the cell counts come from ``np.unique`` and
 ties go to the lowest label index, and a sequence's score is the left-to-right
 sum of its start transition, emission 0, then each position's transition and
 emission.
+
+``brute_force_log_partition``, the oracle for ``crf.log_partition``, sums
+over ``crf.enumerate_sequence_scores``, the enumeration ``crf.brute_force_best``
+reads too.
 """
 
 import numpy as np
+
+from seqlab import crf
 
 
 def viterbi_path(emission, transition):
@@ -50,3 +56,10 @@ def cell_counts(plus, minus):
     cells, inverse = np.unique(np.concatenate([plus, minus]), return_inverse=True)
     counts = np.bincount(inverse, np.repeat([1.0, -1.0], [len(plus), len(minus)]), len(cells))
     return cells[counts != 0.0], counts[counts != 0.0]
+
+
+def brute_force_log_partition(lattice):
+    """Log of the summed exponentiated scores of every label sequence."""
+    _, scores = crf.enumerate_sequence_scores(lattice)
+    shift = scores.max()
+    return float(shift + np.log(np.exp(scores - shift).sum()))

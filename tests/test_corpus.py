@@ -169,6 +169,13 @@ class TestColumnCorpus:
         assert read_column_corpus(bom) == read_column_corpus(plain)
         assert read_column_corpus(bom)[0].tokens == ("The", "cat")
 
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+    def test_a_file_of_part_of_a_bom_is_not_utf8(self, tmp_path, data):
+        path = tmp_path / "c.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"c\.txt: line 1: not valid UTF-8"):
+            read_column_corpus(path)
+
     def test_non_ascii_whitespace_is_a_token(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("中\n\u3000\n国\n", encoding="utf-8")

@@ -183,14 +183,14 @@ class TestPartition:
         for _ in range(200):
             lat = random_lattice(rng)
             assert crf.log_partition(lat) == pytest.approx(
-                crf.brute_force_log_partition(lat), abs=1e-10
+                reference_crf.brute_force_log_partition(lat), abs=1e-10
             )
 
     def test_max_at_most_logsumexp(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             lat = random_lattice(rng)
-            assert crf.viterbi(lat).score <= crf.brute_force_log_partition(lat)
+            assert crf.viterbi(lat).score <= reference_crf.brute_force_log_partition(lat)
 
     def test_enumeration_limit(self):
         lat = crf.ScoreLattice(np.zeros((30, 4)), np.zeros((5, 4)))
@@ -438,7 +438,7 @@ class TestLossGradients:
         if mode == "joint":
             model.tau_weight[:] = 0.1  # repeated additions of 0.1 round
         sent = Sentence(tokens=("beta", "unseen", "alpha", "gamma", "beta", "alpha", "delta"))
-        fp = crf.build_forward(model, sent, train=True, rng=rng)
+        fp = crf.build_forward(model, sent, train=True, rng=rng, dropout_p=0.25)
         L, h = len(model.labels), fp.encoder_output.h
         for _ in range(20):
             gold, pred = rng.integers(0, L, (2, len(sent)))
@@ -526,9 +526,11 @@ class TestContextIds:
             ids = crf.sentence_ids(model, other)
             assert (ids.contexts is None) == (mode == "neural")
             assert (ids.rows is None) == (mode == "discrete")
-            fresh = crf.build_forward(model, other, train=train, rng=np.random.default_rng(4))
+            fresh = crf.build_forward(
+                model, other, train=train, rng=np.random.default_rng(4), dropout_p=0.25
+            )
             cached = crf.build_forward(
-                model, other, train=train, rng=np.random.default_rng(4), ids=ids
+                model, other, train=train, rng=np.random.default_rng(4), dropout_p=0.25, ids=ids
             )
             np.testing.assert_array_equal(cached.lattice.emission, fresh.lattice.emission)
             np.testing.assert_array_equal(cached.lattice.transition, fresh.lattice.transition)

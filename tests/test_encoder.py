@@ -204,7 +204,7 @@ class TestForward:
         params.b[1] = rng.normal(size=4 * H)
         for n in range(1, 31):
             inputs = rng.normal(size=(n, d))
-            out = encode(params, inputs, train=train, rng=rng)
+            out = encode(params, inputs, train=train, rng=rng, dropout_p=0.25)
             dropped = inputs * out.masks / (1.0 - out.dropout_p) if train else inputs
             directions = (
                 (params.w[0], params.u[0], params.b[0], range(n), (-2, -1, 0, 1, 2)),
@@ -312,7 +312,7 @@ class TestBackward:
         rng = np.random.default_rng(3)
         params = BiLSTMParams.init(3, 4, rng)
         inputs = rng.normal(size=(4, 3))
-        out = encode(params, inputs, train=True, rng=rng)
+        out = encode(params, inputs, train=True, rng=rng, dropout_p=0.25)
         grads, d_in = backward(params, out, np.zeros_like(out.h))
         assert all(not np.any(a) for a in grads.values())
         assert not np.any(d_in)
@@ -336,11 +336,15 @@ class TestBackward:
             upstream = rng.normal(size=(n, 2 * H))
 
             # a freshly seeded stream draws the same masks on every pass
-            out = encode(params, inputs, train=True, rng=np.random.default_rng([17, trial]))
+            out = encode(
+                params, inputs, train=True, rng=np.random.default_rng([17, trial]), dropout_p=0.25
+            )
             grads, d_in = backward(params, out, upstream)
 
             def loss():
-                o = encode(params, inputs, train=True, rng=np.random.default_rng([17, trial]))
+                o = encode(
+                    params, inputs, train=True, rng=np.random.default_rng([17, trial]), dropout_p=0.25
+                )
                 return float(np.sum(o.h * upstream))
 
             eps = 1e-5
@@ -426,7 +430,7 @@ class TestBackward:
         params.b[1] = rng.normal(size=4 * H)
         for n in range(1, 31):
             inputs = rng.normal(size=(n, d))
-            out = encode(params, inputs, train=True, rng=rng)
+            out = encode(params, inputs, train=True, rng=rng, dropout_p=0.25)
             upstream = rng.normal(size=(n, 2 * H))
             grads, d_in = backward(params, out, upstream)
             want, want_in = per_direction_backward(params, out, upstream)
@@ -486,9 +490,17 @@ class TestDropout:
         rng = np.random.default_rng(4)
         params = BiLSTMParams.init(3, 4, rng)
         inputs = rng.normal(size=(4, 3))
-        h1 = encode(params, inputs, train=True, rng=np.random.default_rng(1)).h
-        h2 = encode(params, inputs, train=True, rng=np.random.default_rng(2)).h
+        h1 = encode(params, inputs, train=True, rng=np.random.default_rng(1), dropout_p=0.25).h
+        h2 = encode(params, inputs, train=True, rng=np.random.default_rng(2), dropout_p=0.25).h
         assert np.any(h1 != h2)
+
+    def test_a_train_pass_states_its_rng_and_rate(self):
+        rng = np.random.default_rng(4)
+        params = BiLSTMParams.init(3, 4, rng)
+        inputs = rng.normal(size=(4, 3))
+        for given in ({"rng": rng}, {"dropout_p": 0.25}):
+            with pytest.raises(ValueError, match="needs an rng and a dropout probability"):
+                encode(params, inputs, train=True, **given)
 
     def test_expected_output_matches_inference(self):
         # inverted dropout: the mask-averaged output converges to the plain

@@ -513,7 +513,33 @@ class TestContextParse:
             assert all(map(renders, strings))
 
 
+# Byte fragments a lexicon file is drawn from: the separators, every line
+# ending, a BOM, whitespace that is content, and bytes that are not UTF-8 or
+# only the start of a character.
+LEXICON_BYTES = tuple(
+    part.encode("utf-8") if isinstance(part, str) else part
+    for part in ("a", "X", "中", "氵", "\t", "\n", "\r", "\r\n", " ", "\u3000", "\u00a0", "\u2028",
+                 "\x85", "\x0b", "\x0c", "\x1c", "\x00", "\ufeff", "~", b"\xff", b"\xe4\xb8", b"\xef\xbb")
+)
+LEXICON_FILES = st.one_of(
+    st.binary(max_size=40), st.lists(st.sampled_from(LEXICON_BYTES), max_size=16).map(b"".join)
+)
+
+
 class TestLexiconLoading:
+    @given(data=LEXICON_FILES)
+    @settings(max_examples=500, deadline=None)
+    def test_any_bytes_read_verbatim_or_are_refused_naming_the_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_lexicon.txt"
+        path.write_bytes(data)
+        try:
+            lex = load_lexicon(path, "cluster")
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line ")
+            return
+        text = data.decode("utf-8-sig")
+        assert all(key and f"{key}\t{value}" in text for key, value in lex.items())
+
     def test_repeated_key_keeps_the_later_value_and_warns(self, tmp_path, caplog):
         path = tmp_path / "lex.txt"
         path.write_text("a\tX\nb\tZ\na\tY\n", encoding="utf-8")
@@ -533,6 +559,12 @@ class TestLexiconLoading:
         path.write_text("a\tX\nb\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"lex\.txt: line 2: expected 'key<TAB>{what}'"):
             load_lexicon(path, what)
+
+    def test_an_empty_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("a\tX\n\tY\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"lex\.txt: line 2: expected 'key<TAB>cluster'"):
+            load_lexicon(path, "cluster")
 
     def test_reads_pairs(self, tmp_path):
         path = tmp_path / "lex.txt"

@@ -373,6 +373,20 @@ class TestTrainLoop:
         for corpora in ((seen, seen), (unseen,)):
             assert checkpoints(False, corpora) == checkpoints(True, corpora)
 
+    @pytest.mark.parametrize("mode", ["neural", "joint"])
+    def test_train_reads_the_dropout_rate(self, mode, tmp_path):
+        sents = synthetic.separable_corpus(8, seed=1)
+        h = HyperParams(word_hidden=8, char_emb=3, word_emb=4, epochs=2, seed=3)
+        plain = dataclasses.replace(h, dropout_p=0.0)
+
+        def trained(build, train):
+            model = trainer.build_model(mode, "POS", "EN", sents, build)
+            best, _ = trainer.train(model, sents, sents, train, "POS")
+            return checkpoint_bytes(best, tmp_path)
+
+        assert trained(h, plain) == trained(plain, plain)
+        assert trained(plain, h) == trained(h, h) != trained(plain, plain)
+
     def test_unlabeled_dev_sentence_named(self):
         sents = synthetic.separable_corpus(5, seed=1)
         h = HyperParams(epochs=1)
@@ -435,7 +449,8 @@ class TestGradientCheck:
     def test_every_trainable_array_gets_a_gradient(self, mode):
         model, sent = trainer.make_gradcheck_instance(mode, seed=1)
         gold = np.array([model.labels.to_index(l) for l in sent.gold_labels])
-        fp = crf.build_forward(model, sent, train=True, rng=np.random.default_rng([0, trainer.SEED_DROPOUT]))
+        rng = np.random.default_rng([0, trainer.SEED_DROPOUT])
+        fp = crf.build_forward(model, sent, train=True, rng=rng, dropout_p=trainer.GRADCHECK_DROPOUT)
         loss, result = crf.margin_loss(fp.lattice, gold)
         assert loss > 0.0
         bundle = crf.loss_gradients(model, fp, result.labels, gold)
@@ -608,7 +623,7 @@ class TestBuildModel:
         loaded, _ = checkpoint.load_model(tmp_path / "built.bin")
         # the loaded map holds other key objects than the built one
         assert loaded.out_alphabet is not model.out_alphabet
-        assert loaded.out_alphabet == model.out_alphabet
+        assert loaded.out_alphabet.strings() == model.out_alphabet.strings()
         checkpoint.save_model(tmp_path / "loaded.bin", loaded, {})
         assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
 
