@@ -6,9 +6,10 @@ array in manifest order as C-contiguous little-endian float64.  The
 manifest is ``ModelParams.named_arrays()``: loading rebuilds the model from
 the header and fills those arrays in place.  A discrete or joint header
 lists the template contexts in id order: context k owns row k of the
-``(contexts, L)`` ``theta_out``; loading parses them once into the
-``features.ContextAlphabet`` that prediction looks keys up in, and refuses
-a string no template renders.  Loading a saved model
+``(contexts, L)`` ``theta_out``; loading parses them once, with the
+header's ``templates``, into the ``features.ContextAlphabet`` that
+prediction indexes sentences with, and refuses a string no template
+renders.  Loading a saved model
 reproduces decoding behavior bitwise, and saving the same model twice
 produces identical bytes, which is what the reproducibility tests compare.
 Anything else, down to a stray trailing byte or a NaN weight, is a
@@ -60,11 +61,12 @@ def save_model(path, model: ModelParams, meta: dict) -> None:
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     if model.uses_discrete:
+        templates = model.out_alphabet.templates
         header["templates"] = {
-            "task": model.templates.task,
-            "language": model.templates.language,
-            "cluster_lexicon": model.templates.cluster_lexicon,
-            "radical_lexicon": model.templates.radical_lexicon,
+            "task": templates.task,
+            "language": templates.language,
+            "cluster_lexicon": templates.cluster_lexicon,
+            "radical_lexicon": templates.radical_lexicon,
         }
         header["contexts"] = model.out_alphabet.strings()
     if model.uses_neural:
@@ -149,7 +151,7 @@ def _model_from_header(path, header) -> ModelParams:
         raise CheckpointError(f"{path}: meta is not a JSON object")
     _check_value_types(path, header, discrete, neural)
     try:
-        templates = out_alphabet = composer = None
+        out_alphabet = composer = None
         if discrete:
             t = header["templates"]
             templates = TemplateSet(
@@ -174,7 +176,6 @@ def _model_from_header(path, header) -> ModelParams:
         model = ModelParams.create(
             mode,
             Alphabet.distinct(header["labels"], "header labels"),
-            templates=templates,
             out_alphabet=out_alphabet,
             composer=composer,
             hidden=header.get("hidden", 0),

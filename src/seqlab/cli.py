@@ -147,7 +147,8 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """``key=value`` lines; CR, LF and CRLF end a line, as in every reader."""
+    """``key=value`` lines with a non-empty key; CR, LF and CRLF end a line, as
+    in every reader."""
     raw = {}
     try:
         with open_text(path) as fh:
@@ -156,9 +157,9 @@ def parse_config_file(path) -> dict[str, str]:
                 if not line or line.startswith("#"):
                     continue
                 key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigError(f"{path}: line {lineno}: expected key=value")
                 key = key.strip()
+                if not sep or not key:
+                    raise ConfigError(f"{path}: line {lineno}: expected key=value")
                 if key in raw:
                     raise ConfigError(f"{path}: line {lineno}: key {key!r} is set twice")
                 raw[key] = value.strip()

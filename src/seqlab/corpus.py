@@ -91,10 +91,6 @@ class Alphabet:
             raise ValueError(f"{what} has duplicate symbols: {repeat!r} repeats")
         return alphabet
 
-    @property
-    def size(self) -> int:
-        return len(self._strings)
-
     def add(self, s: str) -> int:
         """The id of ``s``, which is added if new."""
         idx = self._index.get(s)

@@ -37,10 +37,11 @@ and agreement checks can be exact rather than approximate.  A lattice has
 at least one position and one label.
 
 ``sentence_ids`` is the one indexer: it maps a sentence to its template
-context ids and its embedding row ids (``SentenceIds``), all ``embeddings``
-bags, and ``build_forward`` reads the symbols only through them, making
-them itself when none are handed in; the discrete emission is their
-``bag_sum`` over ``theta_out``.  ``trainer.train`` makes them once per run
+context ids (``out_alphabet.index``) and its embedding row ids
+(``composer.row_ids``), all ``embeddings`` bags, in one ``SentenceIds``.
+``build_forward`` reads the symbols only through them, making them itself
+when none are handed in; the discrete emission is their ``bag_sum`` over
+``theta_out``.  ``trainer.train`` makes them once per run
 for every training and dev sentence.
 
 ``ModelParams.named_arrays`` is the one enumeration of the parameters:
@@ -59,7 +60,7 @@ import numpy as np
 from .corpus import Alphabet, Sentence
 from .embeddings import InputComposer, bag_sum, members
 from .encoder import BiLSTMParams, backward as encoder_backward, encode
-from .features import ContextAlphabet, TemplateSet
+from .features import ContextAlphabet
 
 MODES = ("discrete", "neural", "joint")
 # the modes whose models score template features, and those whose models run the BiLSTM
@@ -225,6 +226,8 @@ def brute_force_best(lattice: ScoreLattice) -> DecodeResult:
 class ModelParams:
     """Everything trainable, plus the alphabets that give the weights meaning.
 
+    The discrete side's templates are ``out_alphabet.templates``, the ones
+    its ids were built by, and the neural side's tables are ``composer``'s.
     Models compare by identity; compare their ``named_arrays()`` or their
     checkpoint bytes instead.  Dropout is a setting of the training pass
     (``build_forward``'s ``dropout_p``), not of the model.
@@ -232,7 +235,6 @@ class ModelParams:
 
     mode: str
     labels: Alphabet
-    templates: TemplateSet | None = None
     out_alphabet: ContextAlphabet | None = None
     theta_out: np.ndarray | None = None
     theta_edge: np.ndarray | None = None
@@ -241,7 +243,7 @@ class ModelParams:
     theta_dense: np.ndarray | None = None
     tau: np.ndarray | None = None
     tau_weight: np.ndarray | None = None
-    # The training sentences' ``index_contexts`` bags, keyed by sentence, that
+    # The training sentences' ``out_alphabet.index`` bags, keyed by sentence, that
     # ``trainer.build_model`` leaves for the next ``trainer.train`` to take.
     # Unannotated, so not a field: no constructor, comparison, checkpoint or
     # clone sees it.
@@ -257,7 +259,7 @@ class ModelParams:
 
     @property
     def task(self) -> str:  # the task of its templates, else of its composer
-        return (self.templates or self.composer).task
+        return (self.composer if self.out_alphabet is None else self.out_alphabet.templates).task
 
     def validate(self):
         if self.mode not in MODES:
@@ -266,7 +268,7 @@ class ModelParams:
         if L == 0:
             raise ValueError("empty label alphabet")
         if self.uses_discrete:
-            for name in ("templates", "out_alphabet", "theta_out", "theta_edge"):
+            for name in ("out_alphabet", "theta_out", "theta_edge"):
                 if getattr(self, name) is None:
                     raise ValueError(f"{self.mode} mode requires {name}")
             if self.theta_out.shape != (self.out_alphabet.size, L):
@@ -285,8 +287,8 @@ class ModelParams:
                 raise ValueError(f"tau must be ({L + 1}, {L})")
         if self.mode == "joint" and (self.tau_weight is None or self.tau_weight.shape != (1,)):
             raise ValueError("joint mode requires a (1,) tau_weight")
-        if self.mode == "joint" and self.templates.task != self.composer.task:
-            tasks = f"{self.templates.task} and {self.composer.task}"
+        if self.mode == "joint" and self.out_alphabet.templates.task != self.composer.task:
+            tasks = f"{self.out_alphabet.templates.task} and {self.composer.task}"
             raise ValueError(f"joint mode requires templates and a composer of one task, got {tasks}")
 
     @classmethod
@@ -295,7 +297,6 @@ class ModelParams:
         mode: str,
         labels: Alphabet,
         *,
-        templates: TemplateSet | None = None,
         out_alphabet: ContextAlphabet | None = None,
         composer: InputComposer | None = None,
         hidden: int = 50,
@@ -312,9 +313,8 @@ class ModelParams:
         L = len(labels)
         params = cls(mode=mode, labels=labels)
         if params.uses_discrete:
-            if templates is None or out_alphabet is None:
-                raise ValueError(f"{mode} mode needs templates and an output alphabet")
-            params.templates = templates
+            if out_alphabet is None:
+                raise ValueError(f"{mode} mode needs an output alphabet")
             params.out_alphabet = out_alphabet
             params.theta_out = np.zeros((out_alphabet.size, L))
             params.theta_edge = np.zeros((L + 1, L))
@@ -356,8 +356,8 @@ class ModelParams:
 
 class SentenceIds(NamedTuple):
     """A sentence's table indices for every scorer of a model, each None
-    without its scorer: the ``index_contexts`` bag over ``out_alphabet`` and
-    the ``composer.row_ids()`` bags."""
+    without its scorer: the ``out_alphabet.index`` bag and the
+    ``composer.row_ids`` bags."""
 
     contexts: tuple[np.ndarray, np.ndarray] | None
     rows: dict | None
@@ -372,25 +372,14 @@ class ForwardPass:
     encoder_output: object | None = None
 
 
-def index_contexts(
-    templates: TemplateSet, contexts: ContextAlphabet, sent: Sentence, *, grow: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bag of ``sent``'s context ids: an ``(n, groups)`` int32 matrix, one
-    column per template group, -1 where the group skips or its context is
-    not in ``contexts``, which only ``grow`` adds to (position first, then
-    group).  The templates run once per sentence."""
-    columns = templates.instantiate(sent)
-    ids = (contexts.grow if grow else contexts.find)(columns, len(sent))
-    return ids, (ids >= 0).sum(1)
-
-
 def sentence_ids(params: ModelParams, sent: Sentence, contexts=None) -> SentenceIds:
     """``sent``'s ids for every scorer of ``params``, made once and handed to
-    every ``build_forward`` over it.  A context outside ``out_alphabet``, which
-    never grows, is a -1; ``contexts``, when given, is the bag made elsewhere
-    (by ``trainer.build_output_alphabet`` for the training sentences)."""
+    every ``build_forward`` over it: ``out_alphabet.index``, which never grows
+    here, so an unseen context is a -1, and ``composer.row_ids``.
+    ``contexts``, when given, is the bag made elsewhere (by
+    ``trainer.build_output_alphabet`` for the training sentences)."""
     if contexts is None and params.uses_discrete:
-        contexts = index_contexts(params.templates, params.out_alphabet, sent)
+        contexts = params.out_alphabet.index(sent)
     rows = params.composer.row_ids(sent) if params.uses_neural else None
     return SentenceIds(contexts, rows)
 

@@ -114,10 +114,11 @@ def load_text_embeddings(path, dim_expected, *, name="table", lowercase=False) -
     A first line consisting of exactly two integers is taken as a
     ``count dim`` header: ``dim`` must be ``dim_expected``, and exactly
     ``count`` vector lines must follow it.  A vector of the wrong width
-    raises with the offending line number, and so does a value that is not a
-    finite number (``nan``, ``inf`` or text); a repeated symbol keeps the last
-    vector and warns of the replacement, after ``lowercase`` has lowercased
-    every symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
+    raises with the offending line number, and so do an empty symbol (a line
+    that starts with a space) and a value that is not a finite number
+    (``nan``, ``inf`` or text); a repeated symbol keeps the last vector and
+    warns of the replacement, after ``lowercase`` has lowercased every
+    symbol but ``<UNK>``.  ``<UNK>`` is appended, drawn from seed 0, unless
     the file provides one.
     """
     symbols = Alphabet()
@@ -144,6 +145,8 @@ def load_text_embeddings(path, dim_expected, *, name="table", lowercase=False) -
                     continue
             lines += 1
             symbol, values = parts[0], parts[1:]
+            if not symbol:  # no token is empty, so no token would read its row
+                raise ValueError(f"{path}: line {lineno}: empty symbol")
             if lowercase and symbol != UNK:
                 symbol = symbol.lower()
             if len(values) != dim_expected:

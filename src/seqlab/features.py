@@ -13,7 +13,9 @@ offset share a prefix, one group per affix length, so the strings at one
 position are distinct by construction.  Contexts carry no label: the
 discrete scorer crosses each context with every output label by indexing a
 (contexts x labels) weight matrix with the context's id in the model's
-``ContextAlphabet``, which maps keys to ids without rendering the strings.
+``ContextAlphabet``, which holds the ``TemplateSet`` and whose ``index``
+runs it over a sentence and maps the keys to ids without rendering the
+strings.
 """
 
 from __future__ import annotations
@@ -207,11 +209,11 @@ def _compile_row(row: int, kind: str, args, affix_len: int) -> list[tuple[str, s
     ``prefix`` is the group's finished ``T<row>[<offsets>]=``; ``reads`` lists
     the (per-token kind, offset) pairs whose values the group appends, one
     for a ``one`` group, several joined with ``~`` for a ``join`` group.
-    Three kinds carry an argument: ``("char_eq", d)`` compares a token with
-    the one ``d`` places on, ``("prefix", k)`` / ``("suffix", k)`` is a
-    word's k-character affix (the groups of one offset share its prefix and
-    come in length order) and ``("radical", k)`` the radical of its k-th
-    character.
+    A per-token kind is a ``(name, k)`` pair, ``k`` 0 but in three names:
+    ``("char_eq", d)`` compares a token with the one ``d`` places on,
+    ``("prefix", k)`` / ``("suffix", k)`` is a word's k-character affix (the
+    groups of one offset share its prefix and come in length order) and
+    ``("radical", k)`` the radical of its k-th character.
     """
 
     def prefix(offsets):
@@ -225,14 +227,14 @@ def _compile_row(row: int, kind: str, args, affix_len: int) -> list[tuple[str, s
     if kind == "radical":
         return [("one", prefix((0, k)), ((("radical", k), 0),)) for k in range(RADICAL_POSITIONS)]
     if kind == "capital_connect":
-        return [("join", prefix((off, 0)), (("capital", off), ("connect", 0))) for off in args]
+        return [("join", prefix((off, 0)), ((("capital", 0), off), (("connect", 0), 0))) for off in args]
     if kind in ("capital_word", "postag_word"):
-        first = kind.partition("_")[0]
-        return [("join", prefix(pair), ((first, pair[0]), ("word", pair[1]))) for pair in args]
+        first = (kind.partition("_")[0], 0)
+        return [("join", prefix(pair), ((first, pair[0]), (("word", 0), pair[1]))) for pair in args]
     if kind.endswith("_ngram"):
-        base = kind.removesuffix("_ngram")
+        base = (kind.removesuffix("_ngram"), 0)
         return [("join", prefix(offsets), tuple((base, off) for off in offsets)) for offsets in args]
-    return [("one", prefix((off,)), ((kind, off),)) for off in args]
+    return [("one", prefix((off,)), (((kind, 0), off),)) for off in args]
 
 
 @dataclass
@@ -269,8 +271,7 @@ class TemplateSet:
         tokens = sent.tokens
         n = len(tokens)
         lists = []
-        for kind in self.kinds:
-            name, k = kind if isinstance(kind, tuple) else (kind, 0)
+        for name, k in self.kinds:
             if name in ("char", "word"):
                 values = tokens
             elif name == "cluster":
@@ -322,7 +323,8 @@ class _Prefix(NamedTuple):
 
 class ContextAlphabet:
     """A model's template contexts as dense ids in [0, size), in
-    first-appearance order, looked up by ``TemplateSet.instantiate``'s keys.
+    first-appearance order, and the ``TemplateSet`` whose keys they are:
+    ``index`` runs ``templates`` over a sentence and looks its keys up.
 
     Each ``T<row>[<offsets>]=`` prefix owns one dict from key to id, which
     the affix groups of one offset share, so an affix spelled like a
@@ -337,6 +339,7 @@ class ContextAlphabet:
         """The alphabet of ``strings``, in order.  A repeat, which would shift
         later ids, and a string no template renders, which no key would
         reach, raise ``ValueError``."""
+        self.templates = templates
         prefixes = {}  # keyed without the prefix's "="
         for how, prefix, reads in templates.groups:
             prefixes.setdefault(prefix[:-1], _Prefix(prefix, how, len(reads), {}, {}))
@@ -363,9 +366,6 @@ class ContextAlphabet:
             if table.setdefault(key, k) != k:
                 raise ValueError(f"{what} has duplicate symbols: {s!r} repeats")
 
-    def __len__(self):
-        return self.size
-
     def strings(self) -> list[str]:
         """Every context string in id order."""
         out = [""] * self.size
@@ -380,11 +380,12 @@ class ContextAlphabet:
                     out[k] = prefix + "~".join(key)
         return out
 
-    def find(self, columns: list[list], n: int) -> np.ndarray:
-        """The ``(n, groups)`` int32 ids of ``instantiate``'s ``columns`` for a
-        sentence of ``n`` tokens, -1 where a group skips or its key is
-        unknown; adds nothing."""
-        groups = self._groups
+    def index(self, sent: Sentence, *, grow: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The bag of ``sent``'s context ids: an ``(n, groups)`` int32 matrix,
+        one column per template group, -1 where the group skips or its key is
+        unknown, and each position's count of ids.  Only ``grow`` adds the
+        unknown keys, position first, then group.  The templates run once."""
+        columns, n, groups = self.templates.instantiate(sent), len(sent), self._groups
         ids = np.fromiter(
             chain.from_iterable(map(p.known.get, keys, repeat(-1, n)) for p, keys in zip(groups, columns)),
             np.int32,
@@ -395,27 +396,23 @@ class ContextAlphabet:
                 for j in np.flatnonzero(row < 0).tolist():
                     if None not in keys[j]:
                         row[j] = p.fallback.get("~".join(keys[j]), -1)
-        return np.ascontiguousarray(ids.T)
-
-    def grow(self, columns: list[list], n: int) -> np.ndarray:
-        """``find``, adding each unknown key first: position first, then group."""
-        ids, size = self.find(columns, n), self.size
-        misses = np.nonzero(ids < 0)
-        found = []
-        for i, g in zip(*(m.tolist() for m in misses)):
-            key = columns[g][i]
-            _, how, arity, table, fallback = self._groups[g]
-            if key is None or how == "join" and None in key:
-                found.append(-1)
-                continue
-            if how == "join":
-                rest = "~".join(key)
-                if rest.count("~") != arity - 1:
-                    table, key = fallback, rest
-            k = table.setdefault(key, size)
-            if k == size:
-                size += 1
-            found.append(k)
-        ids[misses] = found
-        self.size = size
-        return ids
+        ids = np.ascontiguousarray(ids.T)
+        if grow:
+            misses, size, found = np.nonzero(ids < 0), self.size, []
+            for i, g in zip(*(m.tolist() for m in misses)):
+                key = columns[g][i]
+                _, how, arity, table, fallback = groups[g]
+                if key is None or how == "join" and None in key:
+                    found.append(-1)
+                    continue
+                if how == "join":
+                    rest = "~".join(key)
+                    if rest.count("~") != arity - 1:
+                        table, key = fallback, rest
+                k = table.setdefault(key, size)
+                if k == size:
+                    size += 1
+                found.append(k)
+            ids[misses] = found
+            self.size = size
+        return ids, (ids >= 0).sum(1)

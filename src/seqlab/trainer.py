@@ -132,7 +132,7 @@ def model_inputs(mode: str, task: str, language: str) -> tuple[tuple, tuple, tup
     reads.  ``build_model`` refuses other inputs, and the command line other keys."""
     tables = InputComposer.REQUIRED[task] if mode in crf.NEURAL_MODES else ()
     kinds = TemplateSet(task, language).kinds if mode in crf.DISCRETE_MODES else ()
-    names = {kind if isinstance(kind, str) else kind[0] for kind in kinds}
+    names = {name for name, _ in kinds}
     lexicons = tuple(name for name in ("cluster", "radical") if name in names)
     fields = ("eta", "l2", "epochs", "seed")
     if tables:
@@ -158,18 +158,18 @@ def default_tables(task, sentences, hypers: HyperParams, overrides=None) -> dict
 
 
 def build_output_alphabet(templates: TemplateSet, sentences) -> tuple[ContextAlphabet, dict]:
-    """The alphabet of template contexts seen in the training corpus, and
-    each sentence's ``crf.index_contexts`` bag, keyed by sentence.
+    """The alphabet of ``templates``' contexts seen in the training corpus,
+    and each sentence's ``ContextAlphabet.index`` bag, keyed by sentence.
 
     Ids follow first appearance, position first and then template group;
     each id is one row of ``theta_out``, which holds a weight for that
     context under every label.  The bags are made in the same pass, so the
-    templates run once per training sentence;
-    every context is in the alphabet, so they equal the ``contexts`` of
-    ``crf.sentence_ids`` on the finished model, which only reads it.
+    templates run once per training sentence; every context is in the
+    alphabet, so they equal the ``contexts`` of ``crf.sentence_ids`` on the
+    finished model, which only reads it.
     """
     alpha = ContextAlphabet(templates)
-    ids = {sent: crf.index_contexts(templates, alpha, sent, grow=True) for sent in sentences}
+    ids = {sent: alpha.index(sent, grow=True) for sent in sentences}
     return alpha, ids
 
 
@@ -202,7 +202,7 @@ def build_model(
     for key in tables or {}:
         if key not in composed:
             raise ValueError(f"{key}_embeddings: a {mode} {task} model composes no {key} embedding table")
-    templates = out_alpha = train_ids = composer = None
+    out_alpha = train_ids = composer = None
     if mode in crf.DISCRETE_MODES:
         templates = TemplateSet(
             task,
@@ -216,7 +216,6 @@ def build_model(
     model = crf.ModelParams.create(
         mode,
         labels,
-        templates=templates,
         out_alphabet=out_alpha,
         composer=composer,
         hidden=hypers.word_hidden // 2,
@@ -229,11 +228,11 @@ def build_model(
 def clone_model(model: crf.ModelParams) -> crf.ModelParams:
     """Deep copy with a fresh copy of every array in ``named_arrays()``.
 
-    Labels, templates and the context alphabet, which training never
-    changes, are shared; the training ids ``build_model`` left are not
+    Labels and the context alphabet with its templates, which training
+    never changes, are shared; the training ids ``build_model`` left are not
     copied.
     """
-    shared = (model.labels, model.templates, model.out_alphabet)
+    shared = (model.labels, model.out_alphabet)
     memo = {id(obj): obj for obj in shared if obj is not None}
     memo[id(model._train_ids)] = None
     return copy.deepcopy(model, memo)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synthetic
+from fuzz_text import text_files
 from seqlab import checkpoint, cli, crf, trainer
 from seqlab.corpus import Sentence, read_column_corpus, write_column_corpus
 from seqlab.features import ContextAlphabet
@@ -70,6 +71,19 @@ TRAIN_ARGS = [
 
 
 class TestConfig:
+    @given(data=text_files("=", "#", "key", " = "))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_read_verbatim_or_are_refused_naming_the_file(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.conf"
+        path.write_bytes(data)
+        try:
+            raw = cli.parse_config_file(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line ")
+            return
+        text = data.decode("utf-8-sig")
+        assert all(key and key in text and value in text for key, value in raw.items())
+
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("task = POS\nmode = discrete\n# comment\nepochs=7\n", encoding="utf-8")
@@ -100,6 +114,14 @@ class TestConfig:
         cfg.write_text("task=NER\nepochs=2\ntask=POS\n", encoding="utf-8")
         assert run_cli(["train", "--config", str(cfg)]) == 2
         assert f"error: {cfg}: line 3: key 'task' is set twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["=POS", " = ", "\u3000=1"])
+    def test_config_line_with_an_empty_key_exits_2_naming_the_line(self, tmp_path, capsys, line):
+        # it read as the key "", which the key check refused without naming the file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"task=POS\n{line}\n", encoding="utf-8")
+        assert run_cli(["train", "--config", str(cfg)]) == 2
+        assert f"error: {cfg}: line 2: expected key=value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("separator", ["\u2028", "\x85", "\x0c"])
     def test_only_cr_and_lf_end_a_config_line(self, tmp_path, separator):
@@ -463,6 +485,20 @@ class TestTrainCommand:
         )
         assert status == 2
         assert f"{emb}: header declares 3 vectors, but 1 vector lines follow it" in capsys.readouterr().err
+
+    def test_embedding_line_with_an_empty_symbol_exits_2(self, pos_setup, capsys):
+        # a line starting with a space read as the symbol "", which no token looks up
+        tmp_path, train, dev, sents = pos_setup
+        emb = tmp_path / "words.txt"
+        emb.write_text(f"{sents[0].tokens[0]} 0 0 0 0 0\n 1 0 0 0 0\n", encoding="utf-8")
+        status = run_cli(
+            ["train", *TRAIN_ARGS, "--set", "mode=neural", "--set", "word_emb=5",
+             "--set", f"word_embeddings={emb}",
+             "--set", f"train={train}", "--set", f"dev={dev}",
+             "--set", f"model_out={tmp_path/'m.bin'}"]
+        )
+        assert status == 2
+        assert f"error: {emb}: line 2: empty symbol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("item", ["eta=nan", "eta=inf", "l2=nan", "l2=inf"])
     def test_non_finite_step_size_or_l2_exits_2(self, pos_setup, capsys, item):
@@ -1258,8 +1294,7 @@ class TestCheckpointForeignContexts:
         for k, s in cls.ADDED:
             strings.insert(k, s)
         model = crf.ModelParams.create(
-            "discrete", built.labels, templates=built.templates,
-            out_alphabet=ContextAlphabet(built.templates, strings),
+            "discrete", built.labels, out_alphabet=ContextAlphabet(built.out_alphabet.templates, strings)
         )
         rng = np.random.default_rng(3)
         for _, arr in model.named_arrays():
@@ -1281,7 +1316,7 @@ class TestCheckpointForeignContexts:
         # values spelled like the refused strings reach no context
         model = self.saved(tmp_path / "a.bin")
         loaded, _ = checkpoint.load_model(tmp_path / "a.bin")
-        column = [prefix for _, prefix, _ in model.templates.groups].index("T2[-1,0]=")
+        column = [prefix for _, prefix, _ in model.out_alphabet.templates.groups].index("T2[-1,0]=")
         probes = {
             ("a~b", "c"): 9, ("a", "b~c"): 9, ("a", "b"): -1, ("a~b~c", "x"): -1,
             ("no", "equals", "sign"): -1, ("x", "a"): -1, ("T99[0]=x", "a"): -1,
@@ -1309,7 +1344,7 @@ class TestCheckpointForeignContexts:
     def test_a_context_no_template_renders_is_refused(self, pos_setup, tmp_path, capsys, foreign):
         model, bad = self.with_context(tmp_path, foreign)
         with pytest.raises(ValueError, match=f"^contexts: no template renders {re.escape(repr(foreign))}$"):
-            ContextAlphabet(model.templates, [*model.out_alphabet.strings(), foreign])
+            ContextAlphabet(model.out_alphabet.templates, [*model.out_alphabet.strings(), foreign])
         message = f"header contexts: no template renders {foreign!r}"
         with pytest.raises(checkpoint.CheckpointError) as err:
             checkpoint.load_model(bad)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fuzz_text import text_files
 from seqlab.corpus import (
     Alphabet,
     CorpusFormatError,
@@ -41,7 +42,7 @@ class TestAlphabet:
         alpha = Alphabet(["c", "a"])
         assert [alpha.add(s) for s in ("a", "b", "c", "b")] == [1, 2, 0, 2]
         assert alpha.strings() == ["c", "a", "b"]
-        assert alpha.size == len(alpha) == 3
+        assert len(alpha) == 3
         assert [alpha.from_index(i) for i in range(3)] == ["c", "a", "b"]
 
     def test_strings_rebuild_an_equal_alphabet(self):
@@ -50,7 +51,7 @@ class TestAlphabet:
         assert Alphabet(["y", "x", "z"]) != alpha
         # the list is a copy: changing it leaves the alphabet alone
         alpha.strings().append("w")
-        assert alpha.size == 3
+        assert len(alpha) == 3
 
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))])
     def test_a_copy_looks_up_its_own_ids(self, clone):
@@ -58,7 +59,7 @@ class TestAlphabet:
         other = clone(alpha)
         other.add("z")
         assert other.get("z") == 2 and other.get("y") == 1
-        assert alpha.get("z") is None and alpha.size == 2
+        assert alpha.get("z") is None and len(alpha) == 2
 
     def test_distinct_refuses_a_repeat_by_name(self):
         assert Alphabet.distinct(["x", "y"], "list") == Alphabet(["x", "y"])
@@ -82,6 +83,23 @@ class TestLabelAlphabet:
 
 
 class TestColumnCorpus:
+    @pytest.mark.parametrize("columns", [("token",), ("token", "label"), ("token", "aux", "label")])
+    @given(data=text_files("\tX", "\t\t", "a\tB\tC\n"))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_read_verbatim_or_are_refused_naming_the_file(self, tmp_path_factory, columns, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_corpus.txt"
+        path.write_bytes(data)
+        try:
+            sentences = read_column_corpus(path, columns)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: line ")
+            return
+        text = data.decode("utf-8-sig")
+        fields = {"token": "tokens", "aux": "aux_tags", "label": "gold_labels"}
+        for sent in sentences:
+            for values in zip(*(getattr(sent, fields[name]) for name in columns)):
+                assert all(values) and "\t".join(values) in text
+
     @pytest.mark.parametrize(
         "data,line",
         [

@@ -293,7 +293,7 @@ def tiny_discrete_model():
         Sentence(tokens=list("人民"), gold_labels=["B", "E"]),
     ]
     alpha, _ = trainer.build_output_alphabet(templates, sents)
-    model = crf.ModelParams.create("discrete", labels, templates=templates, out_alphabet=alpha)
+    model = crf.ModelParams.create("discrete", labels, out_alphabet=alpha)
     return model, sents
 
 
@@ -311,7 +311,6 @@ def tiny_joint_model(seed=0):
     joint = crf.ModelParams.create(
         "joint",
         model.labels,
-        templates=model.templates,
         out_alphabet=model.out_alphabet,
         composer=composer,
         hidden=4,
@@ -370,7 +369,7 @@ class TestDiscreteLayout:
             Sentence(tokens=["a"], gold_labels=["B|C"]),
         ]
         model = trainer.build_model("discrete", "POS", "EN", sents, trainer.HyperParams())
-        t = model.templates
+        t = model.out_alphabet.templates
         contexts = {s for sent in sents for s in contexts_at(t, sent, 0)}
         assert model.theta_out.shape == (len(contexts), 2)
         c = string_ids(model.out_alphabet)["T1[0]=a|B"]
@@ -408,15 +407,15 @@ class TestLossGradients:
         B, E, S = (model.labels.to_index(l) for l in "BES")
         out_cells = cell_dict(model, bundle["theta_out"])
         edge_cells = cell_dict(model, bundle["theta_edge"])
-        index = string_ids(model.out_alphabet)
-        for s in contexts_at(model.templates, sent, 1):
+        index, t = string_ids(model.out_alphabet), model.out_alphabet.templates
+        for s in contexts_at(t, sent, 1):
             c = index[s]
             assert out_cells[(c, S)] == 1.0
             assert out_cells[(c, E)] == -1.0
         # positions 0 and 2 agree, so none of their features appear
-        for s in contexts_at(model.templates, sent, 0):
+        for s in contexts_at(t, sent, 0):
             assert (index[s], B) not in out_cells
-        assert len(out_cells) == 2 * len(contexts_at(model.templates, sent, 1))
+        assert len(out_cells) == 2 * len(contexts_at(t, sent, 1))
         # predicted START-B-S-S against gold START-B-E-S; the shared START->B cancels
         assert edge_cells == {(B, S): 1.0, (S, S): 1.0, (B, E): -1.0, (E, S): -1.0}
 
@@ -495,9 +494,10 @@ class TestContextIds:
         sent = sents[0]
         ids, counts = crf.sentence_ids(model, sent).contexts
         assert ids.dtype == np.int32
-        assert ids.shape == (len(sent), len(model.templates.groups))
+        t = model.out_alphabet.templates
+        assert ids.shape == (len(sent), len(t.groups))
         for i in range(len(sent)):
-            expected = [string_ids(model.out_alphabet)[s] for s in contexts_at(model.templates, sent, i)]
+            expected = [string_ids(model.out_alphabet)[s] for s in contexts_at(t, sent, i)]
             assert counts[i] == len(expected)
             assert ids[i][ids[i] != -1].tolist() == expected
 
@@ -506,7 +506,7 @@ class TestContextIds:
         sent = Sentence(tokens=list("国外"))
         ids, counts = crf.sentence_ids(model, sent).contexts
         for i in range(len(sent)):
-            contexts = contexts_at(model.templates, sent, i)
+            contexts = contexts_at(model.out_alphabet.templates, sent, i)
             known = [c for c in map(string_ids(model.out_alphabet).get, contexts) if c is not None]
             assert 0 < len(known) < len(contexts)
             assert counts[i] == len(known)
@@ -561,9 +561,9 @@ EMISSION_CORPORA = {
 
 def loop_emission(model, sent):
     """The discrete emission by a per-position loop over the known contexts."""
-    emission = np.zeros((len(sent), len(model.labels)))
+    emission, alpha = np.zeros((len(sent), len(model.labels))), model.out_alphabet
     for i in range(len(sent)):
-        found = map(string_ids(model.out_alphabet).get, contexts_at(model.templates, sent, i))
+        found = map(string_ids(alpha).get, contexts_at(alpha.templates, sent, i))
         emission[i] += model.theta_out[[c for c in found if c is not None]].sum(axis=0)
     return emission
 
@@ -590,10 +590,9 @@ class TestDiscreteEmission:
 
     def test_alphabet_that_knows_no_context(self):
         model, sents = tiny_discrete_model()
-        alpha = ContextAlphabet(model.templates, ["T1[0]=never"])  # a context no sentence renders
-        model = crf.ModelParams.create(
-            "discrete", model.labels, templates=model.templates, out_alphabet=alpha
-        )
+        # a context no sentence renders
+        alpha = ContextAlphabet(model.out_alphabet.templates, ["T1[0]=never"])
+        model = crf.ModelParams.create("discrete", model.labels, out_alphabet=alpha)
         model.theta_out[:] = 1.0
         ids, counts = crf.sentence_ids(model, sents[0]).contexts
         assert ids.shape[0] == len(sents[0]) and np.all(ids == -1) and not np.any(counts)

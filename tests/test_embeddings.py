@@ -2,7 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from fuzz_text import text_files
 from seqlab.corpus import Sentence
 from seqlab.features import EOS
 from seqlab.embeddings import (
@@ -31,6 +33,23 @@ def compose(composer, sent):
 
 
 class TestLoading:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=text_files(" 1", " 0.5", " -2", " nan", " 1e999", "2 1", UNK))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bytes_read_verbatim_or_are_refused_naming_the_file(self, tmp_path_factory, dim, data):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_embeddings.txt"
+        path.write_bytes(data)
+        try:
+            table = load_text_embeddings(path, dim)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        text = data.decode("utf-8-sig")
+        symbols = table.symbols.strings()
+        read = symbols[:-1] if symbols[-1] == UNK else symbols  # an appended <UNK> was not read
+        assert all(symbol and f"{symbol} " in text for symbol in read)
+        assert table.matrix.shape == (len(symbols), dim) and np.all(np.isfinite(table.matrix))
+
     def test_direct_read_back(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 0.1 0.2\nb 0.3 0.4\n", encoding="utf-8")
@@ -121,6 +140,14 @@ class TestLoading:
         assert row(table, "France").tolist() == [0.1, 0.1]
         assert row(table, "unseen").tolist() == [0.7, 0.7]
         assert any("duplicate symbol 'france' at line 2" in r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("text,line", [(" 0.1 0.2\n", 1), ("a 0.1 0.2\n  0.3 0.4\n", 2)])
+    def test_an_empty_symbol_names_the_file_and_line(self, tmp_path, text, line):
+        # a line starting with a space read as the symbol "", which no token looks up
+        path = tmp_path / "emb.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"emb\.txt: line {line}: empty symbol$"):
+            load_text_embeddings(path, 2)
 
     def test_invalid_utf8_names_the_file_and_line(self, tmp_path):
         path = tmp_path / "emb.txt"

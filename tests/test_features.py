@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_templates
+from fuzz_text import text_files
 from template_grid import contexts_at, grid, map_entries, string_ids
 from seqlab import checkpoint, crf, features, trainer
 from seqlab.corpus import Alphabet, Sentence
@@ -107,17 +108,17 @@ class TestFeatureAlphabet:
         t = TemplateSet("SEG", "ZH")
         sent = Sentence(tokens=list("中中国中"))
         alpha = ContextAlphabet(t)
-        ids, _ = crf.index_contexts(t, alpha, sent, grow=True)
+        ids, _ = alpha.index(sent, grow=True)
         assert sorted(set(ids.ravel().tolist())) == list(range(alpha.size))
         first_seen = dict.fromkeys(c for i in range(len(sent)) for c in contexts_at(t, sent, i))
-        assert alpha.strings() == list(first_seen) and alpha.size == len(alpha) == len(first_seen)
+        assert alpha.strings() == list(first_seen) and alpha.size == len(first_seen)
 
     def test_get_never_grows(self):
         t = TemplateSet("SEG", "ZH")
         alpha = ContextAlphabet(t)
-        crf.index_contexts(t, alpha, Sentence(tokens=list("中国")), grow=True)
+        alpha.index(Sentence(tokens=list("中国")), grow=True)
         size, entries = alpha.size, map_entries(alpha)
-        ids, counts = crf.index_contexts(t, alpha, Sentence(tokens=list("日本人")))
+        ids, counts = alpha.index(Sentence(tokens=list("日本人")))
         assert (alpha.size, map_entries(alpha)) == (size, entries)
         assert np.any(ids == -1) and counts.tolist() == (ids >= 0).sum(1).tolist()
 
@@ -234,7 +235,7 @@ class TestExtraction:
         t = TemplateSet("SEG", "ZH")
         alpha = ContextAlphabet(t, contexts_at(t, Sentence(tokens=list("中国")), 0))
         size = alpha.size
-        crf.index_contexts(t, alpha, Sentence(tokens=list("日本")))
+        alpha.index(Sentence(tokens=list("日本")))
         assert alpha.size == size
 
     def test_contexts_deduped(self):
@@ -378,9 +379,10 @@ class TestTokenValues:
         assert seen == tokens
 
     def test_only_the_kinds_the_table_reads(self):
-        assert TemplateSet("SEG", "ZH").kinds == ["char", ("char_eq", -2), ("char_eq", 1), "char_type"]
+        seg = [("char", 0), ("char_eq", -2), ("char_eq", 1), ("char_type", 0)]
+        assert TemplateSet("SEG", "ZH").kinds == seg
         pos_en = TemplateSet("POS", "EN")
-        assert "postag" not in pos_en.kinds
+        assert "postag" not in {name for name, _ in pos_en.kinds}
         # no aux tag column: a postag list would raise
         assert len(pos_en.token_values(Sentence(tokens=["a"]))) == len(pos_en.kinds)
 
@@ -396,8 +398,8 @@ class TestContextBags:
         grown = data.draw(st.integers(1, len(sents) - 1), label="grown")
         seen, unseen = sents[:grown], sents[grown:]
         alpha = ContextAlphabet(t)
-        bags = [crf.index_contexts(t, alpha, s, grow=True) for s in seen]
-        bags += [crf.index_contexts(t, alpha, s) for s in unseen]
+        bags = [alpha.index(s, grow=True) for s in seen]
+        bags += [alpha.index(s) for s in unseen]
         index = string_ids(alpha)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         matrix = rng.normal(size=(alpha.size, 3))
@@ -429,23 +431,25 @@ def oracle_bags(t, sents, index, grow):
 
 
 def assert_three_paths_agree(t, build, probes, path):
-    """Build a context alphabet from ``build``, then index ``probes`` on the
-    built model, on its checkpoint round trip and through the oracle with a
-    string dict: the alphabets and every bag, holes included, are identical."""
+    """Build a context alphabet from ``build``, then index ``probes`` with the
+    built alphabet, with its checkpoint round trip and through the oracle
+    with a string dict: the alphabets and every bag, holes included, are
+    identical."""
     alpha, built_bags = trainer.build_output_alphabet(t, build)
-    model = crf.ModelParams.create("discrete", Alphabet(["A"]), templates=t, out_alphabet=alpha)
+    model = crf.ModelParams.create("discrete", Alphabet(["A"]), out_alphabet=alpha)
     checkpoint.save_model(path, model, {})
-    loaded, _ = checkpoint.load_model(path)
+    loaded = checkpoint.load_model(path)[0].out_alphabet
     index = {}
-    assert alpha.strings() == loaded.out_alphabet.strings()
+    assert alpha.templates is t and loaded.templates == t
+    assert alpha.strings() == loaded.strings()
     for sent, oracle in zip(build, oracle_bags(t, build, index, grow=True)):
         ids, counts = built_bags[sent]
         assert ids.dtype == np.int32 and ids.tobytes() == oracle.tobytes()
         assert counts.tolist() == (oracle >= 0).sum(1).tolist()
     assert alpha.strings() == list(index)
     for sent, oracle in zip(probes, oracle_bags(t, probes, index, grow=False)):
-        for m in (model, loaded):
-            ids, counts = crf.sentence_ids(m, sent).contexts
+        for a in (alpha, loaded):
+            ids, counts = a.index(sent)
             assert ids.dtype == np.int32 and ids.shape == oracle.shape
             assert ids.tobytes() == oracle.tobytes()
             assert counts.tolist() == (oracle >= 0).sum(1).tolist()
@@ -513,21 +517,8 @@ class TestContextParse:
             assert all(map(renders, strings))
 
 
-# Byte fragments a lexicon file is drawn from: the separators, every line
-# ending, a BOM, whitespace that is content, and bytes that are not UTF-8 or
-# only the start of a character.
-LEXICON_BYTES = tuple(
-    part.encode("utf-8") if isinstance(part, str) else part
-    for part in ("a", "X", "中", "氵", "\t", "\n", "\r", "\r\n", " ", "\u3000", "\u00a0", "\u2028",
-                 "\x85", "\x0b", "\x0c", "\x1c", "\x00", "\ufeff", "~", b"\xff", b"\xe4\xb8", b"\xef\xbb")
-)
-LEXICON_FILES = st.one_of(
-    st.binary(max_size=40), st.lists(st.sampled_from(LEXICON_BYTES), max_size=16).map(b"".join)
-)
-
-
 class TestLexiconLoading:
-    @given(data=LEXICON_FILES)
+    @given(data=text_files())
     @settings(max_examples=500, deadline=None)
     def test_any_bytes_read_verbatim_or_are_refused_naming_the_file(self, tmp_path_factory, data):
         path = tmp_path_factory.getbasetemp() / "fuzzed_lexicon.txt"

@@ -574,9 +574,10 @@ class TestBuildModel:
         model = trainer.build_model(mode, "NER", language, TABLE_CORPORA["NER"], SMALL, **inputs)
         for key, table in inputs["tables"].items():
             assert model.composer.tables[key] is table
-        if model.templates is not None:
-            assert model.templates.cluster_lexicon == inputs.get("cluster_lexicon", {})
-            assert model.templates.radical_lexicon == inputs.get("radical_lexicon", {})
+        if model.out_alphabet is not None:
+            templates = model.out_alphabet.templates
+            assert templates.cluster_lexicon == inputs.get("cluster_lexicon", {})
+            assert templates.radical_lexicon == inputs.get("radical_lexicon", {})
 
     @pytest.mark.parametrize("mode", crf.MODES)
     @pytest.mark.parametrize("task", ["SEG", "POS", "NER"])
@@ -585,7 +586,7 @@ class TestBuildModel:
 
     def test_joint_templates_and_composer_of_two_tasks_rejected(self):
         model = trainer.build_model("joint", "NER", "EN", TABLE_CORPORA["NER"], SMALL)
-        model.templates = TemplateSet("POS", "EN")
+        model.out_alphabet.templates = TemplateSet("POS", "EN")
         with pytest.raises(ValueError, match="a composer of one task, got POS and NER"):
             model.validate()
 
@@ -626,6 +627,22 @@ class TestBuildModel:
         assert loaded.out_alphabet.strings() == model.out_alphabet.strings()
         checkpoint.save_model(tmp_path / "loaded.bin", loaded, {})
         assert (tmp_path / "loaded.bin").read_bytes() == (tmp_path / "built.bin").read_bytes()
+
+    def test_clone_shares_the_templates_the_build_ran(self, monkeypatch):
+        ran, build = [], trainer.build_output_alphabet
+        monkeypatch.setattr(trainer, "build_output_alphabet", lambda t, s: ran.append(t) or build(t, s))
+        model = trainer.build_model("joint", "NER", "EN", TABLE_CORPORA["NER"], SMALL)
+        clone = trainer.clone_model(model)
+        assert clone.out_alphabet is model.out_alphabet
+        assert clone.out_alphabet.templates is ran[0] and not hasattr(clone, "templates")
+
+    def test_a_loaded_model_has_the_header_lexicons(self, tmp_path):
+        lexicons = {"cluster_lexicon": {"中": "01"}, "radical_lexicon": {"国": "囗"}}
+        model = trainer.build_model("discrete", "NER", "ZH", TABLE_CORPORA["NER"], SMALL, **lexicons)
+        checkpoint.save_model(tmp_path / "m.bin", model, {})
+        templates = checkpoint.load_model(tmp_path / "m.bin")[0].out_alphabet.templates
+        assert (templates.task, templates.language) == ("NER", "ZH")
+        assert templates.cluster_lexicon == {"中": "01"} and templates.radical_lexicon == {"国": "囗"}
 
     @pytest.mark.parametrize("mode", crf.MODES)
     def test_models_compare_by_identity(self, mode):
@@ -703,7 +720,8 @@ class TestModelInputs:
         for name in ("cluster", "radical"):
             lexicon = {f"{name}_lexicon": {"中": "x"}}
             if name in lexicons:
-                assert getattr(build(**lexicon).templates, f"{name}_lexicon") == {"中": "x"}
+                templates = build(**lexicon).out_alphabet.templates
+                assert getattr(templates, f"{name}_lexicon") == {"中": "x"}
             else:
                 with pytest.raises(ValueError, match=f"^{name}_lexicon: "):
                     build(**lexicon)
